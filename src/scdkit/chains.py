@@ -52,9 +52,6 @@ class SCD:
     def chain_count(self) -> int:
         return len(self.chains)
 
-    def canonical(self) -> "SCD":
-        return SCD(self.host, canonical_chain_order(self.host, self.chains), self.notes)
-
     def with_notes(self, *notes: str) -> "SCD":
         return SCD(self.host, self.chains, self.notes + notes)
 

@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="node budget (default from env or 10^8)")
     p.add_argument("--use-symmetry", action="store_true",
                    help="prune by bit permutations; needs --limit 1")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; exploration is sequential")
     p.add_argument("--out", help="write the first decomposition found")
     p.set_defaults(fn=_cmd_search)
 

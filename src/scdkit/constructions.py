@@ -57,11 +57,15 @@ def _require_valid(scd: SCD, what: str, nontaut: bool = False) -> None:
         )
 
 
-def _checked(host: GradedPoset, chains, notes=(), *, what: str) -> SCD:
+def _checked(host: GradedPoset, chains, notes=(), *, what: str, nontaut: bool = False) -> SCD:
+    """Canonically ordered decomposition from ``chains``, validated once;
+    with ``nontaut`` a taut chain is an internal error too."""
     scd = SCD(host, canonical_chain_order(host, chains), tuple(notes))
     report = validate_scd(host, scd)
     if not report.valid:
         raise ConstructionError(f"{what} produced an invalid decomposition: {report.messages}")
+    if nontaut and report.taut_count:
+        raise ConstructionError(f"{what} produced taut chains (internal error)")
     return scd
 
 
@@ -139,16 +143,19 @@ def product_lift(scd_pn: SCD, scd_q: SCD) -> SCD:
         for d in scd_q.chains:
             for cells in _grid_cells(len(c), len(d)):
                 chains.append(tuple(((c[x][0], d[y]), c[x][1]) for x, y in cells))
-    out = _checked(host, chains, scd_pn.notes, what="product_lift")
-    if validate_scd(host, out).taut_count:
-        raise ConstructionError("product_lift produced taut chains (internal error)")
-    return out
+    return _checked(host, chains, scd_pn.notes, what="product_lift", nontaut=True)
 
 
 def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     """Widen a taut-free decomposition of P(k, n) to P(k', n), k' >= k,
     by lifting with a decomposition of Q_{k'-k}; the new bit positions
-    are appended after the existing ones."""
+    are appended after the existing ones.
+
+    This is :func:`product_lift` specialised to cuboids through
+    ``Q_k x Q_j = Q_{k+j}``: element ``(b, level)`` of the input crossed
+    with ``d`` of Q_j is ``((b << j) | d, level)``, so no product host is
+    built.
+    """
     base, n = _chain_factor(scd, "extend_dimension")
     k = base.hypercube_k
     if k is None:
@@ -157,13 +164,16 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
         raise ConstructionError(f"cannot extend k={k} down to k'={k_prime}")
     if k_prime == k:
         return scd
+    _require_valid(scd, "extend_dimension input", nontaut=True)
     j = k_prime - k
-    lifted = product_lift(scd, hypercube_scd(j))
-    host = build_cuboid(k_prime, n)
-    chains = [
-        tuple(((b1 << j) | b2, c) for ((b1, b2), c) in ch) for ch in lifted.chains
-    ]
-    return _checked(host, chains, scd.notes, what="extend_dimension")
+    cube_chains = hypercube_scd(j).chains
+    chains = []
+    for c in scd.chains:
+        for d in cube_chains:
+            for cells in _grid_cells(len(c), len(d)):
+                chains.append(tuple(((c[x][0] << j) | d[y], c[x][1]) for x, y in cells))
+    return _checked(build_cuboid(k_prime, n), chains, scd.notes,
+                    what="extend_dimension", nontaut=True)
 
 
 # -- the middle-block shift --------------------------------------------------
@@ -419,10 +429,7 @@ def repair(scd: SCD) -> SCD:
         raise ConstructionError("repair input corrupted: reattachment target is not a chain top")
 
     chains[idx_d] = ((lo, 0),) + chains[idx_d] + ((hi, rk),)
-    out = _checked(scd.host, chains, scd.notes, what="repair")
-    if validate_scd(scd.host, out).taut_count:
-        raise ConstructionError("repair produced taut chains (internal error)")
-    return out
+    return _checked(scd.host, chains, scd.notes, what="repair", nontaut=True)
 
 
 # -- the generation pipeline ---------------------------------------------------

@@ -1,10 +1,11 @@
 """Finite graded posets, products, and the cuboid family Q_k x n.
 
-Every poset here is finite and graded: it carries an explicit cover
-relation and a rank function, minimal elements have rank 0, and each
-cover raises rank by exactly one.  Construction re-derives those facts
-from the data and refuses anything inconsistent, so a ``GradedPoset``
-that exists is known-good.
+Every poset here is finite and graded: it carries a cover relation and
+a rank function, minimal elements have rank 0, and each cover raises
+rank by exactly one.  A generic ``GradedPoset`` re-derives those facts
+from explicit data and refuses anything inconsistent, so one that exists
+is known-good.  Hypercubes and cuboids are implicit instead: covers come
+from bit arithmetic and gradedness holds by construction.
 
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``
 pairs with ``bits`` an integer whose binary digits, most significant
@@ -31,7 +32,8 @@ class GradedPoset:
 
     ``chain_factor`` is set when the poset was built as ``base x chain(n)``
     with elements ``(p, level)``; operations that care about the chain
-    coordinate (tautness, block surgery) require it.
+    coordinate (tautness, block surgery) require it.  ``hypercube_k`` is
+    set only on the hosts :func:`build_hypercube` returns.
     """
 
     __slots__ = (
@@ -47,7 +49,6 @@ class GradedPoset:
         rank: Mapping[Element, int],
         label: str = "poset",
         *,
-        hypercube_k: int | None = None,
         chain_factor: tuple["GradedPoset", int] | None = None,
     ):
         elements = tuple(sorted(set(elements)))
@@ -90,7 +91,7 @@ class GradedPoset:
             by_rank[rank[e]].append(e)
         self.by_rank = tuple(tuple(level) for level in by_rank)
         self.rank_vector = tuple(len(level) for level in self.by_rank)
-        self.hypercube_k = hypercube_k
+        self.hypercube_k = None
         self.chain_factor = chain_factor
 
     # -- basic queries ----------------------------------------------------
@@ -145,6 +146,110 @@ class GradedPoset:
         )
 
 
+class _BitPoset(GradedPoset):
+    """Shared part of the implicit hosts (hypercubes and cuboids).
+
+    ``rank`` is a plain dict filled in canonical order, so ``elements``
+    and ``by_rank`` come out sorted without a sort.  Covers are bit
+    arithmetic; ``covers`` and ``cover_set`` are recomputed on each
+    access for the callers that want the relation spelled out (tests and
+    the generic :func:`product`).  Gradedness holds by construction.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, rank: dict, rk: int, label: str) -> None:
+        self.rank = rank
+        self.elements = tuple(rank)
+        self.label = label
+        self.rk = rk
+        by_rank: list[list[Element]] = [[] for _ in range(rk + 1)]
+        for e, r in rank.items():
+            by_rank[r].append(e)
+        self.by_rank = tuple(tuple(level) for level in by_rank)
+        self.rank_vector = tuple(len(level) for level in self.by_rank)
+
+    def _require(self, e: Element) -> None:
+        if e not in self.rank:
+            raise PosetError(f"{e!r} is not an element of {self.label}")
+
+    @property
+    def covers(self) -> tuple[tuple[Element, Element], ...]:
+        return tuple((x, y) for x in self.elements for y in self.up(x))
+
+    @property
+    def cover_set(self) -> frozenset:
+        return frozenset(self.covers)
+
+    @property
+    def bottom(self) -> Element:
+        return self.elements[0]
+
+    @property
+    def top(self) -> Element:
+        return self.elements[-1]
+
+
+class _Hypercube(_BitPoset):
+    """Q_k on bitmask elements; ``y`` covers ``x`` iff it adds one bit."""
+
+    __slots__ = ()
+
+    def __init__(self, k: int):
+        self._fill({x: x.bit_count() for x in range(1 << k)}, k, f"Q{k}")
+        self.hypercube_k = k
+        self.chain_factor = None
+
+    def up(self, x: int) -> tuple[int, ...]:
+        self._require(x)
+        return tuple(x | 1 << i for i in range(self.hypercube_k) if not x >> i & 1)
+
+    def down(self, x: int) -> tuple[int, ...]:
+        self._require(x)
+        return tuple(x ^ 1 << i for i in reversed(range(self.hypercube_k)) if x >> i & 1)
+
+    def is_cover(self, x: Element, y: Element) -> bool:
+        if x not in self.rank or y not in self.rank:
+            return False
+        d = x ^ y
+        return d != 0 and d & x == 0 and d & (d - 1) == 0
+
+
+class _Cuboid(_BitPoset):
+    """Q_k x chain(n) on ``(bits, level)``; ``y`` covers ``x`` iff it adds
+    one bit at the same level, or raises the level by one at equal bits."""
+
+    __slots__ = ("_k", "_n")
+
+    def __init__(self, k: int, n: int):
+        rank = {(b, c): b.bit_count() + c for b in range(1 << k) for c in range(n)}
+        self._fill(rank, k + n - 1, f"P({k},{n})")
+        self._k, self._n = k, n
+        self.hypercube_k = None
+        self.chain_factor = (build_hypercube(k), n)
+
+    def up(self, e: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        self._require(e)
+        b, c = e
+        above = ((b, c + 1),) if c + 1 < self._n else ()
+        return above + tuple((b | 1 << i, c) for i in range(self._k) if not b >> i & 1)
+
+    def down(self, e: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        self._require(e)
+        b, c = e
+        below = ((b, c - 1),) if c else ()
+        return tuple((b ^ 1 << i, c) for i in reversed(range(self._k)) if b >> i & 1) + below
+
+    def is_cover(self, x: Element, y: Element) -> bool:
+        if x not in self.rank or y not in self.rank:
+            return False
+        (b, c), (b2, c2) = x, y
+        if b == b2:
+            return c2 == c + 1
+        d = b ^ b2
+        return c == c2 and d & b == 0 and d & (d - 1) == 0
+
+
 # -- constructors ---------------------------------------------------------
 
 
@@ -161,18 +266,13 @@ def build_chain_poset(s: int) -> GradedPoset:
 
 
 def build_hypercube(k: int) -> GradedPoset:
-    """Q_k on bitmask elements 0..2^k-1; covers flip one 0-bit up."""
+    """Q_k on bitmask elements 0..2^k-1; covers flip one 0-bit up.
+
+    An implicit bit-arithmetic host with ``hypercube_k = k``.
+    """
     if k < 0:
         raise PosetError(f"hypercube dimension must be nonnegative, got k={k}")
-    elements = range(1 << k)
-    covers = [
-        (x, x | (1 << i))
-        for x in elements
-        for i in range(k)
-        if not x & (1 << i)
-    ]
-    rank = {x: bin(x).count("1") for x in elements}
-    return GradedPoset(elements, covers, rank, label=f"Q{k}", hypercube_k=k)
+    return _Hypercube(k)
 
 
 def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
@@ -197,22 +297,14 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
 def build_cuboid(k: int, n: int) -> GradedPoset:
     """P(k, n) = Q_k x chain(n) on elements ``(bits, level)``.
 
-    Bitmask-specialized construction; identical as a poset to
+    Implicit bit-arithmetic host; identical as a poset to
     ``product(build_hypercube(k), build_chain_poset(n))``.
     """
     if k < 0:
         raise PosetError(f"cuboid needs k >= 0, got k={k}")
     if n < 1:
         raise PosetError(f"cuboid needs n >= 1, got n={n}")
-    elements = [(b, c) for b in range(1 << k) for c in range(n)]
-    covers = [((b, c), (b | (1 << i), c)) for (b, c) in elements for i in range(k) if not b & (1 << i)]
-    covers += [((b, c), (b, c + 1)) for (b, c) in elements if c + 1 < n]
-    rank = {(b, c): bin(b).count("1") + c for (b, c) in elements}
-    return GradedPoset(
-        elements, covers, rank,
-        label=f"P({k},{n})",
-        chain_factor=(build_hypercube(k), n),
-    )
+    return _Cuboid(k, n)
 
 
 def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:

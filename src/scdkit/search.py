@@ -42,9 +42,8 @@ class SearchConfig:
     ``use_symmetry`` prunes branches equivalent under permutations of the
     hypercube bit positions; that is sound for existence queries only, so
     it demands ``limit == 1``.  When the caller sets no budget at all, a
-    node cap of 10**8 applies so runs stay bounded.  The engine is
-    deterministic regardless of ``deterministic_order``; the flag records
-    the caller's requirement and is never allowed to loosen ordering.
+    node cap of 10**8 applies so runs stay bounded.  ``limit`` must be at
+    least 1 and the budgets nonnegative.
     """
 
     forbid_taut: bool = False
@@ -52,7 +51,6 @@ class SearchConfig:
     node_budget: int | None = None
     time_budget: float | None = None
     use_symmetry: bool = False
-    deterministic_order: bool = True
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,12 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
     and returns empty-but-exhausted immediately.
     """
     cfg = config or SearchConfig()
+    if cfg.limit is not None and cfg.limit < 1:
+        raise SearchError(f"limit must be at least 1, got {cfg.limit}")
+    if cfg.node_budget is not None and cfg.node_budget < 0:
+        raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
+    if cfg.time_budget is not None and cfg.time_budget < 0:
+        raise SearchError(f"time budget must be nonnegative, got {cfg.time_budget}")
     if cfg.use_symmetry and cfg.limit != 1:
         raise SearchError("use_symmetry is only sound for existence queries (limit=1)")
     if not is_rank_symmetric(host):

@@ -1,3 +1,5 @@
+import pytest
+
 from scdkit.cli import run
 from scdkit.data_io import builtin_table, parse_scd, serialize_scd
 
@@ -145,6 +147,13 @@ def test_search_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("SCDKIT_NODE_BUDGET", "7")
     code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3")
     assert code == 2 and "node-budget" in out
+
+
+@pytest.mark.parametrize("option", [("--limit", "0"), ("--limit", "-3"), ("--budget", "-1")])
+def test_search_rejects_nonpositive_limit_and_negative_budget(capsys, option):
+    code, out, err = invoke(capsys, "search", "--k", "2", "--n", "2", *option)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_search_writes_witness(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from scdkit.chains import expected_chain_count, validate_scd
+from scdkit.chains import SCD, canonical_chain_order, expected_chain_count, validate_scd
 from scdkit.constructions import (
     ConstructionError,
     RegionError,
@@ -16,7 +16,7 @@ from scdkit.constructions import (
     repair,
     shift,
 )
-from scdkit.data_io import builtin_table
+from scdkit.data_io import builtin_table, serialize_scd
 from scdkit.posets import (
     build_chain_poset,
     build_cuboid,
@@ -132,6 +132,26 @@ def test_extend_dimension_valid(tid, k2):
 def test_extend_dimension_rejects_narrowing():
     with pytest.raises(ConstructionError):
         extend_dimension(builtin_table("P53"), 4)
+
+
+def test_extend_dimension_rejects_taut_input():
+    taut_scd = enumerate_scds(build_cuboid(2, 2)).found[0]
+    with pytest.raises(ConstructionError):
+        extend_dimension(taut_scd, 3)
+
+
+@pytest.mark.parametrize("k2", [6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_extend_dimension_matches_product_lift(n, k2):
+    # Reference: lift through the generic product host, then renumber
+    # ((b1, b2), level) -> ((b1 << j) | b2, level) into the cuboid.
+    scd = generate(5, n)
+    j = k2 - 5
+    lifted = product_lift(scd, hypercube_scd(j))
+    host = build_cuboid(k2, n)
+    chains = [tuple(((b1 << j) | b2, c) for ((b1, b2), c) in ch) for ch in lifted.chains]
+    reference = SCD(host, canonical_chain_order(host, chains), scd.notes)
+    assert serialize_scd(extend_dimension(scd, k2)) == serialize_scd(reference)
 
 
 # -- shift ----------------------------------------------------------------------

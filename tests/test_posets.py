@@ -100,6 +100,46 @@ def test_cuboid_matches_generic_product(k, n):
     assert fast.elements == slow.elements
     assert fast.cover_set == slow.cover_set
     assert fast.rank == slow.rank
+    assert fast.by_rank == slow.by_rank
+    assert (fast.bottom, fast.top) == (slow.bottom, slow.top)
+    for e in slow.elements:
+        assert fast.up(e) == slow.up(e)
+        assert fast.down(e) == slow.down(e)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_hypercube_matches_explicit_poset(k):
+    # Reference: the explicit host built from the covers spelled out.
+    elements = range(1 << k)
+    covers = [(x, x | 1 << i) for x in elements for i in range(k) if not x & 1 << i]
+    slow = GradedPoset(elements, covers, {x: bin(x).count("1") for x in elements})
+    fast = build_hypercube(k)
+    assert fast == slow
+    assert fast.covers == slow.covers
+    assert fast.by_rank == slow.by_rank
+    assert (fast.bottom, fast.top) == (slow.bottom, slow.top)
+    for x in elements:
+        assert fast.up(x) == slow.up(x)
+        assert fast.down(x) == slow.down(x)
+
+
+def test_implicit_is_cover_rejects_non_covers():
+    host = build_cuboid(3, 3)
+    assert host.is_cover((0b010, 1), (0b011, 1))
+    assert host.is_cover((0b010, 1), (0b010, 2))
+    assert not host.is_cover((0b010, 2), (0b010, 3))  # level out of range
+    assert not host.is_cover((0b111, 0), (0b1111, 0))  # bits out of range
+    assert not host.is_cover((0b010, 1), (0b010, 1))  # same element
+    assert not host.is_cover((0b010, 1), (0b011, 2))  # bit and level both move
+    assert not host.is_cover((0b001, 1), (0b111, 1))  # two bits at once
+    assert not host.is_cover((0b011, 1), (0b010, 1))  # downward
+    assert not host.is_cover(2, 3) and not host.is_cover("a", (0, 0))  # non-tuples
+    cube = build_hypercube(3)
+    assert cube.is_cover(0b010, 0b011)
+    assert not cube.is_cover(0b111, 0b1111)
+    assert not cube.is_cover(0b010, 0b010)
+    assert not cube.is_cover(0b001, 0b111)
+    assert not cube.is_cover((0, 0), (1, 0)) and not cube.is_cover("a", 1)
 
 
 def test_cuboid_chain_factor_recorded():

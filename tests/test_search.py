@@ -93,6 +93,17 @@ def test_limit_stops_early():
     assert not out.exhausted and out.stop_reason == "limit"
 
 
+@pytest.mark.parametrize("config", [
+    SearchConfig(limit=0),
+    SearchConfig(limit=-3),
+    SearchConfig(node_budget=-1),
+    SearchConfig(time_budget=-0.5),
+])
+def test_rejects_nonpositive_limit_and_negative_budgets(config):
+    with pytest.raises(SearchError):
+        enumerate_scds(build_cuboid(2, 2), config)
+
+
 def test_node_budget_reported_distinctly():
     out = enumerate_scds(build_cuboid(2, 3), SearchConfig(node_budget=10))
     assert not out.exhausted and out.stop_reason == "node-budget"
