@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import SCD, canonical_chain_order, validate_scd
+from .chains import SCD, ValidationReport, canonical_chain_order, validate_scd
 from .data_io import builtin_table
 from .posets import (
     Element,
@@ -47,25 +47,26 @@ class RegionError(ConstructionError):
     """Raised for (k, n) outside the region where taut-free decompositions exist."""
 
 
-def _require_valid(scd: SCD, what: str, nontaut: bool = False) -> None:
+def _check(scd: SCD, what: str, taut_count: int | None = None) -> ValidationReport:
+    """The validation gate of every construction, for inputs and outputs
+    alike: ``scd`` must be a valid decomposition and, when ``taut_count``
+    is given, have exactly that many taut chains."""
     report = validate_scd(scd.host, scd)
     if not report.valid:
         raise ConstructionError(f"{what} is not a valid decomposition: {report.messages}")
-    if nontaut and report.taut_count:
+    if taut_count is not None and report.taut_count != taut_count:
         raise ConstructionError(
-            f"{what} has taut chains at indices {report.taut_chain_indices}"
+            f"{what} has taut chains at indices {report.taut_chain_indices}, "
+            f"expected {taut_count}"
         )
+    return report
 
 
-def _checked(host: GradedPoset, chains, notes=(), *, what: str, nontaut: bool = False) -> SCD:
-    """Canonically ordered decomposition from ``chains``, validated once;
-    with ``nontaut`` a taut chain is an internal error too."""
+def _checked(host: GradedPoset, chains, notes=(), *, what: str,
+             taut_count: int | None = None) -> SCD:
+    """Canonically ordered decomposition from ``chains``, through the gate."""
     scd = SCD(host, canonical_chain_order(host, chains), tuple(notes))
-    report = validate_scd(host, scd)
-    if not report.valid:
-        raise ConstructionError(f"{what} produced an invalid decomposition: {report.messages}")
-    if nontaut and report.taut_count:
-        raise ConstructionError(f"{what} produced taut chains (internal error)")
+    _check(scd, what, taut_count)
     return scd
 
 
@@ -133,8 +134,8 @@ def product_lift(scd_pn: SCD, scd_q: SCD) -> SCD:
     no input chain is taut; that hypothesis is enforced here.
     """
     base_p, n = _chain_factor(scd_pn, "product_lift")
-    _require_valid(scd_pn, "product_lift first input", nontaut=True)
-    _require_valid(scd_q, "product_lift second input")
+    _check(scd_pn, "product_lift first input", taut_count=0)
+    _check(scd_q, "product_lift second input")
 
     out_base = product(base_p, scd_q.host)
     host = poset_times_chain(out_base, n)
@@ -143,7 +144,7 @@ def product_lift(scd_pn: SCD, scd_q: SCD) -> SCD:
         for d in scd_q.chains:
             for cells in _grid_cells(len(c), len(d)):
                 chains.append(tuple(((c[x][0], d[y]), c[x][1]) for x, y in cells))
-    return _checked(host, chains, scd_pn.notes, what="product_lift", nontaut=True)
+    return _checked(host, chains, scd_pn.notes, what="product_lift", taut_count=0)
 
 
 def extend_dimension(scd: SCD, k_prime: int) -> SCD:
@@ -162,9 +163,9 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
         raise ConstructionError("extend_dimension needs a cuboid host")
     if k_prime < k:
         raise ConstructionError(f"cannot extend k={k} down to k'={k_prime}")
+    _check(scd, "extend_dimension input", taut_count=0)
     if k_prime == k:
         return scd
-    _require_valid(scd, "extend_dimension input", nontaut=True)
     j = k_prime - k
     cube_chains = hypercube_scd(j).chains
     chains = []
@@ -173,7 +174,7 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
             for cells in _grid_cells(len(c), len(d)):
                 chains.append(tuple(((c[x][0] << j) | d[y], c[x][1]) for x, y in cells))
     return _checked(build_cuboid(k_prime, n), chains, scd.notes,
-                    what="extend_dimension", nontaut=True)
+                    what="extend_dimension", taut_count=0)
 
 
 # -- the middle-block shift --------------------------------------------------
@@ -194,7 +195,7 @@ def shift(scd: SCD, m: int) -> SCD:
         raise ConstructionError(
             f"shift needs both chain lengths >= rk(P)+1 = {rk + 1}, got n={n}, m={m}"
         )
-    _require_valid(scd, "shift input")
+    taut = _check(scd, "shift input").taut_count
     if m == n:
         return scd
 
@@ -214,7 +215,7 @@ def shift(scd: SCD, m: int) -> SCD:
         new_mid = [(p, y - base.rank[p]) for y in range(rk, m)]
         new_last = [(q, c + m - n) for q, c in last]
         chains.append(tuple(first) + tuple(new_mid) + tuple(new_last))
-    return _checked(host, chains, scd.notes, what="shift")
+    return _checked(host, chains, scd.notes, what="shift", taut_count=taut)
 
 
 # -- collapse / expand between n = rk(P)+1 and n = rk(P) ---------------------
@@ -245,7 +246,7 @@ def collapse(scd: SCD) -> SCD:
     down by one.  Taut chains stay taut.
     """
     base = _surgery_base(scd, "collapse", above=True)
-    _require_valid(scd, "collapse input")
+    _check(scd, "collapse input")
     m = base.rk
     rank_in = scd.host.rank
 
@@ -263,11 +264,7 @@ def collapse(scd: SCD) -> SCD:
         kept = [e for e in ch if rank_in[e] < m]
         kept += [(q, c - 1) for q, c in ch if rank_in[(q, c)] > m]
         chains.append(tuple(kept))
-    out = SCD(host, canonical_chain_order(host, chains), scd.notes)
-    report = validate_scd(host, out)
-    if not report.valid:
-        raise ConstructionError(f"collapse input corrupted: {report.messages}")
-    return out
+    return _checked(host, chains, scd.notes, what="collapse output")
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,7 @@ class EdgeMatching:
 def middle_graph(scd: SCD) -> MiddleGraph:
     """Project a decomposition of ``P x chain(rk)`` onto its middle graph."""
     base = _surgery_base(scd, "middle_graph", above=False)
-    _require_valid(scd, "middle_graph input")
+    _check(scd, "middle_graph input")
     rk = base.rk
     rank_in = scd.host.rank
 
@@ -403,7 +400,7 @@ def repair(scd: SCD) -> SCD:
         raise ConstructionError(
             f"repair needs max of {base.label} to cover at least 2 elements"
         )
-    _require_valid(scd, "repair input", nontaut=True)
+    _check(scd, "repair input", taut_count=0)
 
     lo, hi = base.bottom, base.top
     idx_max = _maximal_chain_index(scd)
@@ -429,7 +426,7 @@ def repair(scd: SCD) -> SCD:
         raise ConstructionError("repair input corrupted: reattachment target is not a chain top")
 
     chains[idx_d] = ((lo, 0),) + chains[idx_d] + ((hi, rk),)
-    return _checked(scd.host, chains, scd.notes, what="repair", nontaut=True)
+    return _checked(scd.host, chains, scd.notes, what="repair", taut_count=0)
 
 
 # -- the generation pipeline ---------------------------------------------------
@@ -438,18 +435,15 @@ def repair(scd: SCD) -> SCD:
 @lru_cache(maxsize=None)
 def _taut_free_p56() -> SCD:
     """Taut-free decomposition of P(5,6): expand the P(5,5) certificate
-    through the first matching whose repaired lift passes the taut-free
-    validator (matchings tried in unmatched-vertex rank order)."""
+    through the first matching whose lift is taut-free, then repair it
+    (matchings tried in unmatched-vertex rank order).  ``repair`` checks
+    its result taut-free itself."""
     t3 = builtin_table("P55")
     graph = middle_graph(t3)
     for idx, f in enumerate(enumerate_matchings(graph)):
         lifted = expand(t3, f)
-        if validate_scd(lifted.host, lifted).taut_count:
-            continue
-        candidate = repair(lifted)
-        report = validate_scd(candidate.host, candidate)
-        if report.valid and report.taut_count == 0:
-            return candidate.with_notes(f"matching: {idx}")
+        if not validate_scd(lifted.host, lifted).taut_count:
+            return repair(lifted).with_notes(f"matching: {idx}")
     raise ConstructionError("no matching yields a taut-free lift of P(5,5)")
 
 

@@ -2,10 +2,14 @@
 
 Every poset here is finite and graded: it carries a cover relation and
 a rank function, minimal elements have rank 0, and each cover raises
-rank by exactly one.  A generic ``GradedPoset`` re-derives those facts
-from explicit data and refuses anything inconsistent, so one that exists
-is known-good.  Hypercubes and cuboids are implicit instead: covers come
-from bit arithmetic and gradedness holds by construction.
+rank by exactly one.  One class, ``GradedPoset``, serves every host, and
+each host holds its cover relation once, as ``up``.  A generic poset
+keeps it as a table built from explicit data, re-derives gradedness and
+refuses anything inconsistent, so one that exists is known-good; it keeps
+ranks only for its own elements.  Hypercubes and cuboids are implicit:
+``up`` is bit arithmetic and gradedness holds by construction.  The rest
+(``down``, ``covers``, ``top``, ``bottom``) is derived from ``up`` for all
+of them, and ``up``/``down`` of a foreign element raise ``PosetError``.
 
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``
 pairs with ``bits`` an integer whose binary digits, most significant
@@ -34,12 +38,15 @@ class GradedPoset:
     with elements ``(p, level)``; operations that care about the chain
     coordinate (tautness, block surgery) require it.  ``hypercube_k`` is
     set only on the hosts :func:`build_hypercube` returns.
+
+    ``up`` is the one cover relation: a table here, bit arithmetic in the
+    implicit hosts, which also answer ``is_cover`` in constant time since
+    ``validate_scd`` asks it once per chain step.
     """
 
     __slots__ = (
         "elements", "rank", "label", "rk", "by_rank", "rank_vector",
-        "covers", "cover_set", "hypercube_k", "chain_factor",
-        "_up", "_down",
+        "hypercube_k", "chain_factor", "_up",
     )
 
     def __init__(
@@ -51,48 +58,54 @@ class GradedPoset:
         *,
         chain_factor: tuple["GradedPoset", int] | None = None,
     ):
-        elements = tuple(sorted(set(elements)))
+        elements = sorted(set(elements))
         if not elements:
             raise PosetError("a graded poset must be nonempty")
-        cover_set = frozenset(covers)
-        rank = dict(rank)
-
         up: dict[Element, list[Element]] = {e: [] for e in elements}
-        down: dict[Element, list[Element]] = {e: [] for e in elements}
-        for x, y in cover_set:
+        covered = set()
+        for x, y in set(covers):
             if x not in up or y not in up:
                 raise PosetError(f"cover ({x!r}, {y!r}) uses a foreign element")
             up[x].append(y)
-            down[y].append(x)
+            covered.add(y)
 
         # Recompute gradedness instead of trusting the caller: minimal
         # elements must sit at rank 0 and covers must raise rank by 1.
         for e in elements:
             if e not in rank:
                 raise PosetError(f"element {e!r} has no rank")
-            if not down[e] and rank[e] != 0:
+            if e not in covered and rank[e] != 0:
                 raise PosetError(f"minimal element {e!r} has rank {rank[e]}, not 0")
-        for x, y in cover_set:
-            if rank[y] != rank[x] + 1:
-                raise PosetError(
-                    f"cover ({x!r}, {y!r}) jumps rank {rank[x]} -> {rank[y]}"
-                )
+        for x in elements:
+            for y in up[x]:
+                if rank[y] != rank[x] + 1:
+                    raise PosetError(
+                        f"cover ({x!r}, {y!r}) jumps rank {rank[x]} -> {rank[y]}"
+                    )
 
-        self.elements = elements
-        self.rank = rank
-        self.label = label
-        self.covers = tuple(sorted(cover_set))
-        self.cover_set = cover_set
-        self.rk = max(rank[e] for e in elements)
+        # Only the elements' own ranks are kept: a rank given for anything
+        # else must not make it a member.
+        own = {e: rank[e] for e in elements}
+        self._fill(own, max(own.values()), label)
         self._up = {e: tuple(sorted(up[e])) for e in elements}
-        self._down = {e: tuple(sorted(down[e])) for e in elements}
-        by_rank: list[list[Element]] = [[] for _ in range(self.rk + 1)]
-        for e in elements:
-            by_rank[rank[e]].append(e)
-        self.by_rank = tuple(tuple(level) for level in by_rank)
-        self.rank_vector = tuple(len(level) for level in self.by_rank)
         self.hypercube_k = None
         self.chain_factor = chain_factor
+
+    def _fill(self, rank: dict, rk: int, label: str) -> None:
+        """Rank bookkeeping from ``rank``, whose keys are in canonical order."""
+        self.rank = rank
+        self.elements = tuple(rank)
+        self.label = label
+        self.rk = rk
+        by_rank: list[list[Element]] = [[] for _ in range(rk + 1)]
+        for e, r in rank.items():
+            by_rank[r].append(e)
+        self.by_rank = tuple(tuple(level) for level in by_rank)
+        self.rank_vector = tuple(len(level) for level in self.by_rank)
+
+    def _require(self, e: Element) -> None:
+        if e not in self.rank:
+            raise PosetError(f"{e!r} is not an element of {self.label}")
 
     # -- basic queries ----------------------------------------------------
 
@@ -118,14 +131,26 @@ class GradedPoset:
 
     def up(self, e: Element) -> tuple[Element, ...]:
         """Elements covering ``e``, in canonical order."""
+        self._require(e)
         return self._up[e]
 
     def down(self, e: Element) -> tuple[Element, ...]:
         """Elements covered by ``e``, in canonical order."""
-        return self._down[e]
+        self._require(e)
+        r = self.rank[e]
+        return tuple(x for x in self.by_rank[r - 1] if e in self.up(x)) if r else ()
 
     def is_cover(self, x: Element, y: Element) -> bool:
-        return (x, y) in self.cover_set
+        return x in self.rank and y in self.up(x)
+
+    @property
+    def covers(self) -> tuple[tuple[Element, Element], ...]:
+        """Every cover pair, in canonical order."""
+        return tuple((x, y) for x in self.elements for y in self.up(x))
+
+    @property
+    def cover_set(self) -> frozenset:
+        return frozenset(self.covers)
 
     @property
     def bottom(self) -> Element | None:
@@ -135,7 +160,7 @@ class GradedPoset:
     @property
     def top(self) -> Element | None:
         """The unique maximal element, or None if there are several."""
-        maxima = [e for e in self.elements if not self._up[e]]
+        maxima = [e for e in self.elements if not self.up(e)]
         return maxima[0] if len(maxima) == 1 else None
 
     @property
@@ -146,51 +171,7 @@ class GradedPoset:
         )
 
 
-class _BitPoset(GradedPoset):
-    """Shared part of the implicit hosts (hypercubes and cuboids).
-
-    ``rank`` is a plain dict filled in canonical order, so ``elements``
-    and ``by_rank`` come out sorted without a sort.  Covers are bit
-    arithmetic; ``covers`` and ``cover_set`` are recomputed on each
-    access for the callers that want the relation spelled out (tests and
-    the generic :func:`product`).  Gradedness holds by construction.
-    """
-
-    __slots__ = ()
-
-    def _fill(self, rank: dict, rk: int, label: str) -> None:
-        self.rank = rank
-        self.elements = tuple(rank)
-        self.label = label
-        self.rk = rk
-        by_rank: list[list[Element]] = [[] for _ in range(rk + 1)]
-        for e, r in rank.items():
-            by_rank[r].append(e)
-        self.by_rank = tuple(tuple(level) for level in by_rank)
-        self.rank_vector = tuple(len(level) for level in self.by_rank)
-
-    def _require(self, e: Element) -> None:
-        if e not in self.rank:
-            raise PosetError(f"{e!r} is not an element of {self.label}")
-
-    @property
-    def covers(self) -> tuple[tuple[Element, Element], ...]:
-        return tuple((x, y) for x in self.elements for y in self.up(x))
-
-    @property
-    def cover_set(self) -> frozenset:
-        return frozenset(self.covers)
-
-    @property
-    def bottom(self) -> Element:
-        return self.elements[0]
-
-    @property
-    def top(self) -> Element:
-        return self.elements[-1]
-
-
-class _Hypercube(_BitPoset):
+class _Hypercube(GradedPoset):
     """Q_k on bitmask elements; ``y`` covers ``x`` iff it adds one bit."""
 
     __slots__ = ()
@@ -204,10 +185,6 @@ class _Hypercube(_BitPoset):
         self._require(x)
         return tuple(x | 1 << i for i in range(self.hypercube_k) if not x >> i & 1)
 
-    def down(self, x: int) -> tuple[int, ...]:
-        self._require(x)
-        return tuple(x ^ 1 << i for i in reversed(range(self.hypercube_k)) if x >> i & 1)
-
     def is_cover(self, x: Element, y: Element) -> bool:
         if x not in self.rank or y not in self.rank:
             return False
@@ -215,7 +192,7 @@ class _Hypercube(_BitPoset):
         return d != 0 and d & x == 0 and d & (d - 1) == 0
 
 
-class _Cuboid(_BitPoset):
+class _Cuboid(GradedPoset):
     """Q_k x chain(n) on ``(bits, level)``; ``y`` covers ``x`` iff it adds
     one bit at the same level, or raises the level by one at equal bits."""
 
@@ -233,12 +210,6 @@ class _Cuboid(_BitPoset):
         b, c = e
         above = ((b, c + 1),) if c + 1 < self._n else ()
         return above + tuple((b | 1 << i, c) for i in range(self._k) if not b >> i & 1)
-
-    def down(self, e: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        self._require(e)
-        b, c = e
-        below = ((b, c - 1),) if c else ()
-        return tuple((b ^ 1 << i, c) for i in reversed(range(self._k)) if b >> i & 1) + below
 
     def is_cover(self, x: Element, y: Element) -> bool:
         if x not in self.rank or y not in self.rank:

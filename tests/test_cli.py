@@ -21,9 +21,6 @@ def test_tables_then_validate_pipeline(tmp_path, capsys):
 
 def test_validate_flags_taut_documents(tmp_path, capsys):
     doc = tmp_path / "taut.scd"
-    doc.write_text(
-        "2 2\n00 0 "  # deliberately malformed? no: use real chains below
-    )
     # A full decomposition of P(1,2); its maximal chain is taut.
     doc.write_text("1 2\n00 01 11\n10\n")
     code, out, _ = invoke(capsys, "validate", str(doc))
@@ -123,6 +120,14 @@ def test_lift_adds_dimensions(tmp_path, capsys):
     assert lifted.host.chain_factor[0].hypercube_k == 6
     code, txt, _ = invoke(capsys, "validate", str(out), "--require-nontaut")
     assert code == 0
+
+
+def test_lift_rejects_taut_documents(tmp_path, capsys):
+    doc = tmp_path / "taut.scd"
+    doc.write_text("1 2\n00 01 11\n10\n")  # P(1,2); its maximal chain is taut
+    for extra in ("0", "1"):
+        code, out, _ = invoke(capsys, "lift", "--file", str(doc), "--with-hypercube", extra)
+        assert code == 1 and out == ""
 
 
 def test_search_exhaustive_summary(capsys):

@@ -4,6 +4,7 @@ from scdkit.chains import SCD, canonical_chain_order, expected_chain_count, vali
 from scdkit.constructions import (
     ConstructionError,
     RegionError,
+    _check,
     collapse,
     enumerate_matchings,
     expand,
@@ -136,8 +137,9 @@ def test_extend_dimension_rejects_narrowing():
 
 def test_extend_dimension_rejects_taut_input():
     taut_scd = enumerate_scds(build_cuboid(2, 2)).found[0]
-    with pytest.raises(ConstructionError):
-        extend_dimension(taut_scd, 3)
+    for k2 in (2, 3):  # the identity lift checks its input too
+        with pytest.raises(ConstructionError):
+            extend_dimension(taut_scd, k2)
 
 
 @pytest.mark.parametrize("k2", [6, 7])
@@ -152,6 +154,19 @@ def test_extend_dimension_matches_product_lift(n, k2):
     chains = [tuple(((b1 << j) | b2, c) for ((b1, b2), c) in ch) for ch in lifted.chains]
     reference = SCD(host, canonical_chain_order(host, chains), scd.notes)
     assert serialize_scd(extend_dimension(scd, k2)) == serialize_scd(reference)
+
+
+# -- the validation gate --------------------------------------------------------
+
+
+def test_gate_requires_the_exact_taut_count():
+    free = builtin_table("P53")
+    taut = enumerate_scds(build_cuboid(2, 2)).found[0]
+    count = validate_scd(taut.host, taut).taut_count
+    assert count and _check(taut, "taut", taut_count=count).taut_count == count
+    for scd, wrong in ((free, 1), (taut, count - 1), (taut, count + 1)):
+        with pytest.raises(ConstructionError, match="taut chains"):
+            _check(scd, "input", taut_count=wrong)
 
 
 # -- shift ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from scdkit.chains import ScdError, validate_chain
 from scdkit.posets import (
     GradedPoset,
     PosetError,
@@ -238,6 +239,26 @@ def test_construction_rejects_floating_minimal():
 def test_construction_rejects_foreign_cover():
     with pytest.raises(PosetError):
         GradedPoset("ab", [("a", "z")], {"a": 0, "b": 1})
+
+
+def test_rank_of_a_foreign_element_does_not_make_it_a_member():
+    p = GradedPoset("ab", [], {"a": 0, "b": 0, "z": 5})
+    assert "z" not in p and p.rank == {"a": 0, "b": 0} and p.rk == 0
+    with pytest.raises(ScdError):
+        validate_chain(p, ("z",))
+
+
+@pytest.mark.parametrize("host, foreign", [
+    (build_chain_poset(3), 3),
+    (product(build_chain_poset(2), build_chain_poset(2)), (2, 0)),
+    (build_hypercube(3), 8),
+    (build_cuboid(2, 3), (0, 3)),
+])
+def test_up_and_down_reject_foreign_elements(host, foreign):
+    with pytest.raises(PosetError):
+        host.up(foreign)
+    with pytest.raises(PosetError):
+        host.down(foreign)
 
 
 def test_poset_times_chain_matches_cuboid_for_hypercubes():
