@@ -13,6 +13,7 @@ are engineered to avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .posets import Element, GradedPoset, PosetError, is_rank_symmetric
@@ -38,6 +39,10 @@ class SCD:
     ``notes`` carries provenance strings (e.g. which matching a pipeline
     chose); they ride along through serialization but never affect
     equality.
+
+    Hosts and chains are immutable tuples, so ``report`` validates a
+    decomposition once, on first access; :meth:`with_notes` passes a
+    computed report on to the copy.
     """
 
     host: GradedPoset
@@ -52,8 +57,15 @@ class SCD:
     def chain_count(self) -> int:
         return len(self.chains)
 
+    @cached_property
+    def report(self) -> "ValidationReport":
+        return validate_scd(self.host, self)
+
     def with_notes(self, *notes: str) -> "SCD":
-        return SCD(self.host, self.chains, self.notes + notes)
+        copy = SCD(self.host, self.chains, self.notes + notes)
+        if "report" in self.__dict__:
+            copy.__dict__["report"] = self.report
+        return copy
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SCD):
@@ -125,10 +137,6 @@ class ValidationReport:
     @property
     def taut_count(self) -> int:
         return len(self.taut_chain_indices)
-
-    def summary(self) -> str:
-        status = "valid" if self.valid else "INVALID"
-        return f"{self.chain_count} chains, {self.taut_count} taut ({status})"
 
 
 def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> ValidationReport:

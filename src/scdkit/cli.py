@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, data_io, search
-from .chains import necessary_conditions, validate_scd
+from .chains import necessary_conditions
 from .posets import build_cuboid, build_hypercube
 from .search import SearchConfig
 
@@ -50,12 +50,14 @@ def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="ascii")
+        try:
+            Path(out).write_text(text, encoding="ascii")
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_validate(args) -> int:
-    scd = _read_scd(args.file)
-    report = validate_scd(scd.host, scd)
+    report = _read_scd(args.file).report
     print(f"{report.chain_count} chains, {report.taut_count} taut")
     for message in report.messages:
         print(f"finding: {message}")

@@ -1,5 +1,7 @@
 """Constructive transformations between symmetric chain decompositions.
 
+``hypercube_scd`` and the lifts are one peeling product (``_cross``), and
+shift, collapse and expand are one middle-block restretch (``_restretch``).
 The toolbox, bottom to top:
 
 * canonical decompositions of rectangles (``grid_scd``) and hypercubes
@@ -25,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
-from .chains import SCD, ValidationReport, canonical_chain_order, validate_scd
+from .chains import SCD, ValidationReport, canonical_chain_order
 from .data_io import builtin_table
 from .posets import (
     Element,
@@ -51,7 +54,7 @@ def _check(scd: SCD, what: str, taut_count: int | None = None) -> ValidationRepo
     """The validation gate of every construction, for inputs and outputs
     alike: ``scd`` must be a valid decomposition and, when ``taut_count``
     is given, have exactly that many taut chains."""
-    report = validate_scd(scd.host, scd)
+    report = scd.report
     if not report.valid:
         raise ConstructionError(f"{what} is not a valid decomposition: {report.messages}")
     if taut_count is not None and report.taut_count != taut_count:
@@ -97,6 +100,15 @@ def _grid_cells(a: int, b: int) -> list[list[tuple[int, int]]]:
     ]
 
 
+def _cross(left, right, pair) -> list[tuple]:
+    """Peeling product: the rectangle ``c x d`` of every chain ``c`` of
+    ``left`` and every chain ``d`` of ``right``, peeled by
+    :func:`_grid_cells`; ``pair(a, b)`` names the product element."""
+    # tuple([...]) over tuple(generator): the list builds faster.
+    return [tuple([pair(c[x], d[y]) for x, y in cells])
+            for c in left for d in right for cells in _grid_cells(len(c), len(d))]
+
+
 def grid_scd(a: int, b: int) -> SCD:
     """The canonical symmetric chain decomposition of chain(a) x chain(b)."""
     if a < 1 or b < 1:
@@ -113,11 +125,7 @@ def hypercube_scd(k: int) -> SCD:
         raise ConstructionError(f"hypercube dimension must be nonnegative, got {k}")
     chains: list[tuple] = [(0,)]
     for _ in range(k):
-        grown: list[tuple] = []
-        for ch in chains:
-            for cells in _grid_cells(len(ch), 2):
-                grown.append(tuple((ch[x] << 1) | y for x, y in cells))
-        chains = grown
+        chains = _cross(chains, ((0, 1),), lambda b, y: (b << 1) | y)
     return _checked(build_hypercube(k), chains, what="hypercube_scd")
 
 
@@ -137,13 +145,8 @@ def product_lift(scd_pn: SCD, scd_q: SCD) -> SCD:
     _check(scd_pn, "product_lift first input", taut_count=0)
     _check(scd_q, "product_lift second input")
 
-    out_base = product(base_p, scd_q.host)
-    host = poset_times_chain(out_base, n)
-    chains = []
-    for c in scd_pn.chains:
-        for d in scd_q.chains:
-            for cells in _grid_cells(len(c), len(d)):
-                chains.append(tuple(((c[x][0], d[y]), c[x][1]) for x, y in cells))
+    host = poset_times_chain(product(base_p, scd_q.host), n)
+    chains = _cross(scd_pn.chains, scd_q.chains, lambda e, q: ((e[0], q), e[1]))
     return _checked(host, chains, scd_pn.notes, what="product_lift", taut_count=0)
 
 
@@ -167,17 +170,34 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     if k_prime == k:
         return scd
     j = k_prime - k
-    cube_chains = hypercube_scd(j).chains
-    chains = []
-    for c in scd.chains:
-        for d in cube_chains:
-            for cells in _grid_cells(len(c), len(d)):
-                chains.append(tuple(((c[x][0] << j) | d[y], c[x][1]) for x, y in cells))
+    chains = _cross(scd.chains, hypercube_scd(j).chains,
+                    lambda e, d: ((e[0] << j) | d, e[1]))
     return _checked(build_cuboid(k_prime, n), chains, scd.notes,
                     what="extend_dimension", taut_count=0)
 
 
-# -- the middle-block shift --------------------------------------------------
+# -- the middle-block restretch -----------------------------------------------
+
+
+def _restretch(scd: SCD, m: int, coords) -> list[tuple]:
+    """Chains of a valid decomposition of ``P x chain(n)`` re-cut for
+    ``P x chain(m)``: chain i keeps its first block (total ranks < rk), its
+    middle block (ranks rk .. n-1) becomes the vertical run over
+    ``coords[i]`` up to rank m-1 (none if m <= rk), and its last block
+    moves up by m - n; chains left empty are dropped.  Ranks along a
+    valid chain are consecutive, so blocks are cut by index."""
+    base, n = scd.host.chain_factor
+    rk, lift = base.rk, m - n
+    rank_in, rank_p = scd.host.rank, base.rank
+    rows = range(rk, m)
+    chains = []
+    for ch, p in zip(scd.chains, coords):
+        r0 = rank_in[ch[0]]
+        out = ch[:max(rk - r0, 0)] + tuple([(p, y - rank_p[p]) for y in rows])
+        out += tuple([(q, c + lift) for q, c in ch[max(n - r0, 0):]])
+        if out:
+            chains.append(out)
+    return chains
 
 
 def shift(scd: SCD, m: int) -> SCD:
@@ -199,23 +219,18 @@ def shift(scd: SCD, m: int) -> SCD:
     if m == n:
         return scd
 
-    host = poset_times_chain(base, m)
     rank_in = scd.host.rank
-    chains = []
+    coords = []
     for ch in scd.chains:
-        first = [e for e in ch if rank_in[e] < rk]
-        mid = [e for e in ch if rk <= rank_in[e] <= n - 1]
-        last = [e for e in ch if rank_in[e] > n - 1]
-        coords = {p for p, _ in mid}
-        if not mid or len(coords) != 1:
+        r0 = rank_in[ch[0]]
+        column = {p for p, _ in ch[max(rk - r0, 0):max(n - r0, 0)]}
+        if len(column) != 1:
             raise ConstructionError(
                 f"shift input corrupted: chain {ch!r} is not vertical across the middle block"
             )
-        p = coords.pop()
-        new_mid = [(p, y - base.rank[p]) for y in range(rk, m)]
-        new_last = [(q, c + m - n) for q, c in last]
-        chains.append(tuple(first) + tuple(new_mid) + tuple(new_last))
-    return _checked(host, chains, scd.notes, what="shift", taut_count=taut)
+        coords.append(column.pop())
+    return _checked(poset_times_chain(base, m), _restretch(scd, m, coords), scd.notes,
+                    what="shift", taut_count=taut)
 
 
 # -- collapse / expand between n = rk(P)+1 and n = rk(P) ---------------------
@@ -241,30 +256,20 @@ def _surgery_base(scd: SCD, what: str, *, above: bool) -> GradedPoset:
 def collapse(scd: SCD) -> SCD:
     """Project a decomposition of ``P x chain(rk+1)`` down to ``P x chain(rk)``.
 
-    The unique singleton chain in the central row is dropped; every other
-    chain loses its central-row element and has its upper levels pulled
-    down by one.  Taut chains stay taut.
+    The restretch to height rk: the unique singleton chain in the central
+    row vanishes; every other chain loses its central-row element and has
+    its upper levels pulled down by one.  Taut chains stay taut.
     """
     base = _surgery_base(scd, "collapse", above=True)
     _check(scd, "collapse input")
-    m = base.rk
-    rank_in = scd.host.rank
-
+    rk = base.rk
     singletons = [ch for ch in scd.chains if len(ch) == 1]
-    if len(singletons) != 1 or rank_in[singletons[0][0]] != m:
+    if len(singletons) != 1 or scd.host.rank[singletons[0][0]] != rk:
         raise ConstructionError(
             "collapse input corrupted: expected exactly one singleton chain in the central row"
         )
-
-    host = poset_times_chain(base, m)
-    chains = []
-    for ch in scd.chains:
-        if len(ch) == 1:
-            continue
-        kept = [e for e in ch if rank_in[e] < m]
-        kept += [(q, c - 1) for q, c in ch if rank_in[(q, c)] > m]
-        chains.append(tuple(kept))
-    return _checked(host, chains, scd.notes, what="collapse output")
+    return _checked(poset_times_chain(base, rk), _restretch(scd, rk, repeat(None)),
+                    scd.notes, what="collapse output")
 
 
 @dataclass(frozen=True)
@@ -346,29 +351,20 @@ def enumerate_matchings(graph: MiddleGraph) -> tuple[EdgeMatching, ...]:
 def expand(scd: SCD, matching: EdgeMatching) -> SCD:
     """Inverse surgery to :func:`collapse`, one output per matching.
 
-    Chain i keeps its first block, gains the central element named by the
-    matching for its middle edge, and has its last block raised one
-    level; the unmatched vertex becomes the new singleton chain.
-    ``collapse(expand(scd, f)) == scd`` for every matching ``f``.
+    The restretch to height rk+1 over the vertices the matching names:
+    chain i keeps its first block, gains that central element and has its
+    last block raised one level; the unmatched vertex becomes the new
+    singleton chain.  ``collapse(expand(scd, f)) == scd`` for every ``f``.
     """
     base = _surgery_base(scd, "expand", above=False)
     graph = middle_graph(scd)
     if matching.edges != graph.edges:
         raise ConstructionError("matching does not belong to this decomposition's middle graph")
     rk = base.rk
-    m = rk
-    rank_in = scd.host.rank
-
-    host = poset_times_chain(base, rk + 1)
-    chains = []
-    for ch, mid_vertex in zip(scd.chains, matching.assignment):
-        first = [e for e in ch if rank_in[e] < rk]
-        last = [(q, c + 1) for q, c in ch if rank_in[(q, c)] >= rk]
-        mid = (mid_vertex, m - base.rank[mid_vertex])
-        chains.append(tuple(first) + (mid,) + tuple(last))
     v = matching.unmatched_vertex
-    chains.append(((v, m - base.rank[v]),))
-    return _checked(host, chains, scd.notes, what="expand")
+    chains = _restretch(scd, rk + 1, matching.assignment)
+    chains.append(((v, rk - base.rank[v]),))
+    return _checked(poset_times_chain(base, rk + 1), chains, scd.notes, what="expand")
 
 
 # -- the repair step ----------------------------------------------------------
@@ -442,7 +438,7 @@ def _taut_free_p56() -> SCD:
     graph = middle_graph(t3)
     for idx, f in enumerate(enumerate_matchings(graph)):
         lifted = expand(t3, f)
-        if not validate_scd(lifted.host, lifted).taut_count:
+        if not lifted.report.taut_count:
             return repair(lifted).with_notes(f"matching: {idx}")
     raise ConstructionError("no matching yields a taut-free lift of P(5,5)")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chains import SCD, canonical_chain_order, validate_scd
+from .chains import SCD
 from .posets import GradedPoset, build_cuboid, packet_grid
 from .tables import BUILTIN_TABLES
 
@@ -64,16 +64,15 @@ def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
     return (int("".join(digits), 2) if k else 0, c)
 
 
-def parse_scd(text: str, k: int | None = None, n: int | None = None, strict: bool = False) -> SCD:
+def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     """Parse a decomposition document into an SCD over ``build_cuboid(k, n)``.
 
     If ``k``/``n`` are not supplied the header line is mandatory; if they
     are, a matching header line is skipped when present.  Chains written
     top-down are flipped to the canonical bottom-up order, and any
     ``# note:`` comment lines are recovered as the decomposition's notes
-    so that documents survive tool pipelines byte-for-byte.  With
-    ``strict`` set, duplicated elements are rejected here rather than
-    left for the validator.
+    so that documents survive tool pipelines byte-for-byte.  Repeated
+    elements are left for the validator.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     notes = tuple(
@@ -97,8 +96,7 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None, strict: boo
 
     host = build_cuboid(k, n)
     chains = []
-    seen: dict[tuple[int, int], int] = {}
-    for idx, line in enumerate(lines):
+    for line in lines:
         elems = []
         for token in line.split():
             el = _parse_general(token, k, n) if ";" in token else _parse_compact(token, k, n)
@@ -108,11 +106,6 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None, strict: boo
         ranks = [host.rank[e] for e in elems]
         if ranks == sorted(ranks, reverse=True) and len(ranks) > 1:
             elems.reverse()
-        if strict:
-            for e in elems:
-                if e in seen:
-                    raise ParseError(f"chain {idx}: element repeats chain {seen[e]}")
-                seen[e] = idx
         chains.append(tuple(elems))
     return SCD(host, tuple(chains), notes)
 
@@ -153,10 +146,9 @@ def builtin_table(table_id: str) -> SCD:
             f"unknown table id {table_id!r}; expected one of {sorted(BUILTIN_TABLES)}"
         )
     k, n, raw = BUILTIN_TABLES[table_id]
-    scd = parse_scd(raw, k, n, strict=True).with_notes(f"builtin: {table_id}")
-    report = validate_scd(scd.host, scd)
-    if not report.valid or report.taut_count:
-        raise ParseError(f"builtin table {table_id} failed validation: {report.messages}")
+    scd = parse_scd(raw, k, n).with_notes(f"builtin: {table_id}")
+    if not scd.report.valid or scd.report.taut_count:
+        raise ParseError(f"builtin table {table_id} failed validation: {scd.report.messages}")
     return scd
 
 

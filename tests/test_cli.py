@@ -179,6 +179,12 @@ def test_check_reports_middle_rank_obstruction(capsys):
     assert "middle_rank_ok: True" in out
 
 
+def test_unwritable_out_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "p53.scd"
+    code, _, err = invoke(capsys, "generate", "--k", "5", "--n", "3", "--out", str(out))
+    assert code == 1 and "cannot write" in err
+
+
 def test_unknown_table_id(capsys):
     code, _, err = invoke(capsys, "tables", "--id", "P53x")
     assert code == 1  # usage errors map to the invalid-input exit code

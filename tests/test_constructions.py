@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scdkit.chains import SCD, canonical_chain_order, expected_chain_count, validate_scd
@@ -5,6 +7,7 @@ from scdkit.constructions import (
     ConstructionError,
     RegionError,
     _check,
+    _taut_free_p56,
     collapse,
     enumerate_matchings,
     expand,
@@ -299,6 +302,40 @@ def test_expand_table3_with_any_matching():
         assert out.host == build_cuboid(5, 6)
 
 
+# sha256 of the serialized outputs of the separate shift, collapse and
+# expand loops that the restretch kernel replaced; it must keep the bytes.
+EXPAND_P55_DIGESTS = (
+    "d0aed0170b02a9781edbf9baec45b911288fa4beb771c04b5369a68a3c6627be",
+    "ca3633da5e998014261389e53477a28dda3a98e90e00638d2c6ed927a782e22e",
+    "09ecbce1e48bf5b173e837b7aeb9b8a42ccb589d932a957378cc435c1658de95",
+    "9b293c3b9a0dde295b256f4514586962423884b7403e38140774c94f549d7590",
+    "8621f5a948c2dcd2b6ee51c4d2e6a7513d54e07882fad9e3ff5834ef7bed9c63",
+    "9c598c47fe1c2b2657a4e8795745f233d8ce1c1f6c86c7a1cd9a7860ed2f8828",
+)
+COLLAPSE_P56_DIGEST = "812cae5c1431a1a3caab5e53e2e20f0f2e6277f2a70fa7c247c94e19b7163bd2"
+SHIFT_P56_DIGESTS = {
+    7: "a8b34c403576d6b91518117646fab98c8f3c6802b87273fee028a7123ab3ca82",
+    8: "6fc5dd1ec4a71e29a5e5668b498d84f669b906fee30166e989147a24e3ec216e",
+    9: "a2cd0f7eed0d1e1b97299518ca917dbd776fdfcf793b2f1e09438d4f3c755ae9",
+}
+
+
+def _digest(scd):
+    return hashlib.sha256(serialize_scd(scd).encode("ascii")).hexdigest()
+
+
+def test_restretch_maps_keep_their_bytes():
+    t3 = builtin_table("P55")
+    matchings = enumerate_matchings(middle_graph(t3))
+    assert len(matchings) == len(EXPAND_P55_DIGESTS)
+    for f, expected in zip(matchings, EXPAND_P55_DIGESTS):
+        up = expand(t3, f)
+        assert _digest(up) == expected
+        assert _digest(collapse(up)) == COLLAPSE_P56_DIGEST
+    for m, expected in SHIFT_P56_DIGESTS.items():
+        assert _digest(shift(generate(5, 6), m)) == expected
+
+
 def test_expand_rejects_foreign_matching():
     scds = enumerate_scds(build_cuboid(2, 2)).found
     f_other = enumerate_matchings(middle_graph(scds[1]))[0]
@@ -380,6 +417,22 @@ def test_generate_rejects_outside_region():
         generate(5, 2)
     with pytest.raises(RegionError):
         generate(3, 3)
+
+
+def test_generate_validates_each_decomposition_once(monkeypatch):
+    calls = []
+
+    def counted(host, scd):
+        calls.append(scd)
+        return validate_scd(host, scd)
+
+    for cached in (generate, _taut_free_p56, builtin_table):
+        cached.cache_clear()
+    monkeypatch.setattr("scdkit.chains.validate_scd", counted)
+    generate(5, 6)
+    assert len(calls) == 2  # the P(5,5) certificate and its expansion
+    generate(5, 7)
+    assert len(calls) == 3  # the shifted output; its input is already checked
 
 
 def test_generate_records_matching_choice():

@@ -108,9 +108,14 @@ def test_parse_normalizes_descending_chains():
 
 def test_parse_strict_duplicates():
     text = "000000 100000\n000000 010000"
-    parse_scd(text, 5, 3)  # lax: left for the validator
-    with pytest.raises(ParseError):
-        parse_scd(text, 5, 3, strict=True)
+    scd = parse_scd(text, 5, 3)  # lax: left for the validator
+    assert any("already used" in message for message in scd.report.messages)
+
+
+def test_builtin_table_rejects_repeated_elements(monkeypatch):
+    monkeypatch.setitem(BUILTIN_TABLES, "PDUP", (5, 3, "000000 100000\n000000 010000"))
+    with pytest.raises(ParseError, match="failed validation"):
+        builtin_table("PDUP")
 
 
 def test_serialize_requires_cuboid_host():
