@@ -123,10 +123,16 @@ def hypercube_scd(k: int) -> SCD:
     peel the resulting rectangle."""
     if k < 0:
         raise ConstructionError(f"hypercube dimension must be nonnegative, got {k}")
+    host = build_hypercube(k)
+    return _checked(host, _hypercube_chains(k), what="hypercube_scd")
+
+
+def _hypercube_chains(k: int) -> list[tuple]:
+    """The chains of :func:`hypercube_scd` in peeling order, unchecked."""
     chains: list[tuple] = [(0,)]
     for _ in range(k):
         chains = _cross(chains, ((0, 1),), lambda b, y: (b << 1) | y)
-    return _checked(build_hypercube(k), chains, what="hypercube_scd")
+    return chains
 
 
 # -- the product lift -------------------------------------------------------
@@ -170,10 +176,11 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     if k_prime == k:
         return scd
     j = k_prime - k
-    chains = _cross(scd.chains, hypercube_scd(j).chains,
-                    lambda e, d: ((e[0] << j) | d, e[1]))
-    return _checked(build_cuboid(k_prime, n), chains, scd.notes,
-                    what="extend_dimension", taut_count=0)
+    host = build_cuboid(k_prime, n)
+    # The Q_j chains go unchecked: the output gate rejects any defect in
+    # them, and canonical ordering makes the output independent of theirs.
+    chains = _cross(scd.chains, _hypercube_chains(j), lambda e, d: ((e[0] << j) | d, e[1]))
+    return _checked(host, chains, scd.notes, what="extend_dimension", taut_count=0)
 
 
 # -- the middle-block restretch -----------------------------------------------

@@ -26,6 +26,10 @@ from typing import Hashable, Iterable, Mapping
 
 Element = Hashable
 
+# The largest hypercube or cuboid built, so that a huge k fails fast
+# instead of exhausting memory; P(13,4) has 2^15 elements.
+MAX_HOST_ELEMENTS = 1 << 20
+
 
 class PosetError(ValueError):
     """Raised for malformed posets or out-of-domain poset queries."""
@@ -243,7 +247,17 @@ def build_hypercube(k: int) -> GradedPoset:
     """
     if k < 0:
         raise PosetError(f"hypercube dimension must be nonnegative, got k={k}")
+    _require_size(k, 1, f"Q{k}")
     return _Hypercube(k)
+
+
+def _require_size(k: int, n: int, label: str) -> None:
+    """Refuse a host of ``n * 2^k`` elements over ``MAX_HOST_ELEMENTS``."""
+    # k is tested first, so a huge k never reaches the shift.
+    if k >= MAX_HOST_ELEMENTS.bit_length() or n << k > MAX_HOST_ELEMENTS:
+        raise PosetError(
+            f"{label} would have {n}*2^{k} elements, over the limit of {MAX_HOST_ELEMENTS}"
+        )
 
 
 def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
@@ -275,6 +289,7 @@ def build_cuboid(k: int, n: int) -> GradedPoset:
         raise PosetError(f"cuboid needs k >= 0, got k={k}")
     if n < 1:
         raise PosetError(f"cuboid needs n >= 1, got n={n}")
+    _require_size(k, n, f"P({k},{n})")
     return _Cuboid(k, n)
 
 

@@ -1,11 +1,16 @@
 """Exhaustive backtracking enumeration of symmetric chain decompositions.
 
 The engine walks the host rank by rank from the bottom.  Its state is
-the frontier of open chains; at rank r every open chain must extend
-along a cover to a distinct rank-r element, and the leftover elements
-start new chains.  A chain born at rank r is committed to end at rank
-rk - r, so symmetry holds by construction rather than by filtering, and
-a chain that cannot reach its committed end kills the branch.
+the frontier of open chains, each an ``(elements, end_rank)`` pair; at
+rank r every open chain must extend along a cover to a distinct rank-r
+element, and the leftover elements start new chains.  A chain born at
+rank r is committed to end at rank rk - r, so symmetry holds by
+construction rather than by filtering, and a chain that cannot reach
+its committed end kills the branch.
+
+Taut chains are refused inside the walk, read off the chain itself:
+covers never lower a coordinate, so appending ``(p, n-1)`` completes a
+full column exactly when the element n-1 places back is ``(p, 0)``.
 
 This is the package's brute-force oracle: small enough hosts can be
 enumerated completely, which is what turns "no decomposition was found"
@@ -22,8 +27,7 @@ from .constructions import generate
 from .posets import GradedPoset, build_cuboid, build_hypercube, is_rank_symmetric
 
 DEFAULT_NODE_BUDGET = 10**8
-COUNT_GUARD_ELEMENTS = 24
-DESK_SCALE_ELEMENTS = 24  # hosts this small are re-proved by search, not by counting bounds
+DESK_SCALE_ELEMENTS = 24  # hosts this small are searched exhaustively: counted, or re-proved
 
 
 class SearchError(ValueError):
@@ -64,6 +68,95 @@ class SearchOutcome:
     stop_reason: str | None = None
 
 
+class _Walk:
+    """One walk over ``host``, built once per search.
+
+    ``place`` enters rank ``r``; ``assign`` extends open chain ``i`` into
+    rank ``r`` and, once all have grown, starts chains at the leftover
+    elements.  Each call of either is one node.
+    """
+
+    def __init__(self, host: GradedPoset, cfg: SearchConfig):
+        self.host = host
+        self.rk = host.rk
+        self.by_rank = host.by_rank
+        self.ups = {e: host.up(e) for e in host.elements}
+        sym_k = host.chain_factor[0].hypercube_k if host.chain_factor else None
+        if cfg.use_symmetry and sym_k is not None and sym_k > 1:
+            # Existence pruning: the rank-1 bit moves are all images of the
+            # least one under bit permutations of the cuboid, and only the
+            # bottom chain's step to rank 1 reads the bottom's up-set.
+            bottom = host.bottom
+            self.ups[bottom] = tuple(e for e in self.ups[bottom] if e[0] in (0, 1))
+        # With forbid_taut, the number of steps in a full column (p, 0) ..
+        # (p, n-1); for n = 1 every fresh start is already a full column.
+        self.span = host.chain_factor[1] - 1 if cfg.forbid_taut else None
+        self.limit = cfg.limit
+        self.node_budget = cfg.node_budget
+        if cfg.node_budget is None and cfg.time_budget is None:
+            self.node_budget = DEFAULT_NODE_BUDGET
+        self.deadline = None
+        if cfg.time_budget is not None:
+            self.deadline = time.monotonic() + cfg.time_budget
+        self.found: list[SCD] = []
+        self.nodes = 0
+
+    def tick(self) -> None:
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise _StopSearch("node-budget")
+        if (self.deadline is not None and self.nodes % 1024 == 0
+                and time.monotonic() > self.deadline):
+            raise _StopSearch("time-budget")
+
+    def place(self, r: int, opens: tuple, closed: tuple) -> None:
+        self.tick()
+        if r > self.rk:
+            self.found.append(SCD(self.host, canonical_chain_order(self.host, closed)))
+            if self.limit is not None and len(self.found) >= self.limit:
+                raise _StopSearch("limit")
+            return
+        width = len(self.by_rank[r])
+        if len(opens) > width:
+            return
+        if width > len(opens) and self.rk - r < r:
+            return  # leftover elements would start chains below their mirror rank
+        self.assign(r, opens, closed, 0, set(), ())
+
+    def assign(self, r: int, opens: tuple, closed: tuple, i: int, used: set, grown: tuple) -> None:
+        self.tick()
+        if i == len(opens):
+            new_opens = []
+            new_closed = list(closed)
+            for ch, end in grown:
+                if end == r:
+                    new_closed.append(ch)
+                else:
+                    new_opens.append((ch, end))
+            mirror = self.rk - r
+            for e in self.by_rank[r]:
+                if e in used:
+                    continue
+                if self.span == 0:
+                    return  # a fresh chain is already a full column (n = 1)
+                if mirror == r:
+                    new_closed.append((e,))
+                else:
+                    new_opens.append(((e,), mirror))
+            self.place(r + 1, tuple(new_opens), tuple(new_closed))
+            return
+        ch, end = opens[i]
+        span = self.span
+        for e in self.ups[ch[-1]]:
+            if e in used:
+                continue
+            if span and e[1] == span and len(ch) >= span and ch[-span] == (e[0], 0):
+                continue  # this extension completes a forbidden column
+            used.add(e)
+            self.assign(r, opens, closed, i + 1, used, grown + ((ch + (e,), end),))
+            used.discard(e)
+
+
 def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> SearchOutcome:
     """Enumerate symmetric chain decompositions of ``host``.
 
@@ -83,115 +176,15 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
         raise SearchError("use_symmetry is only sound for existence queries (limit=1)")
     if not is_rank_symmetric(host):
         return SearchOutcome((), True, 0, "not-rank-symmetric")
-
-    n = host.chain_factor[1] if host.chain_factor else None
-    if cfg.forbid_taut and n is None:
+    if cfg.forbid_taut and host.chain_factor is None:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
 
-    rk = host.rk
-    by_rank = host.by_rank
-    ups = {e: host.up(e) for e in host.elements}
-    sym_k = None
-    if cfg.use_symmetry and host.chain_factor is not None:
-        sym_k = host.chain_factor[0].hypercube_k
-
-    node_budget = cfg.node_budget
-    if node_budget is None and cfg.time_budget is None:
-        node_budget = DEFAULT_NODE_BUDGET
-    deadline = time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
-
-    found: list[SCD] = []
-    nodes = 0
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _StopSearch("node-budget")
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise _StopSearch("time-budget")
-
-    def emit(closed: tuple) -> None:
-        found.append(SCD(host, canonical_chain_order(host, closed)))
-        if cfg.limit is not None and len(found) >= cfg.limit:
-            raise _StopSearch("limit")
-
-    # An open chain is (elements, end_rank, col0); col0 says whether the
-    # chain currently tops out a full vertical run that began at level 0,
-    # which is the only way a taut run can be in progress.
-    def start_col0(e) -> bool:
-        return n is not None and e[1] == 0
-
-    def step_col0(top, e, col0: bool) -> bool:
-        if n is None:
-            return False
-        return col0 if e[0] == top[0] else e[1] == 0
-
-    def place(r: int, opens: tuple, closed: tuple) -> None:
-        tick()
-        if r > rk:
-            emit(closed)
-            return
-        elems = by_rank[r]
-        if len(opens) > len(elems):
-            return
-        if len(elems) > len(opens) and rk - r < r:
-            return  # leftover elements would start chains below their mirror rank
-
-        def assign(i: int, used: set, grown: tuple) -> None:
-            tick()
-            if i == len(opens):
-                new_opens = []
-                new_closed = list(closed)
-                for ch, end, col0 in grown:
-                    if end == r:
-                        new_closed.append(ch)
-                    else:
-                        new_opens.append((ch, end, col0))
-                for e in elems:
-                    if e in used:
-                        continue
-                    col0 = start_col0(e)
-                    if cfg.forbid_taut and col0 and e[1] == n - 1:
-                        return  # a fresh chain is already a full column (n = 1)
-                    if rk - r == r:
-                        new_closed.append((e,))
-                    else:
-                        new_opens.append(((e,), rk - r, col0))
-                place(r + 1, tuple(new_opens), tuple(new_closed))
-                return
-            ch, end, col0 = opens[i]
-            top = ch[-1]
-            candidates = ups[top]
-            if sym_k is not None and sym_k > 1 and r == 1 and i == 0:
-                # Existence pruning: the rank-1 bit moves are all images of
-                # the least one under bit permutations of the cuboid.
-                candidates = tuple(
-                    e for e in candidates if e[0] == 0 or e[0] == 1
-                )
-            for e in candidates:
-                if e in used:
-                    continue
-                new_col0 = step_col0(top, e, col0)
-                if cfg.forbid_taut and new_col0 and e[1] == n - 1:
-                    continue  # this extension completes a forbidden column
-                used.add(e)
-                assign(i + 1, used, grown + ((ch + (e,), end, new_col0),))
-                used.discard(e)
-
-        assign(0, set(), ())
-
-    stop_reason = None
-    exhausted = True
+    walk = _Walk(host, cfg)
     try:
-        place(0, (), ())
+        walk.place(0, (), ())
     except _StopSearch as stop:
-        stop_reason = stop.reason
-        exhausted = False
-    # The nested functions form reference cycles; emptying ``place`` frees
-    # ``found`` with the outcome instead of at the next full collection.
-    del place
-    return SearchOutcome(tuple(found), exhausted, nodes, stop_reason)
+        return SearchOutcome(tuple(walk.found), False, walk.nodes, stop.reason)
+    return SearchOutcome(tuple(walk.found), True, walk.nodes)
 
 
 def count_scds(host: GradedPoset, force: bool = False) -> int:
@@ -200,10 +193,10 @@ def count_scds(host: GradedPoset, force: bool = False) -> int:
     Guarded to hosts of at most 24 elements unless ``force`` is set, and
     refuses to answer from an interrupted search.
     """
-    if len(host) > COUNT_GUARD_ELEMENTS and not force:
+    if len(host) > DESK_SCALE_ELEMENTS and not force:
         raise SearchError(
             f"{host.label} has {len(host)} elements; counting beyond "
-            f"{COUNT_GUARD_ELEMENTS} needs force=True"
+            f"{DESK_SCALE_ELEMENTS} needs force=True"
         )
     outcome = enumerate_scds(host, SearchConfig())
     if not outcome.exhausted:

@@ -80,6 +80,12 @@ def brute_force_scds(host):
     return solutions
 
 
+def has_full_column(chain, n):
+    """True iff ``chain`` holds every level of some base point, by membership."""
+    members = set(chain)
+    return any(all((p, c) in members for c in range(n)) for p, _ in chain)
+
+
 def enumerate_grid_cells(a, b):
     """All cells of an a x b grid, for partition checks."""
     return set(iproduct(range(a), range(b)))

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import scdkit
 from scdkit.cli import run
 from scdkit.data_io import builtin_table, parse_scd, serialize_scd
 
@@ -202,3 +208,35 @@ def test_stdin_validate(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, _ = invoke(capsys, "validate", "-", "--require-nontaut")
     assert code == 0 and out.splitlines()[0] == "30 chains, 0 taut"
+
+
+# Runs the CLI under a 256 MB address-space limit, so that a host built
+# before the size check fails this test instead of exhausting memory.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from scdkit.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{doc}"],
+    ["generate", "--k", "40", "--n", "3"],
+    ["search", "--k", "40", "--n", "3"],
+    ["show", "--k", "40", "--n", "3"],
+    ["check", "--k", "40"],
+    ["show", "--k", "21", "--n", "1"],
+    ["search", "--k", "18", "--n", "5"],
+], ids="-".join)
+def test_huge_hosts_fail_fast(tmp_path, argv):
+    doc = tmp_path / "huge.scd"
+    doc.write_text("40 3\n")
+    argv = [arg.format(doc=doc) for arg in argv]
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr

@@ -433,6 +433,8 @@ def test_generate_validates_each_decomposition_once(monkeypatch):
     assert len(calls) == 2  # the P(5,5) certificate and its expansion
     generate(5, 7)
     assert len(calls) == 3  # the shifted output; its input is already checked
+    generate(6, 7)
+    assert len(calls) == 4  # the lifted output; the Q_1 chains are not checked apart
 
 
 def test_generate_records_matching_choice():

@@ -91,6 +91,7 @@ def test_cuboid_sizes():
     assert len(build_cuboid(5, 3)) == 96
     q11 = build_cuboid(1, 1)
     assert q11.rk == 1 and len(q11) == 2
+    assert len(build_cuboid(13, 4)) == 1 << 15  # within the host size limit
 
 
 @pytest.mark.parametrize("k", range(5))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scdkit.chains import validate_scd
@@ -7,6 +9,8 @@ from scdkit.posets import (
     build_chain_poset,
     build_cuboid,
     build_hypercube,
+    poset_times_chain,
+    product,
 )
 from scdkit.search import (
     SearchConfig,
@@ -16,7 +20,12 @@ from scdkit.search import (
     exists_nontaut_scd,
 )
 
-from oracles import brute_force_scds
+from oracles import brute_force_scds, has_full_column
+
+
+def generic_host(a=2, b=3, n=4):
+    """(chain(a) x chain(b)) x chain(n): a chain-factor host that is no cuboid."""
+    return poset_times_chain(product(build_chain_poset(a), build_chain_poset(b)), n)
 
 
 def test_square_has_two_scds():
@@ -195,3 +204,66 @@ def test_exists_rejects_bad_arguments():
         exists_nontaut_scd(-1, 3)
     with pytest.raises(SearchError):
         exists_nontaut_scd(2, 0)
+
+
+def _digest(found) -> str:
+    """sha256 over the found decompositions, as documents where the host is
+    a cuboid and as chain tuples otherwise."""
+    docs = [serialize_scd(s) if s.host.chain_factor[0].hypercube_k is not None
+            else f"{s.chains!r}\n" for s in found]
+    return hashlib.sha256("".join(docs).encode()).hexdigest()
+
+
+# (found, exhausted, nodes_visited, stop_reason) and the digest of the
+# found decompositions of fixed walks: the engine must visit the same
+# nodes in the same order and find the same decompositions.
+PINNED_WALKS = [
+    (lambda: build_cuboid(3, 3), SearchConfig(), (1488, True, 35923, None),
+     "32159449e31d046bce6ba82e59a8351a9f8409d9cf94cf187cca88ba9e3eb4cf"),
+    (lambda: build_cuboid(2, 6), SearchConfig(), (18, True, 706, None),
+     "1ba12ff841410ac3ca3372f863999ee4f04ab33d7d370db264bd748dee81c026"),
+    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 113084, None),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: build_cuboid(2, 3), SearchConfig(limit=1, use_symmetry=True),
+     (1, False, 19, "limit"),
+     "1e10caff83263d41df954ade67b4516309645d2de2f0d91d1f5045428fd8cbc0"),
+    (lambda: build_cuboid(3, 3), SearchConfig(limit=1, use_symmetry=True),
+     (1, False, 30, "limit"),
+     "d9580253da37509cf1484367ae55f1c1037310f1717476620310ce8aa0998357"),
+    (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1, use_symmetry=True),
+     (0, True, 4975, None),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, False, 4, "node-budget"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (generic_host, SearchConfig(forbid_taut=True), (48, True, 5328, None),
+     "ff29dae7dcd97dcbcd0f1b84598afc001320c23af4d1a53eb904ad5e4c96a41c"),
+]
+
+
+@pytest.mark.parametrize("make, config, summary, digest", PINNED_WALKS, ids=[
+    "P(3,3)", "P(2,6)", "P(3,4)-forbid-taut", "P(2,3)-symmetry", "P(3,3)-symmetry",
+    "P(3,3)-forbid-taut-symmetry", "P(2,4)-budget", "generic-forbid-taut",
+])
+def test_pinned_walks(make, config, summary, digest):
+    out = enumerate_scds(make(), config)
+    assert (len(out.found), out.exhausted, out.nodes_visited, out.stop_reason) == summary
+    assert _digest(out.found) == digest
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda k=k, n=n: build_cuboid(k, n) for k in range(3) for n in range(1, 5)]
+    + [generic_host, lambda: generic_host(2, 3, 3), lambda: generic_host(2, 4, 3)],
+    ids=[f"P({k},{n})" for k in range(3) for n in range(1, 5)]
+    + ["2x3x4", "2x3x3", "2x4x3"],
+)
+def test_forbid_taut_agrees_with_filtered_oracle(make):
+    host = make()
+    n = host.chain_factor[1]
+    out = enumerate_scds(host, SearchConfig(forbid_taut=True))
+    taut_free = {
+        s for s in brute_force_scds(host) if not any(has_full_column(ch, n) for ch in s)
+    }
+    assert out.exhausted
+    assert len(out.found) == len(taut_free)
+    assert {s.chain_set for s in out.found} == taut_free
