@@ -162,9 +162,8 @@ def render_pictorial(p: GradedPoset, n: int) -> str:
     width = max(len(str(c)) for c in grid.counts.values())
     rows = []
     for y in range(p.rk + n - 1, -1, -1):
-        row = grid.row(y)
         cells = [
-            str(row[x]).rjust(width) if x in row else " " * width
+            str(grid.counts[x, y]).rjust(width) if (x, y) in grid.counts else " " * width
             for x in range(p.rk + 1)
         ]
         rows.append(" ".join(cells).rstrip())

@@ -26,8 +26,9 @@ from typing import Hashable, Iterable, Mapping
 
 Element = Hashable
 
-# The largest hypercube or cuboid built, so that a huge k fails fast
-# instead of exhausting memory; P(13,4) has 2^15 elements.
+# The largest hypercube or cuboid built, and the largest packet grid, so
+# that a huge k or n fails fast instead of exhausting memory; P(13,4) has
+# 2^15 elements.
 MAX_HOST_ELEMENTS = 1 << 20
 
 
@@ -378,9 +379,15 @@ def packet_grid(p: GradedPoset, n: int) -> PacketGrid:
 
     A rank-x element of ``p`` contributes one packet of size
     ``rank_vector[x]`` at every total rank ``y`` with ``x <= y <= x+n-1``.
+    Refuses grids of more than ``MAX_HOST_ELEMENTS`` cells.
     """
     if n < 1:
         raise PosetError(f"chain length must be positive, got n={n}")
+    if (p.rk + 1) * n > MAX_HOST_ELEMENTS:
+        raise PosetError(
+            f"the packet grid of {p.label} x chain({n}) would have {p.rk + 1}*{n} cells, "
+            f"over the limit of {MAX_HOST_ELEMENTS}"
+        )
     counts: dict[tuple[int, int], int] = {}
     for x, size in enumerate(p.rank_vector):
         for y in range(x, x + n):

@@ -210,14 +210,24 @@ def test_stdin_validate(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "30 chains, 0 taut"
 
 
-# Runs the CLI under a 256 MB address-space limit, so that a host built
-# before the size check fails this test instead of exhausting memory.
+# Runs the CLI under an address-space limit given as the first argument,
+# so that a host built before the size check fails the test instead of
+# exhausting memory.
 LIMITED_CLI = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from scdkit.cli import run
 sys.exit(run(sys.argv[1:]))
 """
+
+
+def run_limited(limit, argv):
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, str(limit), *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,15 +238,26 @@ sys.exit(run(sys.argv[1:]))
     ["check", "--k", "40"],
     ["show", "--k", "21", "--n", "1"],
     ["search", "--k", "18", "--n", "5"],
+    ["show", "--k", "2", "--n", "30000000"],
 ], ids="-".join)
 def test_huge_hosts_fail_fast(tmp_path, argv):
     doc = tmp_path / "huge.scd"
     doc.write_text("40 3\n")
-    argv = [arg.format(doc=doc) for arg in argv]
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, *argv],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_limited(1 << 28, [arg.format(doc=doc) for arg in argv])
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr
+
+
+# The largest admitted host: a search must stop at its budget, or at the
+# prover's row limit, before it allocates anything per element.
+@pytest.mark.parametrize("argv, reason", [
+    (["--budget", "1"], "node-budget"),
+    (["--budget", "1", "--forbid-taut"], "node-budget"),
+    (["--forbid-taut"], "row-limit"),
+], ids=["walker", "prover", "prover-unbudgeted"])
+def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
+    proc = run_limited(1 << 29, ["search", "--k", "18", "--n", "4", *argv])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("found 0, stopped (" + reason + "), nodes ")
+    assert proc.stdout.count("\n") == 1

@@ -1,7 +1,9 @@
 import hashlib
+from math import factorial
 
 import pytest
 
+from scdkit import search
 from scdkit.chains import validate_scd
 from scdkit.data_io import serialize_scd
 from scdkit.posets import (
@@ -15,6 +17,7 @@ from scdkit.posets import (
 from scdkit.search import (
     SearchConfig,
     SearchError,
+    _Cover,
     count_scds,
     enumerate_scds,
     exists_nontaut_scd,
@@ -126,6 +129,9 @@ def test_time_budget_reported_distinctly():
     host = poset_times_chain(product(build_chain_poset(2), build_chain_poset(3)), 4)
     out = enumerate_scds(host, SearchConfig(time_budget=0.0))
     assert not out.exhausted and out.stop_reason == "time-budget"
+    # The prover reads the same clock.
+    out = enumerate_scds(build_cuboid(4, 3), SearchConfig(forbid_taut=True, time_budget=0.0))
+    assert not out.exhausted and out.stop_reason == "time-budget"
 
 
 def test_non_rank_symmetric_host_is_empty_exhausted():
@@ -215,14 +221,15 @@ def _digest(found) -> str:
 
 
 # (found, exhausted, nodes_visited, stop_reason) and the digest of the
-# found decompositions of fixed walks: the engine must visit the same
-# nodes in the same order and find the same decompositions.
+# found decompositions of fixed searches: each engine must visit the same
+# nodes in the same order and find the same decompositions.  The
+# forbid-taut cuboid searches run the prover; the others run the walker.
 PINNED_WALKS = [
     (lambda: build_cuboid(3, 3), SearchConfig(), (1488, True, 35923, None),
      "32159449e31d046bce6ba82e59a8351a9f8409d9cf94cf187cca88ba9e3eb4cf"),
     (lambda: build_cuboid(2, 6), SearchConfig(), (18, True, 706, None),
      "1ba12ff841410ac3ca3372f863999ee4f04ab33d7d370db264bd748dee81c026"),
-    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 113084, None),
+    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 217, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(2, 3), SearchConfig(limit=1, use_symmetry=True),
      (1, False, 19, "limit"),
@@ -231,18 +238,24 @@ PINNED_WALKS = [
      (1, False, 30, "limit"),
      "d9580253da37509cf1484367ae55f1c1037310f1717476620310ce8aa0998357"),
     (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1, use_symmetry=True),
-     (0, True, 4975, None),
+     (0, True, 93, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, False, 4, "node-budget"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (generic_host, SearchConfig(forbid_taut=True), (48, True, 5328, None),
      "ff29dae7dcd97dcbcd0f1b84598afc001320c23af4d1a53eb904ad5e4c96a41c"),
+    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 33958, None),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=1),
+     (1, False, 3808, "limit"),
+     "4d5fbb9810c72bd68a2a18a1c7b1610994acc345a3878d50646ae7934af463d5"),
 ]
 
 
 @pytest.mark.parametrize("make, config, summary, digest", PINNED_WALKS, ids=[
     "P(3,3)", "P(2,6)", "P(3,4)-forbid-taut", "P(2,3)-symmetry", "P(3,3)-symmetry",
     "P(3,3)-forbid-taut-symmetry", "P(2,4)-budget", "generic-forbid-taut",
+    "P(4,3)-forbid-taut", "P(5,3)-forbid-taut-limit",
 ])
 def test_pinned_walks(make, config, summary, digest):
     out = enumerate_scds(make(), config)
@@ -267,3 +280,78 @@ def test_forbid_taut_agrees_with_filtered_oracle(make):
     assert out.exhausted
     assert len(out.found) == len(taut_free)
     assert {s.chain_set for s in out.found} == taut_free
+    first = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
+    if taut_free:
+        assert first.found[0].chain_set in taut_free
+    else:
+        assert first.exhausted and not first.found
+
+
+def _maximal_word(scd):
+    """The level (True) and bit (False) steps of the chain through the bottom."""
+    chain = next(ch for ch in scd.chains if ch[0] == (0, 0))
+    return tuple(b == b2 for (b, _), (b2, _) in zip(chain, chain[1:]))
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 3), (3, 4)])
+def test_prover_quotient_weighs_up_to_the_full_count(k, n):
+    # With taut chains allowed, every solution of the quotient stands for
+    # k! decompositions when its maximal chain's word is a palindrome and
+    # for 2 * k! otherwise (the duality reverses the word).
+    host = build_cuboid(k, n)
+    cover = _Cover(host, SearchConfig(), taut_free=False)
+    solutions = [cover.decode(sol) for sol in cover.solve(limit=None)]
+    weights = [1 if w == w[::-1] else 2 for w in map(_maximal_word, solutions)]
+    assert all(validate_scd(host, s).valid for s in solutions)
+    assert len({s.chain_set for s in solutions}) == len(solutions)
+    assert factorial(k) * sum(weights) == count_scds(host, force=True)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_prover_finds_taut_free_witnesses_for_k5(n):
+    host = build_cuboid(5, n)
+    out = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
+    assert out.stop_reason == "limit" and len(out.found) == 1
+    report = validate_scd(host, out.found[0])
+    assert report.valid and report.taut_count == 0
+
+
+@pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_prover_agrees_with_the_middle_rank_bound(k, n):
+    out = enumerate_scds(build_cuboid(k, n), SearchConfig(forbid_taut=True, limit=1))
+    assert out.exhausted and not out.found
+    res = exists_nontaut_scd(k, n)
+    assert res.exists is False and res.method == "middle-rank-bound"
+
+
+def test_prover_hands_its_budget_on_to_the_walker(monkeypatch):
+    # P(5,3) has a taut-free decomposition, so an enumeration goes on in
+    # the walker after the prover's 3808 nodes, on the same budget.
+    starts = []
+    place = search._Walk.place
+
+    def recording_place(walk, r, opens, closed):
+        if r == 0:
+            starts.append(walk.nodes)
+        place(walk, r, opens, closed)
+
+    monkeypatch.setattr(search._Walk, "place", recording_place)
+    out = enumerate_scds(build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=2, node_budget=5000))
+    assert starts == [3808]
+    assert not out.exhausted and out.stop_reason == "node-budget"
+    assert out.nodes_visited == 5001
+
+
+@pytest.mark.parametrize("k", [5, 12])
+def test_prover_decides_n2_at_its_first_node(k):
+    # Every maximal chain of P(k, 2) is taut, so no row covers the bottom.
+    out = enumerate_scds(build_cuboid(k, 2), SearchConfig(forbid_taut=True))
+    assert (out.found, out.exhausted, out.nodes_visited) == ((), True, 1)
+
+
+def test_prover_stops_at_its_row_limit(monkeypatch):
+    host = build_cuboid(3, 4)  # 32 elements, 166 taut-free rows
+    monkeypatch.setattr(search, "MAX_COVER_BITS", 32 * 100)
+    out = enumerate_scds(host, SearchConfig(forbid_taut=True))
+    assert (out.found, out.exhausted, out.stop_reason) == ((), False, "row-limit")
+    assert out.nodes_visited == 101  # the 101st row is generated, then refused
