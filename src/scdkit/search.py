@@ -36,11 +36,24 @@ decomposition is the image of one whose maximal chain is such a row, so
 a quotient search that finishes without a solution proves that none
 exists.
 
+The prover remembers dead subproblems.  The live rows are a function of
+the uncovered elements alone (exactly the rows inside them), so a set of
+uncovered elements whose subtree was once exhausted without a solution
+has none, whatever rows reached it; the prover records each such set,
+and skips a child whose set is recorded.  Only a finished subtree is
+recorded: a run that is cut off unwinds by exception past the record.
+So the memo never drops a solution nor reorders one run's search.  It
+lives on the ``_Cover``, shared by all runs of one search, and together
+with the row table holds at most ``MAX_COVER_BITS`` bits; once full it
+only prunes less.
+
 First-solution times are heavy-tailed, so the prover restarts: it runs
 the rows in a fixed list of seeded orders, each for at most
 ``RESTART_NODES`` nodes, then once, uncapped, in canonical order.  A run
 that finishes without a solution is a proof whatever its order; the
-seeds are fixed, so every answer is deterministic.  An existence query
+seeds are fixed, so every answer is deterministic.  What the seeded runs
+exhaust prunes the later runs, so on a host without a solution the
+restarts cost little beyond the canonical run.  An existence query
 (``limit == 1``) returns the prover's witness; any other ``forbid_taut``
 query on a cuboid asks the prover first, returns exhausted-empty when
 there is no solution, and otherwise hands over to the walker, with the
@@ -66,8 +79,9 @@ DESK_SCALE_ELEMENTS = 24  # hosts this small are searched exhaustively: counted,
 # RESTART_NODES nodes, before the uncapped run in canonical order.
 RESTART_SEEDS = tuple(range(1, 9))
 RESTART_NODES = 1000
-# The prover's table holds one bit per row and element; a host with more
-# rows than fit stops the search ("row-limit") instead of exhausting memory.
+# The prover's tables hold one bit per element for each row and each dead
+# set; a host with more rows than fit stops the search ("row-limit")
+# instead of exhausting memory, and a full memo records no more.
 MAX_COVER_BITS = 1 << 26
 
 
@@ -163,6 +177,9 @@ class _Cover(_Budget):
             for e in row:
                 marks[e][i >> 3] |= 1 << (i & 7)
         self.rows_of = [int.from_bytes(m, "little") for m in marks]
+        # The memo: uncovered sets shown to have no solution, for all runs.
+        self.dead: set[int] = set()
+        self.max_dead = self.max_rows - len(self.rows)
 
     def _grow(self, chain: list, b: int, c: int, left: int) -> None:
         """Extend ``chain``, ending at ``(b, c)``, by ``left`` more covers."""
@@ -231,9 +248,9 @@ class _Cover(_Budget):
             e = low.bit_length() - 1
             count = (rows_of[e] & live).bit_count()
             if count < fewest:
-                if not count:
-                    return  # no live row covers this element
                 fewest, col = count, e
+                if not count:
+                    break  # no live row covers this element
             u ^= low
         choices = rows_of[col] & live
         tried = []
@@ -243,14 +260,20 @@ class _Cover(_Budget):
             choices ^= low
         if self.order is not None:
             tried.sort(key=self.order.__getitem__)
+        dead, found = self.dead, len(self.found)
         for i in tried:
             left, rest = uncovered, live
             for e in self.rows[i]:
                 left ^= 1 << e
                 rest &= ~rows_of[e]
+            if left in dead:
+                continue
             picked.append(i)
             self._cover(left, rest, picked)
             picked.pop()
+        # Only a finished loop gets here; a cut-off run unwinds past it.
+        if len(self.found) == found and len(dead) < self.max_dead:
+            dead.add(uncovered)
 
     def witness(self) -> SCD | None:
         """A decomposition by the restart schedule, or None once a run
@@ -389,6 +412,13 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
         walk.place(0, (), ())
     except _StopSearch as stop:
         return SearchOutcome(tuple(walk.found) if walk else (), False, stop.nodes, stop.reason)
+    except RecursionError:
+        # Python's frame limit: the walker recurses once per open chain, the
+        # prover once per picked row and, generating rows, once per cover.
+        # Without an engine the prover's first row was already too long.
+        engine = walk or cover
+        return SearchOutcome(tuple(walk.found) if walk else (), False,
+                             engine.nodes if engine else 0, "depth-limit")
     return SearchOutcome(tuple(walk.found), True, walk.nodes)
 
 

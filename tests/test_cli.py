@@ -261,3 +261,18 @@ def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
     assert proc.stderr == ""
     assert proc.stdout.startswith("found 0, stopped (" + reason + "), nodes ")
     assert proc.stdout.count("\n") == 1
+
+
+# Hosts whose search recurses deeper than Python's frame limit: the widest
+# ranks of P(12,2) hold over 1000 open chains for the walker, and every row
+# of P(0,1500) is a chain of 1500 elements for the prover's row generator.
+@pytest.mark.parametrize("argv", [
+    ["--k", "12", "--n", "2"],
+    ["--k", "0", "--n", "1500", "--forbid-taut"],
+], ids=["walker", "prover"])
+def test_searches_past_the_frame_limit_stop_with_a_status_line(argv):
+    proc = run_limited(1 << 29, ["search", *argv])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("found 0, stopped (depth-limit), nodes ")
+    assert proc.stdout.count("\n") == 1

@@ -229,7 +229,7 @@ PINNED_WALKS = [
      "32159449e31d046bce6ba82e59a8351a9f8409d9cf94cf187cca88ba9e3eb4cf"),
     (lambda: build_cuboid(2, 6), SearchConfig(), (18, True, 706, None),
      "1ba12ff841410ac3ca3372f863999ee4f04ab33d7d370db264bd748dee81c026"),
-    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 217, None),
+    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 209, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(2, 3), SearchConfig(limit=1, use_symmetry=True),
      (1, False, 19, "limit"),
@@ -244,7 +244,7 @@ PINNED_WALKS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (generic_host, SearchConfig(forbid_taut=True), (48, True, 5328, None),
      "ff29dae7dcd97dcbcd0f1b84598afc001320c23af4d1a53eb904ad5e4c96a41c"),
-    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 33958, None),
+    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 7905, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=1),
      (1, False, 3808, "limit"),
@@ -355,3 +355,53 @@ def test_prover_stops_at_its_row_limit(monkeypatch):
     out = enumerate_scds(host, SearchConfig(forbid_taut=True))
     assert (out.found, out.exhausted, out.stop_reason) == ((), False, "row-limit")
     assert out.nodes_visited == 101  # the 101st row is generated, then refused
+
+
+# The memo: sets of uncovered elements that a finished part of a run
+# showed to have no solution, shared by every run on one _Cover.
+
+@pytest.mark.parametrize("k, n, taut_free, seed, limit", [
+    (5, 3, True, 2, 1), (5, 4, True, 6, 1), (3, 4, False, None, None),
+], ids=["P(5,3)-seed-2", "P(5,4)-seed-6", "P(3,4)-canonical-all"])
+def test_cut_off_runs_leave_no_false_dead_sets(k, n, taut_free, seed, limit):
+    # Every seeded run is cut off early on one _Cover, then a run in the
+    # order of a seed that finishes (or in canonical order) goes on with
+    # their memo.  It must find what the same run finds on a fresh _Cover:
+    # an unfinished subproblem recorded as dead would lose its solutions
+    # (and the budget stops a run that then searches on in vain).
+    host = build_cuboid(k, n)
+    shared = _Cover(host, SearchConfig(node_budget=50_000), taut_free)
+    for s in search.RESTART_SEEDS:
+        with pytest.raises(search._StopSearch) as stop:
+            shared.solve(s, cutoff=20 if taut_free else 5)
+        assert stop.value.reason == "cutoff"
+    assert shared.dead
+    expected = _Cover(host, SearchConfig(), taut_free).solve(seed, limit=limit)
+    assert expected and shared.solve(seed, limit=limit) == expected
+
+
+def test_restarts_cost_little_on_an_empty_host():
+    # The seeded runs of P(4,3) find nothing, but what they exhaust prunes
+    # the canonical run, so the whole schedule costs under 5% more nodes
+    # than the canonical run alone.
+    host = build_cuboid(4, 3)
+    cfg = SearchConfig(forbid_taut=True)
+    scheduled, alone = _Cover(host, cfg), _Cover(host, cfg)
+    assert scheduled.witness() is None and alone.solve() == []
+    assert scheduled.nodes < 1.05 * alone.nodes
+
+
+@pytest.mark.parametrize("make, config, summary, digest", PINNED_WALKS[-2:],
+                         ids=["P(4,3)-forbid-taut", "P(5,3)-forbid-taut-limit"])
+def test_a_full_memo_only_prunes_less(monkeypatch, make, config, summary, digest):
+    # With room for only 3 dead sets beside the row table, the pinned
+    # searches give the same answers, in no fewer nodes.
+    host = make()
+    monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(_Cover(host, config).rows) + 3))
+    cover = _Cover(host, config)
+    cover.witness()
+    assert len(cover.dead) == 3
+    out = enumerate_scds(host, config)
+    found, exhausted, nodes, reason = summary
+    assert (len(out.found), out.exhausted, out.stop_reason) == (found, exhausted, reason)
+    assert out.nodes_visited >= nodes and _digest(out.found) == digest
