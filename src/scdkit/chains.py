@@ -214,10 +214,6 @@ class NecessaryConditions:
     rank_symmetric: bool
     middle_rank_ok: bool | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.rank_symmetric and self.middle_rank_ok is not False
-
 
 def necessary_conditions(p: GradedPoset, for_nontaut: bool = False) -> NecessaryConditions:
     rank_symmetric = is_rank_symmetric(p)

@@ -13,6 +13,7 @@ The default node budget for ``search`` can be set with the
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -233,10 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs far more than parsing with it, and
+    # parse_args keeps no state between calls: each returns a new Namespace.
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for inconclusive
         # searches here, so usage problems map to the invalid-input code.

@@ -12,8 +12,17 @@ Elements come in two spellings.  The compact form (only for n <= 10)
 is k binary digits followed by a single decimal level digit, e.g.
 ``110102``.  The general form is comma-separated binary digits, a
 semicolon, then a decimal level: ``1,1,0,1,0;12``.  Bit 1 is always the
-leftmost digit.  Output is 7-bit text with bare newlines, so identical
-inputs serialize to identical bytes.
+leftmost digit.  Bits and levels are ASCII digits.  Output is 7-bit text
+with bare newlines, so identical inputs serialize to identical bytes.
+
+Parsing keeps one memo per host ``(k, n)``, mapping each token spelling
+already seen to its element, so a repeated spelling costs one dict
+lookup.  It is sound because it only ever holds tokens the full token
+parser accepted, each under the host it was accepted for: a miss runs
+that parser, and its result is recorded only after it returns, so a
+rejected token is never recorded.  The memo fills from the input alone
+and stops growing at ``len(host)`` entries, so its memory stays
+proportional to the documents parsed and bounded by the host.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ def _parse_compact(token: str, k: int, n: int) -> tuple[int, int]:
     bits, level = token[:k], token[k:]
     if bits.strip("01") != "":
         raise ParseError(f"token {token!r}: bits must be 0/1")
-    if not level.isdigit():
+    if not (level.isascii() and level.isdigit()):
         raise ParseError(f"token {token!r}: level must be a decimal digit")
     c = int(level)
     if c >= n:
@@ -53,7 +62,7 @@ def _parse_compact(token: str, k: int, n: int) -> tuple[int, int]:
 
 def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
     head, sep, level = token.partition(";")
-    if not sep or not level.isdigit():
+    if not (sep and level.isascii() and level.isdigit()):
         raise ParseError(f"token {token!r}: expected 'b1,...,bk;level'")
     digits = head.split(",") if head else []
     if len(digits) != k or any(d not in ("0", "1") for d in digits):
@@ -62,6 +71,12 @@ def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
     if c >= n:
         raise ParseError(f"token {token!r}: level {c} outside chain of length {n}")
     return (int("".join(digits), 2) if k else 0, c)
+
+
+@lru_cache(maxsize=None)
+def _token_memo(k: int, n: int) -> dict[str, tuple[int, int]]:
+    """Token spelling -> element of P(k, n), for tokens already accepted."""
+    return {}
 
 
 def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
@@ -85,7 +100,9 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
         parts = lines[0].split()
         # Canonical decimals only: a compact chain line like "000000 000001"
         # must not pass for a header.
-        if len(parts) != 2 or not all(p.isdigit() and str(int(p)) == p for p in parts):
+        if len(parts) != 2 or not all(
+            p.isascii() and p.isdigit() and str(int(p)) == p for p in parts
+        ):
             raise ParseError(f"expected header 'k n', got {lines[0]!r}")
         k, n = int(parts[0]), int(parts[1])
         lines = lines[1:]
@@ -95,15 +112,22 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
         raise ParseError(f"bad dimensions k={k}, n={n}")
 
     host = build_cuboid(k, n)
+    memo = _token_memo(k, n)
+    size = len(host)
+    rank = host.rank
     chains = []
     for line in lines:
         elems = []
         for token in line.split():
-            el = _parse_general(token, k, n) if ";" in token else _parse_compact(token, k, n)
+            el = memo.get(token)
+            if el is None:
+                el = _parse_general(token, k, n) if ";" in token else _parse_compact(token, k, n)
+                if len(memo) < size:
+                    memo[token] = el
             elems.append(el)
         if not elems:
             continue
-        ranks = [host.rank[e] for e in elems]
+        ranks = [rank[e] for e in elems]
         if ranks == sorted(ranks, reverse=True) and len(ranks) > 1:
             elems.reverse()
         chains.append(tuple(elems))

@@ -210,6 +210,24 @@ def test_stdin_validate(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "30 chains, 0 taut"
 
 
+def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3", "--limit", "1")
+    assert code == 0 and out.startswith("found 1, stopped (limit)")
+    code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3")
+    assert code == 0 and out.startswith("found 18, exhausted")
+
+    doc = tmp_path / "p53.scd"
+    assert invoke(capsys, "tables", "--id", "P53", "--out", str(doc))[0] == 0
+    assert invoke(capsys, "validate", "--no-such-flag", str(doc))[0] == 1
+    code, out, _ = invoke(capsys, "validate", str(doc))
+    assert code == 0 and out == "25 chains, 0 taut\n"
+
+    out_file = tmp_path / "p53-generated.scd"
+    assert invoke(capsys, "generate", "--k", "5", "--n", "3", "--out", str(out_file))[0] == 0
+    code, out, _ = invoke(capsys, "generate", "--k", "5", "--n", "3")
+    assert code == 0 and out == out_file.read_text(encoding="ascii")
+
+
 # Runs the CLI under an address-space limit given as the first argument,
 # so that a host built before the size check fails the test instead of
 # exhausting memory.

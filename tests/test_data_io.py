@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scdkit.chains import validate_scd
+from scdkit.chains import SCD, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import (
     ParseError,
+    _token_memo,
     builtin_table,
     parse_scd,
     render_pictorial,
@@ -93,6 +96,17 @@ def test_parse_rejects_bad_tokens():
         parse_scd("000000 000001", 5, 12)  # compact form refused for n > 10
 
 
+@pytest.mark.parametrize("text, token", [
+    ("1 3\n0\u00b2 1\u00b2", "0\u00b2"),  # superscript two passes str.isdigit()
+    ("1 3\n0;\u00b2", "0;\u00b2"),
+    ("\u00b2 3\n00", "\u00b2 3"),
+    ("1 12\n0;\u0663", "0;\u0663"),  # Arabic-Indic three: int() reads it as 3
+])
+def test_parse_requires_ascii_digits(text, token):
+    with pytest.raises(ParseError, match=repr(token)):
+        parse_scd(text)
+
+
 def test_parse_requires_header_without_dimensions():
     with pytest.raises(ParseError):
         parse_scd("000000 000001")
@@ -157,3 +171,80 @@ def test_notes_survive_serialization_as_comments():
     scd = builtin_table("P53").with_notes("extra: check")
     doc = serialize_scd(scd)
     assert "# note: extra: check" in doc.splitlines()
+
+
+# -- the per-host token memo -------------------------------------------------
+
+
+@pytest.mark.parametrize("k, n, canonical, spellings", [
+    (2, 3, "101", ["1,0;1", "1,0;01", "1,0;001"]),
+    (5, 6, "110102", ["1,1,0,1,0;2", "1,1,0,1,0;02"]),
+    (0, 4, "3", [";3", ";03"]),
+])
+def test_every_spelling_parses_to_the_canonical_element(k, n, canonical, spellings):
+    element = (int(canonical[:k] or "0", 2), int(canonical[k:]))
+    for order in (1, -1):  # warm the memo with either spelling first
+        _token_memo(k, n).clear()
+        for token in ([canonical] + spellings)[::order]:
+            assert parse_scd(token, k, n).chains == ((element,),)
+            assert parse_scd(f"{k} {n}\n{token}").chains == ((element,),)
+
+
+@pytest.mark.parametrize("token, k, n", [
+    ("000005", 5, 3),  # accepted by P(5,6) below: the memo is per host
+    ("00000A", 5, 3),
+    ("0;\u0663", 1, 12),
+    ("1,1;0", 3, 2),
+])
+def test_a_rejected_token_is_never_recorded(token, k, n):
+    assert parse_scd("000005", 5, 6).chains == (((0, 5),),)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            parse_scd(token, k, n)
+        assert token not in _token_memo(k, n)
+
+
+def test_the_memo_stops_at_the_host_size():
+    host = build_cuboid(1, 2)
+    _token_memo(1, 2).clear()
+    spellings = [f"{b};{'0' * pad}{c}" for pad in range(4) for b in (0, 1) for c in (0, 1)]
+    scd = parse_scd("\n".join(spellings), 1, 2)
+    assert {e for ch in scd.chains for e in ch} == set(host.elements)
+    assert len(_token_memo(1, 2)) == len(host)
+    # A one-token document records one entry, not a table of the host.
+    _token_memo(4, 9).clear()
+    parse_scd("1,0,1,1;00000007", 4, 9)
+    assert _token_memo(4, 9) == {"1,0,1,1;00000007": (0b1011, 7)}
+
+
+def test_no_memo_outgrows_its_host():
+    # Runs after the parses of the test modules collected before this one.
+    for k in range(13):
+        for n in range(1, 41):
+            assert len(_token_memo(k, n)) <= (1 << k) * n
+
+
+def _permuted(b: int, k: int, perm: list[int]) -> int:
+    """Bits of ``b`` with the digit at position perm[j] moved to position j."""
+    return sum((b >> (k - 1 - perm[j]) & 1) << (k - 1 - j) for j in range(k))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(k=st.sampled_from([5, 6]), n=st.integers(3, 6), data=st.data())
+def test_parsing_permuted_shuffled_documents(k, n, data):
+    s = generate(k, n)
+    doc = serialize_scd(s)
+    # Parsing the same host's documents again and again keeps its memo warm.
+    assert serialize_scd(parse_scd(doc)) == doc
+    perm = data.draw(st.permutations(range(k)), label="perm")
+    header, *body = [ln for ln in doc.splitlines() if ln and not ln.startswith("#")]
+    body = data.draw(st.permutations(body), label="lines")
+    lines = [
+        " ".join("".join(t[perm[j]] for j in range(k)) + t[k:] for t in line.split())
+        for line in body
+    ]
+    expected = SCD(s.host, tuple(
+        tuple((_permuted(b, k, perm), c) for b, c in ch) for ch in s.chains
+    ))
+    for _ in range(2):
+        assert parse_scd("\n".join([header, *lines])) == expected
