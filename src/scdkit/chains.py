@@ -8,15 +8,39 @@ In a product ``base x chain(n)`` a chain is *taut* when it contains the
 full vertical run ``(p, 0) < (p, 1) < ... < (p, n-1)`` for some base
 element ``p``.  Those runs are what the constructions in this package
 are engineered to avoid.
+
+``validate_scd`` reaches its verdict first and explains only failures.
+On a hypercube-by-chain host, whose elements are ``(bits, level)``
+pairs, the verdict takes set algebra and one order scan per chain:
+
+* the chains partition the host iff none is empty, their lengths sum
+  to its size and the set of their elements is exactly its element set;
+* then all elements are distinct, so a chain is saturated iff its steps
+  ascend componentwise (:func:`~scdkit.posets.steps_ascend`) and it
+  holds ``rank(last) - rank(first) + 1`` elements: each step is then
+  strictly upward, raising the rank by at least one, and the length
+  leaves room for exactly one per step, which is a cover;
+* on such a chain the levels never fall, so the level-0 elements come
+  first, and the chain is taut iff ``ch[z + n - 1] == (p, n - 1)`` for
+  the last of them, ``ch[z] = (p, 0)``: a saturated chain from
+  ``(p, 0)`` to ``(p, n - 1)`` climbs the column of ``p``.
+
+A decomposition that fails any of these, and any decomposition of
+another host, goes through the diagnostic pass, which checks every
+step with ``is_cover`` and writes every message.  So a report, messages
+included, does not depend on which path computed it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain as concat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .posets import Element, GradedPoset, PosetError, is_rank_symmetric
+from .posets import Element, GradedPoset, PosetError, is_rank_symmetric, steps_ascend
 
 Chain = tuple  # elements in ascending rank order
 
@@ -140,8 +164,48 @@ class ValidationReport:
 
 
 def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> ValidationReport:
-    """Full diagnostic pass: partition, per-chain shape, symmetry, tautness."""
+    """Partition, per-chain shape, symmetry and tautness, with a message
+    for every finding (see the module doc for how the verdict is reached)."""
     chains = tuple(tuple(ch) for ch in (scd.chains if isinstance(scd, SCD) else scd))
+    if host.chain_factor is not None and host.chain_factor[0].hypercube_k is not None:
+        taut = _cuboid_taut_indices(host, chains)
+        if taut is not None:
+            return ValidationReport(
+                is_partition=True, all_symmetric=True,
+                taut_chain_indices=taut, chain_count=len(chains),
+            )
+    return _diagnose(host, chains)
+
+
+_level = itemgetter(1)
+
+
+def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[int, ...] | None:
+    """The taut chains of a valid decomposition of a hypercube-by-chain
+    host, or None when ``chains`` is not a valid decomposition of it."""
+    rank = host.rank
+    if sum(map(len, chains)) != len(rank):
+        return None
+    members = set(concat.from_iterable(chains))
+    if len(members) != len(rank) or members != rank.keys():
+        return None
+    rk, n = host.rk, host.chain_factor[1]
+    taut = []
+    for i, ch in enumerate(chains):
+        if not ch:
+            return None
+        lo, hi = rank[ch[0]], rank[ch[-1]]
+        if lo + hi != rk or len(ch) != hi - lo + 1 or not steps_ascend(ch):
+            return None
+        if ch[0][1] == 0:
+            z = bisect_right(ch, 0, key=_level) - 1
+            if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
+                taut.append(i)
+    return tuple(taut)
+
+
+def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
+    """The full diagnostic pass: every check on every chain, every message."""
     messages: list[str] = []
     is_partition = True
     all_symmetric = True

@@ -12,8 +12,9 @@ Elements come in two spellings.  The compact form (only for n <= 10)
 is k binary digits followed by a single decimal level digit, e.g.
 ``110102``.  The general form is comma-separated binary digits, a
 semicolon, then a decimal level: ``1,1,0,1,0;12``.  Bit 1 is always the
-leftmost digit.  Bits and levels are ASCII digits.  Output is 7-bit text
-with bare newlines, so identical inputs serialize to identical bytes.
+leftmost digit.  Bits and levels are ASCII digits, and a header number
+or level has at most ``MAX_DIGITS`` significant digits.  Output is 7-bit
+text with bare newlines, so identical inputs serialize to identical bytes.
 
 Parsing keeps one memo per host ``(k, n)``, mapping each token spelling
 already seen to its element, so a repeated spelling costs one dict
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chains import SCD
-from .posets import GradedPoset, build_cuboid, packet_grid
+from .posets import MAX_HOST_ELEMENTS, GradedPoset, build_cuboid, packet_grid
 from .tables import BUILTIN_TABLES
 
 
@@ -39,6 +40,22 @@ class ParseError(ValueError):
 
 
 COMPACT_LEVEL_LIMIT = 10  # single level digit; larger n needs the general form
+# No admissible host has a dimension, chain length or level of more
+# significant digits: each is below MAX_HOST_ELEMENTS.
+MAX_DIGITS = len(str(MAX_HOST_ELEMENTS))
+
+
+def _decimal(digits: str, what: str) -> int:
+    """The value of ASCII decimal digits, leading zeros allowed.  The
+    significant digits are counted before ``int`` sees them, so an
+    over-long number is a ParseError, not Python's digit limit."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            f"{what} has {len(digits)} significant digits; "
+            f"no admissible host needs more than {MAX_DIGITS}"
+        )
+    return int(digits)
 
 
 def _parse_compact(token: str, k: int, n: int) -> tuple[int, int]:
@@ -67,7 +84,7 @@ def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
     digits = head.split(",") if head else []
     if len(digits) != k or any(d not in ("0", "1") for d in digits):
         raise ParseError(f"token {token!r}: expected {k} binary digits")
-    c = int(level)
+    c = _decimal(level, f"token {token!r}: level")
     if c >= n:
         raise ParseError(f"token {token!r}: level {c} outside chain of length {n}")
     return (int("".join(digits), 2) if k else 0, c)
@@ -101,10 +118,10 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
         # Canonical decimals only: a compact chain line like "000000 000001"
         # must not pass for a header.
         if len(parts) != 2 or not all(
-            p.isascii() and p.isdigit() and str(int(p)) == p for p in parts
+            p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts
         ):
             raise ParseError(f"expected header 'k n', got {lines[0]!r}")
-        k, n = int(parts[0]), int(parts[1])
+        k, n = (_decimal(p, "header number") for p in parts)
         lines = lines[1:]
     elif lines and lines[0] == f"{k} {n}":
         lines = lines[1:]
@@ -117,33 +134,46 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     rank = host.rank
     chains = []
     for line in lines:
-        elems = []
-        for token in line.split():
-            el = memo.get(token)
-            if el is None:
-                el = _parse_general(token, k, n) if ";" in token else _parse_compact(token, k, n)
-                if len(memo) < size:
-                    memo[token] = el
-            elems.append(el)
+        tokens = line.split()
+        elems = list(map(memo.get, tokens))
+        if None in elems:
+            for i, token in enumerate(tokens):
+                if elems[i] is None:
+                    parse = _parse_general if ";" in token else _parse_compact
+                    elems[i] = parse(token, k, n)
+                    if len(memo) < size:
+                        memo[token] = elems[i]
         if not elems:
             continue
-        ranks = [rank[e] for e in elems]
-        if ranks == sorted(ranks, reverse=True) and len(ranks) > 1:
-            elems.reverse()
+        # Top-down iff the ranks never rise; only then can the first rank
+        # be at least the last.
+        if len(elems) > 1 and rank[elems[0]] >= rank[elems[-1]]:
+            ranks = [rank[e] for e in elems]
+            if ranks == sorted(ranks, reverse=True):
+                elems.reverse()
         chains.append(tuple(elems))
     return SCD(host, tuple(chains), notes)
 
 
-def _format_element(el: tuple[int, int], k: int, compact: bool) -> str:
-    bits, level = el
-    s = format(bits, f"0{k}b") if k else ""
-    if compact:
-        return f"{s}{level}"
-    return ",".join(s) + f";{level}"
+class _BitPrefixes(dict):
+    """Base bits -> the spelling of an element before its level digits."""
+
+    def __init__(self, k: int, compact: bool):
+        super().__init__()
+        self.k, self.compact = k, compact
+
+    def __missing__(self, bits: int) -> str:
+        s = format(bits, f"0{self.k}b") if self.k else ""
+        prefix = self[bits] = s if self.compact else ",".join(s) + ";"
+        return prefix
 
 
 def serialize_scd(scd: SCD) -> str:
-    """Render an SCD over a cuboid host as a document (see module doc)."""
+    """Render an SCD over a cuboid host as a document (see module doc).
+
+    Each base's bit spelling is formatted once per call, so an element
+    costs one lookup and one concatenation with its level.
+    """
     host = scd.host
     if host.chain_factor is None or host.chain_factor[0].hypercube_k is None:
         raise ParseError(f"{host.label} is not a cuboid; only cuboid hosts serialize")
@@ -153,8 +183,9 @@ def serialize_scd(scd: SCD) -> str:
     out = [f"# {host.label}", f"# chains: {scd.chain_count}"]
     out += [f"# note: {note}" for note in scd.notes]
     out.append(f"{k} {n}")
+    prefix = _BitPrefixes(k, compact)
     for ch in scd.chains:
-        out.append(" ".join(_format_element(e, k, compact) for e in ch))
+        out.append(" ".join([prefix[b] + str(c) for b, c in ch]))
     return "\n".join(out) + "\n"
 
 

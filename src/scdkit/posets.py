@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Element = Hashable
 
-# The largest hypercube or cuboid built, and the largest packet grid, so
-# that a huge k or n fails fast instead of exhausting memory; P(13,4) has
-# 2^15 elements.
+# The largest host built (hypercube, cuboid, chain poset or product), and
+# the largest packet grid, so that a huge k or n fails fast instead of
+# exhausting memory; P(13,4) has 2^15 elements.
 MAX_HOST_ELEMENTS = 1 << 20
 
 
@@ -45,8 +45,10 @@ class GradedPoset:
     set only on the hosts :func:`build_hypercube` returns.
 
     ``up`` is the one cover relation: a table here, bit arithmetic in the
-    implicit hosts, which also answer ``is_cover`` in constant time since
-    ``validate_scd`` asks it once per chain step.
+    implicit hosts, which also answer ``is_cover`` in constant time.
+    ``validate_scd`` asks ``is_cover`` per chain step only to explain a
+    failure; on hypercube-by-chain hosts it reaches its verdict with
+    :func:`steps_ascend` instead.
     """
 
     __slots__ = (
@@ -226,6 +228,25 @@ class _Cuboid(GradedPoset):
         return c == c2 and d & b == 0 and d & (d - 1) == 0
 
 
+def steps_ascend(chain: Sequence[tuple[int, int]]) -> bool:
+    """True iff every step of a nonempty chain of ``(bits, level)``
+    elements is componentwise non-decreasing: no bit is cleared and the
+    level does not fall.
+
+    This is the order of ``Q_k x chain(n)`` (and of ``product`` of a
+    hypercube with a chain).  For distinct members of such a host it
+    makes every step a cover exactly when the chain also holds one
+    element per rank from its first to its last, since each step then
+    raises the rank by exactly one.
+    """
+    b, c = chain[0]
+    for b2, c2 in chain:
+        if b & ~b2 or c2 < c:
+            return False
+        b, c = b2, c2
+    return True
+
+
 # -- constructors ---------------------------------------------------------
 
 
@@ -233,6 +254,10 @@ def build_chain_poset(s: int) -> GradedPoset:
     """The total order 0 < 1 < ... < s-1 with rank(i) = i."""
     if s < 1:
         raise PosetError(f"chain poset needs at least one element, got s={s}")
+    if s > MAX_HOST_ELEMENTS:
+        raise PosetError(
+            f"chain({s}) would have {s} elements, over the limit of {MAX_HOST_ELEMENTS}"
+        )
     return GradedPoset(
         range(s),
         [(i, i + 1) for i in range(s - 1)],
@@ -265,8 +290,14 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     """Direct product: elements are pairs, covers move in one coordinate.
 
     When ``q`` is a chain poset the result records ``chain_factor=(p, n)``
-    so that chain-coordinate operations apply to it.
+    so that chain-coordinate operations apply to it.  Refuses products of
+    more than ``MAX_HOST_ELEMENTS`` elements.
     """
+    if len(p) * len(q) > MAX_HOST_ELEMENTS:
+        raise PosetError(
+            f"{p.label}x{q.label} would have {len(p)}*{len(q)} elements, "
+            f"over the limit of {MAX_HOST_ELEMENTS}"
+        )
     elements = [(a, b) for a in p.elements for b in q.elements]
     covers = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q.elements]
     covers += [((a, b), (a, b2)) for a in p.elements for (b, b2) in q.covers]

@@ -1,16 +1,23 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdkit.chains import (
     SCD,
     ScdError,
+    _diagnose,
     expected_chain_count,
     is_taut,
     necessary_conditions,
     validate_chain,
     validate_scd,
 )
+from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
 from scdkit.posets import build_chain_poset, build_cuboid, build_hypercube, product
+from scdkit.search import SearchConfig, enumerate_scds
 
 
 def bits(s):
@@ -191,3 +198,90 @@ def test_scd_equality_ignores_chain_order_and_notes():
     t1 = builtin_table("P53")
     shuffled = SCD(t1.host, tuple(reversed(t1.chains)), notes=("x",))
     assert shuffled == t1
+
+
+# The verdict on a cuboid host is reached without is_cover (see the chains
+# module doc); these decompositions are exact partitions into symmetric
+# chains that break exactly one of the other tests it relies on.
+def test_a_chain_that_skips_a_rank_is_invalid_in_an_exact_partition():
+    # (0,0) < (1,1) ascends componentwise; rank 1 is covered by singletons.
+    host = build_cuboid(1, 2)
+    report = validate_scd(host, [((0, 0), (1, 1)), ((0, 1),), ((1, 0),)])
+    assert not report.valid
+    assert report.messages == ("chain 0: non-cover steps [((0, 0), (1, 1))]",)
+
+
+def test_a_step_that_lowers_the_level_is_invalid_even_when_the_rank_climbs():
+    host = build_cuboid(2, 2)
+    chains = [
+        ((0b00, 0), (0b00, 1), (0b11, 0), (0b11, 1)),  # (0,1) -> (3,0) drops a level
+        ((0b01, 0), (0b01, 1)),
+        ((0b10, 0), (0b10, 1)),
+    ]
+    report = validate_scd(host, chains)
+    assert not report.valid
+    assert report.messages == ("chain 0: non-cover steps [((0, 1), (3, 0))]",)
+
+
+@lru_cache(maxsize=None)
+def _valid_documents() -> tuple[SCD, ...]:
+    """Taut-free generated decompositions, and taut-bearing ones that
+    search finds on small hosts, one of them over a generic product."""
+    docs = [generate(k, n) for k in (5, 6) for n in (3, 4, 5)]
+    for k, n in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
+        docs += enumerate_scds(build_cuboid(k, n), SearchConfig(limit=4)).found
+    generic = product(build_hypercube(2), build_chain_poset(3))
+    docs += [SCD(generic, scd.chains) for scd in docs if scd.host.label == "P(2,3)"]
+    return tuple(docs)
+
+
+MUTATIONS = ("drop", "insert", "replace", "foreign", "move", "swap", "reverse")
+
+
+def _mutate(data, host, chains: list[list]) -> None:
+    """Apply one one-element mutation in place.  Each kind, applied once
+    to a decomposition, leaves a document that is not one."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    i = data.draw(st.sampled_from([i for i, ch in enumerate(chains) if ch]))
+    ch = chains[i]
+    j = data.draw(st.integers(0, len(ch) - 1))
+    if kind in ("swap", "reverse") and len(ch) < 2:
+        kind = "drop"
+    if kind == "drop":
+        del ch[j]
+    elif kind == "insert":
+        ch.insert(data.draw(st.integers(0, len(ch))), data.draw(st.sampled_from(host.elements)))
+    elif kind == "replace":
+        ch[j] = data.draw(st.sampled_from([e for e in host.elements if e != ch[j]]))
+    elif kind == "foreign":
+        k = host.chain_factor[0].hypercube_k
+        ch[j] = data.draw(st.sampled_from([(1 << k, 0), (0, host.chain_factor[1]), (0, -1)]))
+    elif kind == "move":
+        # into another chain, or into a new chain of its own
+        target = data.draw(st.sampled_from([t for t in range(len(chains) + 1) if t != i]))
+        e = ch.pop(j)
+        if target == len(chains):
+            chains.append([e])
+        else:
+            chains[target].insert(data.draw(st.integers(0, len(chains[target]))), e)
+    elif kind == "swap":
+        a, b = data.draw(st.lists(st.integers(0, len(ch) - 1), min_size=2, max_size=2, unique=True))
+        ch[a], ch[b] = ch[b], ch[a]
+    else:
+        ch.reverse()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), mutations=st.integers(0, 3))
+def test_the_verdict_matches_the_diagnostic_pass(data, mutations):
+    scd = data.draw(st.sampled_from(_valid_documents()))
+    chains = [list(ch) for ch in scd.chains]
+    for _ in range(mutations):
+        _mutate(data, scd.host, chains)
+    chains = tuple(tuple(ch) for ch in chains)
+    report = validate_scd(scd.host, chains)
+    assert report == _diagnose(scd.host, chains)
+    if mutations == 0:
+        assert report.valid
+    if mutations == 1:
+        assert not report.valid

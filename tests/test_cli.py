@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import scdkit
+from scdkit import chains
 from scdkit.cli import run
+from scdkit.constructions import generate
 from scdkit.data_io import builtin_table, parse_scd, serialize_scd
 
 
@@ -226,6 +228,42 @@ def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys
     assert invoke(capsys, "generate", "--k", "5", "--n", "3", "--out", str(out_file))[0] == 0
     code, out, _ = invoke(capsys, "generate", "--k", "5", "--n", "3")
     assert code == 0 and out == out_file.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 5000 + " 3\n0", "1 3\n0;1" + "0" * 5000], ids=["header", "level"]
+)
+def test_over_long_numbers_exit_1(tmp_path, capsys, text):
+    doc = tmp_path / "long.scd"
+    doc.write_text(text)
+    code, out, err = invoke(capsys, "validate", str(doc))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "significant digits" in err
+
+
+def test_each_request_pays_for_each_gate_once(tmp_path, capsys, monkeypatch):
+    doc, mutant, out = tmp_path / "p56.scd", tmp_path / "mutant.scd", tmp_path / "p59.scd"
+    text = serialize_scd(generate(5, 6))
+    doc.write_text(text, encoding="ascii")
+    mutant.write_text(text.rsplit("\n", 2)[0] + "\n", encoding="ascii")  # last chain dropped
+
+    calls = []
+    validate = chains.validate_scd
+
+    def counted(host, scd):
+        calls.append(host.label)
+        return validate(host, scd)
+
+    monkeypatch.setattr(chains, "validate_scd", counted)
+
+    assert invoke(capsys, "validate", str(doc))[0] == 0
+    assert calls == ["P(5,6)"]
+    calls.clear()
+    assert invoke(capsys, "validate", str(mutant))[0] == 1
+    assert calls == ["P(5,6)"]
+    calls.clear()
+    assert invoke(capsys, "shift", "--file", str(doc), "--to", "9", "--out", str(out))[0] == 0
+    assert calls == ["P(5,6)", "P(5,9)"]
 
 
 # Runs the CLI under an address-space limit given as the first argument,

@@ -120,6 +120,29 @@ def test_parse_normalizes_descending_chains():
     assert up.chains == down.chains
 
 
+def test_parse_flips_only_lines_whose_ranks_never_rise():
+    # ranks 1, 1: never rise, so flipped; ranks 2, 0, 1: left as written
+    assert parse_scd("010 100\n110 000 100", 2, 2).chains == (
+        ((0b10, 0), (0b01, 0)),
+        ((0b11, 0), (0b00, 0), (0b10, 0)),
+    )
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 5000 + " 3\n0",  # more digits than Python's int() converts
+    "1 3\n0;1" + "0" * 5000,
+    "12345678 3\n",
+    "1 12\n0;10000000",
+])
+def test_over_long_numbers_are_parse_errors(text):
+    with pytest.raises(ParseError, match="significant digits"):
+        parse_scd(text)
+
+
+def test_leading_zeros_do_not_count_toward_the_digit_bound():
+    assert parse_scd("1 3\n0;" + "0" * 5000).chains == (((0, 0),),)
+
+
 def test_parse_strict_duplicates():
     text = "000000 100000\n000000 010000"
     scd = parse_scd(text, 5, 3)  # lax: left for the validator

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scdkit
 from scdkit.chains import ScdError, validate_chain
 from scdkit.posets import (
     GradedPoset,
@@ -272,3 +277,34 @@ def test_every_cover_raises_rank_by_one():
             assert poset.rank[y] == poset.rank[x] + 1
         for e in poset.by_rank[0]:
             assert not poset.down(e)
+
+
+# Evaluates one constructor call under an address-space limit, so that a
+# poset allocated before the size check fails the test instead of
+# exhausting memory.
+LIMITED_CALL = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from scdkit.posets import PosetError, build_chain_poset, build_hypercube, product
+try:
+    eval(sys.argv[2])
+except PosetError as exc:
+    sys.exit(f"error: {exc}")
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "build_chain_poset(10**7)",
+    "build_chain_poset(2**20 + 1)",
+    "product(build_hypercube(11), build_hypercube(10))",
+    "product(build_chain_poset(3), build_hypercube(19))",
+])
+def test_oversized_posets_are_refused_before_allocation(call):
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CALL, str(1 << 28), call],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr
