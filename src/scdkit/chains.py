@@ -211,6 +211,7 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
     all_symmetric = True
 
     seen: dict[Element, int] = {}
+    alien: set[int] = set()  # chains with a foreign element, which may be no (base, level) pair
     for i, ch in enumerate(chains):
         if not ch:
             messages.append(f"chain {i}: empty")
@@ -220,6 +221,7 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
         if foreign:
             messages.append(f"chain {i}: foreign elements {foreign!r}")
             is_partition = False
+            alien.add(i)
             continue
         bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
         if bad:
@@ -244,7 +246,8 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
     taut: tuple[int, ...] = ()
     if host.chain_factor is not None:
         n = host.chain_factor[1]
-        taut = tuple(i for i, ch in enumerate(chains) if ch and is_taut(ch, n))
+        taut = tuple(i for i, ch in enumerate(chains)
+                     if ch and i not in alien and is_taut(ch, n))
 
     return ValidationReport(
         is_partition=is_partition,

@@ -133,9 +133,16 @@ def _cmd_search(args) -> int:
         node_budget=budget,
         use_symmetry=args.use_symmetry,
     )
-    outcome = search.enumerate_scds(build_cuboid(args.k, args.n), cfg)
+    host = build_cuboid(args.k, args.n)
+    if args.limit is None and not args.out:
+        # Only the number is printed, so count without building decompositions.
+        outcome = search.count_search(host, cfg)
+        found = outcome.count
+    else:
+        outcome = search.enumerate_scds(host, cfg)
+        found = len(outcome.found)
     status = "exhausted" if outcome.exhausted else f"stopped ({outcome.stop_reason})"
-    print(f"found {len(outcome.found)}, {status}, nodes {outcome.nodes_visited}")
+    print(f"found {found}, {status}, nodes {outcome.nodes_visited}")
     if args.out and outcome.found:
         _emit(data_io.serialize_scd(outcome.found[0]), args.out)
     conclusive = outcome.exhausted or outcome.stop_reason == "limit"

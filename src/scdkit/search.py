@@ -1,8 +1,9 @@
 """Exhaustive search for symmetric chain decompositions, by two engines.
 
 The prover serves every ``forbid_taut`` search on a cuboid (a host whose
-base is a hypercube); the walker serves everything else: counting,
-enumeration, searches that allow taut chains and generic hosts.
+base is a hypercube) and every count on a cuboid; the walker serves
+everything else: enumeration, searches that allow taut chains and
+generic hosts.
 
 **The walker** goes over the host rank by rank from the bottom.  Its
 state is the frontier of open chains, each an ``(elements, end_rank)``
@@ -17,13 +18,14 @@ n-1 places back is ``(p, 0)``.  One walker node is one entry into a rank
 or one open chain extended.
 
 **The prover** is exact cover (Knuth's Algorithm X) on int bitmasks.
-Its rows are the taut-free saturated symmetric chains, its columns the
-host elements, numbered ``b * n + c`` in canonical order; for every
-element it keeps the bitmask of the rows through it.  A node branches on
-the uncovered element with the fewest live rows; picking a row clears
-every row that shares an element with it, through ``live &= ~rows_of[e]``
-over its own elements.  One prover node is one such branch point or one
-generated row; both count against the node budget.
+Its rows are the saturated symmetric chains (the taut-free ones, for a
+``forbid_taut`` search), its columns the host elements, numbered
+``b * n + c`` in canonical order; for every element it keeps the bitmask
+of the rows through it.  A node branches on the uncovered element with
+the fewest live rows; picking a row clears every row that shares an
+element with it, through ``live &= ~rows_of[e]`` over its own elements.
+One prover node is one such branch point or one generated row; both
+count against the node budget.
 
 The prover searches a quotient.  Every decomposition has exactly one
 maximal chain, and along it every bit flips exactly once, so the orbit
@@ -36,16 +38,30 @@ decomposition is the image of one whose maximal chain is such a row, so
 a quotient search that finishes without a solution proves that none
 exists.
 
-The prover remembers dead subproblems.  The live rows are a function of
-the uncovered elements alone (exactly the rows inside them), so a set of
-uncovered elements whose subtree was once exhausted without a solution
-has none, whatever rows reached it; the prover records each such set,
-and skips a child whose set is recorded.  Only a finished subtree is
-recorded: a run that is cut off unwinds by exception past the record.
-So the memo never drops a solution nor reorders one run's search.  It
-lives on the ``_Cover``, shared by all runs of one search, and together
-with the row table holds at most ``MAX_COVER_BITS`` bits; once full it
-only prunes less.
+The prover also counts.  The bit permutations act freely on maximal
+chains, so k! decompositions share each word's canonical bit order, and
+the duality pairs the decompositions of a word with those of its
+reverse.  So a quotient solution stands for k! decompositions when its
+maximal row's word is a palindrome and for 2 * k! otherwise: a maximal
+row weighs 1 or 2, every other row 1, and the count is k! times the
+weighted number of solutions.  The live rows are a function of the
+uncovered elements alone (exactly the rows inside them), and so is
+their weighted number of completions; the count is a sum over the
+branch element's live rows of weight times the count of what is left,
+and each uncovered set is counted once.  There one node is one set
+counted (a memo miss) or one generated row, and no decomposition is
+built.
+
+The prover remembers.  Its memo maps an uncovered set to its weighted
+number of completions; a count records every set it finishes, and a
+search for solutions records the sets whose subtree it exhausted
+without one, as zeros, and skips a child whose set is zero.  Only a
+finished subtree is recorded: a run that is cut off unwinds by exception
+past the record.  So the memo never drops a solution nor reorders one
+run's search.  It lives on the ``_Cover``, shared by all runs of one
+search, and together with the row table holds at most
+``MAX_COVER_BITS`` bits; once full it records no more, and only prunes
+less.
 
 First-solution times are heavy-tailed, so the prover restarts: it runs
 the rows in a fixed list of seeded orders, each for at most
@@ -68,6 +84,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
+from math import factorial
 
 from .chains import SCD, canonical_chain_order, necessary_conditions
 from .constructions import generate
@@ -79,8 +96,8 @@ DESK_SCALE_ELEMENTS = 24  # hosts this small are searched exhaustively: counted,
 # RESTART_NODES nodes, before the uncapped run in canonical order.
 RESTART_SEEDS = tuple(range(1, 9))
 RESTART_NODES = 1000
-# The prover's tables hold one bit per element for each row and each dead
-# set; a host with more rows than fit stops the search ("row-limit")
+# The prover's tables hold one bit per element for each row and each memo
+# entry; a host with more rows than fit stops the search ("row-limit")
 # instead of exhausting memory, and a full memo records no more.
 MAX_COVER_BITS = 1 << 26
 
@@ -125,6 +142,17 @@ class SearchOutcome:
     stop_reason: str | None = None
 
 
+@dataclass(frozen=True)
+class CountOutcome:
+    """Like :class:`SearchOutcome`, with the number of decompositions in
+    place of the decompositions; ``count`` is 0 unless ``exhausted``."""
+
+    count: int
+    exhausted: bool
+    nodes_visited: int
+    stop_reason: str | None = None
+
+
 class _Budget:
     """The base of both engines: the nodes spent against the node and time
     budgets.  ``spent``, the engine that ran before in the same search,
@@ -154,8 +182,8 @@ class _Cover(_Budget):
 
     A row is a tuple of element indices ``b * n + c``, bottom up; rows come
     in canonical order (start rank, start element, covers in ``up``
-    order).  ``taut_free=False`` keeps taut chains as rows as well, which
-    only tests use, to count a quotient against the walker.  Nothing is
+    order), and ``weights[i]`` is row i's weight in a count.
+    ``taut_free=False`` keeps taut chains as rows as well.  Nothing is
     allocated per element before the first row is ticked.
     """
 
@@ -166,6 +194,7 @@ class _Cover(_Budget):
         self.span = n - 1 if taut_free else None
         self.max_rows = MAX_COVER_BITS // len(host)
         self.rows: list[tuple[int, ...]] = []
+        self.weights: list[int] = []
         if self.span != 0:  # for n = 1 every element is a full column
             for r in range(host.rk // 2 + 1):
                 if r and not self.rows:
@@ -177,22 +206,27 @@ class _Cover(_Budget):
             for e in row:
                 marks[e][i >> 3] |= 1 << (i & 7)
         self.rows_of = [int.from_bytes(m, "little") for m in marks]
-        # The memo: uncovered sets shown to have no solution, for all runs.
-        self.dead: set[int] = set()
-        self.max_dead = self.max_rows - len(self.rows)
+        # The memo: weighted completions of uncovered sets, for all runs.
+        self.memo: dict[int, int] = {}
+        self.max_memo = self.max_rows - len(self.rows)
 
     def _grow(self, chain: list, b: int, c: int, left: int) -> None:
         """Extend ``chain``, ending at ``(b, c)``, by ``left`` more covers."""
         n = self.n
         if not left:
+            weight = 1
             if chain[0] == 0:  # the maximal chain: keep words at most their reverse
                 word = [y - x < n for x, y in zip(chain, chain[1:])]
-                if word > word[::-1]:
+                reverse = word[::-1]
+                if word > reverse:
                     return
+                if word != reverse:
+                    weight = 2  # it stands for its dual as well
             self.tick()
             if len(self.rows) == self.max_rows:
                 raise _StopSearch("row-limit", self.nodes)
             self.rows.append(tuple(chain))
+            self.weights.append(weight)
             return
         span = self.span
         if c + 1 < n and not (
@@ -231,15 +265,8 @@ class _Cover(_Budget):
                 raise
         return self.found
 
-    def _cover(self, uncovered: int, live: int, picked: list) -> None:
-        self.tick()
-        if self.stop_at is not None and self.nodes > self.stop_at:
-            raise _StopSearch("cutoff", self.nodes)
-        if not uncovered:
-            self.found.append(tuple(picked))
-            if len(self.found) == self.limit:
-                raise _StopSearch("limit", self.nodes)
-            return
+    def _branch(self, uncovered: int, live: int) -> list[int]:
+        """The live rows through the uncovered element with the fewest."""
         rows_of = self.rows_of
         fewest, col = len(self.rows) + 1, 0
         u = uncovered
@@ -258,22 +285,57 @@ class _Cover(_Budget):
             low = choices & -choices
             tried.append(low.bit_length() - 1)
             choices ^= low
+        return tried
+
+    def _cover(self, uncovered: int, live: int, picked: list) -> None:
+        self.tick()
+        if self.stop_at is not None and self.nodes > self.stop_at:
+            raise _StopSearch("cutoff", self.nodes)
+        if not uncovered:
+            self.found.append(tuple(picked))
+            if len(self.found) == self.limit:
+                raise _StopSearch("limit", self.nodes)
+            return
+        tried = self._branch(uncovered, live)
         if self.order is not None:
             tried.sort(key=self.order.__getitem__)
-        dead, found = self.dead, len(self.found)
+        rows_of, memo, found = self.rows_of, self.memo, len(self.found)
         for i in tried:
             left, rest = uncovered, live
             for e in self.rows[i]:
                 left ^= 1 << e
                 rest &= ~rows_of[e]
-            if left in dead:
+            if memo.get(left) == 0:
                 continue
             picked.append(i)
             self._cover(left, rest, picked)
             picked.pop()
         # Only a finished loop gets here; a cut-off run unwinds past it.
-        if len(self.found) == found and len(dead) < self.max_dead:
-            dead.add(uncovered)
+        if len(self.found) == found and len(memo) < self.max_memo:
+            memo[uncovered] = 0
+
+    def count(self) -> int:
+        """The number of decompositions: k! times the weighted solutions."""
+        full = (1 << len(self.host)) - 1
+        return factorial(self.k) * self._count(full, (1 << len(self.rows)) - 1)
+
+    def _count(self, uncovered: int, live: int) -> int:
+        """The weighted completions of a nonempty ``uncovered``, not in the memo."""
+        self.tick()
+        rows_of, memo, weights = self.rows_of, self.memo, self.weights
+        total = 0
+        for i in self._branch(uncovered, live):
+            left, rest = uncovered, live
+            for e in self.rows[i]:
+                left ^= 1 << e
+                rest &= ~rows_of[e]
+            sub = memo.get(left)
+            if sub is None:
+                sub = self._count(left, rest) if left else 1
+            total += weights[i] * sub
+        if len(memo) < self.max_memo:
+            memo[uncovered] = total
+        return total
 
     def witness(self) -> SCD | None:
         """A decomposition by the restart schedule, or None once a run
@@ -375,6 +437,20 @@ class _Walk(_Budget):
             used.discard(e)
 
 
+def _checked(config: SearchConfig | None) -> SearchConfig:
+    """``config``, or the default, once its values pass every check."""
+    cfg = config or SearchConfig()
+    if cfg.limit is not None and cfg.limit < 1:
+        raise SearchError(f"limit must be at least 1, got {cfg.limit}")
+    if cfg.node_budget is not None and cfg.node_budget < 0:
+        raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
+    if cfg.time_budget is not None and cfg.time_budget < 0:
+        raise SearchError(f"time budget must be nonnegative, got {cfg.time_budget}")
+    if cfg.use_symmetry and cfg.limit != 1:
+        raise SearchError("use_symmetry is only sound for existence queries (limit=1)")
+    return cfg
+
+
 def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> SearchOutcome:
     """Enumerate symmetric chain decompositions of ``host``.
 
@@ -385,15 +461,7 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
     non-rank-symmetric host has no decompositions at all and returns
     empty-but-exhausted immediately.
     """
-    cfg = config or SearchConfig()
-    if cfg.limit is not None and cfg.limit < 1:
-        raise SearchError(f"limit must be at least 1, got {cfg.limit}")
-    if cfg.node_budget is not None and cfg.node_budget < 0:
-        raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
-    if cfg.time_budget is not None and cfg.time_budget < 0:
-        raise SearchError(f"time budget must be nonnegative, got {cfg.time_budget}")
-    if cfg.use_symmetry and cfg.limit != 1:
-        raise SearchError("use_symmetry is only sound for existence queries (limit=1)")
+    cfg = _checked(config)
     if not is_rank_symmetric(host):
         return SearchOutcome((), True, 0, "not-rank-symmetric")
     if cfg.forbid_taut and host.chain_factor is None:
@@ -422,6 +490,31 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
     return SearchOutcome(tuple(walk.found), True, walk.nodes)
 
 
+def count_search(host: GradedPoset, config: SearchConfig | None = None) -> CountOutcome:
+    """The number of decompositions ``enumerate_scds`` finds with no limit.
+
+    On a cuboid the prover counts them without building one; any other
+    host is enumerated by the walker.  ``config`` takes the same checks
+    and budgets, but no ``limit``.
+    """
+    cfg = _checked(config)
+    if cfg.limit is not None:
+        raise SearchError("a count takes no limit")
+    if host.chain_factor is None or host.chain_factor[0].hypercube_k is None:
+        outcome = enumerate_scds(host, cfg)
+        return CountOutcome(len(outcome.found) if outcome.exhausted else 0,
+                            outcome.exhausted, outcome.nodes_visited, outcome.stop_reason)
+    cover = None
+    try:
+        cover = _Cover(host, cfg, taut_free=cfg.forbid_taut)
+        return CountOutcome(cover.count(), True, cover.nodes)
+    except _StopSearch as stop:
+        return CountOutcome(0, False, stop.nodes, stop.reason)
+    except RecursionError:
+        # As in enumerate_scds: a row, or a decomposition, past the frame limit.
+        return CountOutcome(0, False, cover.nodes if cover else 0, "depth-limit")
+
+
 def count_scds(host: GradedPoset, force: bool = False) -> int:
     """Exact number of symmetric chain decompositions of ``host``.
 
@@ -433,10 +526,10 @@ def count_scds(host: GradedPoset, force: bool = False) -> int:
             f"{host.label} has {len(host)} elements; counting beyond "
             f"{DESK_SCALE_ELEMENTS} needs force=True"
         )
-    outcome = enumerate_scds(host, SearchConfig())
+    outcome = count_search(host)
     if not outcome.exhausted:
         raise SearchError(f"count interrupted by {outcome.stop_reason}; no exact count")
-    return len(outcome.found)
+    return outcome.count
 
 
 @dataclass(frozen=True)

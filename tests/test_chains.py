@@ -104,6 +104,17 @@ def test_validate_scd_detects_duplicates_and_noncovers():
     assert any("non-cover" in m for m in report2.messages)
 
 
+@pytest.mark.parametrize("chain, spelled", [
+    (("x",), "['x']"),
+    (((1, 0), 5), "[5]"),
+], ids=["short", "no-pair"])
+def test_elements_that_are_no_base_level_pair_are_reported(chain, spelled):
+    # The taut test reads (base, level) pairs, so it skips such a chain.
+    report = validate_scd(build_cuboid(1, 2), [chain])
+    assert not report.valid and report.taut_chain_indices == ()
+    assert report.messages[0] == f"chain 0: foreign elements {spelled}"
+
+
 def test_expected_chain_count_by_enumeration():
     host = build_cuboid(5, 3)
     middle = sum(1 for e in host.elements if host.rank[e] == 3)

@@ -305,12 +305,14 @@ def test_huge_hosts_fail_fast(tmp_path, argv):
 
 
 # The largest admitted host: a search must stop at its budget, or at the
-# prover's row limit, before it allocates anything per element.
+# prover's row limit, before it allocates anything per element.  With
+# neither --limit nor --out a search counts instead of enumerating.
 @pytest.mark.parametrize("argv, reason", [
-    (["--budget", "1"], "node-budget"),
-    (["--budget", "1", "--forbid-taut"], "node-budget"),
+    (["--budget", "1", "--limit", "2"], "node-budget"),
+    (["--budget", "1", "--forbid-taut", "--limit", "2"], "node-budget"),
     (["--forbid-taut"], "row-limit"),
-], ids=["walker", "prover", "prover-unbudgeted"])
+    (["--budget", "1"], "node-budget"),
+], ids=["walker", "prover", "prover-unbudgeted", "count"])
 def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
     proc = run_limited(1 << 29, ["search", "--k", "18", "--n", "4", *argv])
     assert proc.returncode == 2, proc.stderr
@@ -322,13 +324,15 @@ def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
 # Hosts whose search recurses deeper than Python's frame limit: the widest
 # ranks of P(12,2) hold over 1000 open chains for the walker, and every row
 # of P(0,1500) is a chain of 1500 elements for the prover's row generator.
-@pytest.mark.parametrize("argv", [
-    ["--k", "12", "--n", "2"],
-    ["--k", "0", "--n", "1500", "--forbid-taut"],
-], ids=["walker", "prover"])
-def test_searches_past_the_frame_limit_stop_with_a_status_line(argv):
+# Counting P(12,2) stops at the row limit first.
+@pytest.mark.parametrize("argv, reason", [
+    (["--k", "12", "--n", "2", "--limit", "2"], "depth-limit"),
+    (["--k", "0", "--n", "1500", "--forbid-taut"], "depth-limit"),
+    (["--k", "12", "--n", "2"], "row-limit"),
+], ids=["walker", "prover", "count"])
+def test_searches_past_the_frame_limit_stop_with_a_status_line(argv, reason):
     proc = run_limited(1 << 29, ["search", *argv])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.startswith("found 0, stopped (depth-limit), nodes ")
+    assert proc.stdout.startswith("found 0, stopped (" + reason + "), nodes ")
     assert proc.stdout.count("\n") == 1

@@ -19,6 +19,7 @@ from scdkit.search import (
     SearchError,
     _Cover,
     count_scds,
+    count_search,
     enumerate_scds,
     exists_nontaut_scd,
 )
@@ -304,7 +305,118 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
     weights = [1 if w == w[::-1] else 2 for w in map(_maximal_word, solutions)]
     assert all(validate_scd(host, s).valid for s in solutions)
     assert len({s.chain_set for s in solutions}) == len(solutions)
-    assert factorial(k) * sum(weights) == count_scds(host, force=True)
+    assert factorial(k) * sum(weights) == len(enumerate_scds(host).found)
+
+
+# Counting: the prover's weighted quotient count, checked against the
+# walker, the oracle, and the paper's counting identities.
+
+def _count(k, n, **config):
+    out = count_search(build_cuboid(k, n), SearchConfig(**config))
+    assert out.exhausted and out.stop_reason is None
+    return out.count
+
+
+# Every cuboid whose enumeration takes well under a second.
+ENUMERATED = [
+    (k, n, forbid_taut)
+    for k, n in [(k, n) for k in range(3) for n in range(1, 7)] + [(3, n) for n in range(1, 5)]
+    for forbid_taut in (False, True)
+] + [(4, n, True) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("k, n, forbid_taut", ENUMERATED, ids=[
+    f"P({k},{n})" + "-taut-free" * forbid_taut for k, n, forbid_taut in ENUMERATED])
+def test_the_count_matches_the_walker(k, n, forbid_taut):
+    host = build_cuboid(k, n)
+    cfg = SearchConfig(forbid_taut=forbid_taut)
+    walked = enumerate_scds(host, cfg)
+    assert walked.exhausted
+    assert _count(k, n, forbid_taut=forbid_taut) == len(walked.found)
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 1)])
+def test_the_count_matches_the_oracle(k, n):
+    host = build_cuboid(k, n)
+    oracle = brute_force_scds(host)
+    taut_free = [s for s in oracle if not any(has_full_column(ch, n) for ch in s)]
+    assert _count(k, n) == len(oracle)
+    assert _count(k, n, forbid_taut=True) == len(taut_free)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_counts_of_p_times_rk_plus_1_are_rk_plus_1_times_those_of_p_times_rk(k):
+    # Q_k has a unique minimum and maximum and rank k: the (rk+1)-to-1
+    # surjection from the decompositions of Q_k x (k+1) onto Q_k x k.
+    assert _count(k, k + 1) == (k + 1) * _count(k, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_counts_of_p_times_m_agree_for_every_m_past_rk(k):
+    # The canonical bijection between the decompositions of Q_k x m and
+    # Q_k x (k+1) for m >= k+1.
+    assert [_count(k, m) for m in range(k + 1, k + 4)] == [_count(k, k + 1)] * 3
+
+
+def test_the_count_of_q5_is_pinned():
+    # P(4,2) is Q_5; the walker takes seconds to enumerate the same number.
+    assert _count(4, 2) == 235_200
+    assert count_scds(build_cuboid(4, 2), force=True) == 235_200
+
+
+def test_a_count_builds_no_decomposition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a count built a decomposition")
+
+    monkeypatch.setattr(search, "SCD", refuse)
+    monkeypatch.setattr(search, "canonical_chain_order", refuse)
+    assert _count(3, 4) == 5952
+
+
+def test_counts_on_other_hosts_are_walked():
+    assert count_search(generic_host(), SearchConfig(forbid_taut=True)).count == 48
+    assert count_search(build_hypercube(3)).count == 6
+    out = count_search(generic_host(), SearchConfig(forbid_taut=True, node_budget=10))
+    assert out == search.CountOutcome(0, False, 11, "node-budget")
+
+
+@pytest.mark.parametrize("config", [
+    SearchConfig(limit=1),
+    SearchConfig(limit=1, use_symmetry=True),
+    SearchConfig(use_symmetry=True),
+    SearchConfig(node_budget=-1),
+])
+def test_a_count_takes_no_limit_and_checks_its_config(config):
+    with pytest.raises(SearchError):
+        count_search(build_cuboid(2, 2), config)
+
+
+def test_a_count_stops_at_its_budgets():
+    # P(3,3) has 72 rows without the taut test: the budget stops the count
+    # in the row table or past it.
+    for budget in (10, 100):
+        out = count_search(build_cuboid(3, 3), SearchConfig(node_budget=budget))
+        assert out == search.CountOutcome(0, False, budget + 1, "node-budget")
+    out = count_search(build_cuboid(4, 3), SearchConfig(time_budget=0.0))
+    assert (out.count, out.exhausted, out.stop_reason) == (0, False, "time-budget")
+
+
+def test_a_count_stops_at_the_row_limit(monkeypatch):
+    monkeypatch.setattr(search, "MAX_COVER_BITS", 32 * 100)
+    out = count_search(build_cuboid(3, 4), SearchConfig(forbid_taut=True))
+    assert out == search.CountOutcome(0, False, 101, "row-limit")
+
+
+def test_a_full_memo_only_counts_slower(monkeypatch):
+    # With room for only 5 memo entries beside the row table, P(3,3) is
+    # counted right, in more nodes.
+    host = build_cuboid(3, 3)
+    unbounded = _Cover(host, SearchConfig(), taut_free=False)
+    assert unbounded.count() == 1488
+    monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(unbounded.rows) + 5))
+    cover = _Cover(host, SearchConfig(), taut_free=False)
+    assert cover.count() == 1488
+    assert len(cover.memo) == 5 and cover.nodes > unbounded.nodes
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -358,7 +470,8 @@ def test_prover_stops_at_its_row_limit(monkeypatch):
 
 
 # The memo: sets of uncovered elements that a finished part of a run
-# showed to have no solution, shared by every run on one _Cover.
+# showed to have no solution, recorded as zeros and shared by every run on
+# one _Cover.
 
 @pytest.mark.parametrize("k, n, taut_free, seed, limit", [
     (5, 3, True, 2, 1), (5, 4, True, 6, 1), (3, 4, False, None, None),
@@ -375,7 +488,7 @@ def test_cut_off_runs_leave_no_false_dead_sets(k, n, taut_free, seed, limit):
         with pytest.raises(search._StopSearch) as stop:
             shared.solve(s, cutoff=20 if taut_free else 5)
         assert stop.value.reason == "cutoff"
-    assert shared.dead
+    assert shared.memo and not any(shared.memo.values())
     expected = _Cover(host, SearchConfig(), taut_free).solve(seed, limit=limit)
     assert expected and shared.solve(seed, limit=limit) == expected
 
@@ -400,7 +513,7 @@ def test_a_full_memo_only_prunes_less(monkeypatch, make, config, summary, digest
     monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(_Cover(host, config).rows) + 3))
     cover = _Cover(host, config)
     cover.witness()
-    assert len(cover.dead) == 3
+    assert list(cover.memo.values()) == [0, 0, 0]
     out = enumerate_scds(host, config)
     found, exhausted, nodes, reason = summary
     assert (len(out.found), out.exhausted, out.stop_reason) == (found, exhausted, reason)
