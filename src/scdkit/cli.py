@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int)
     p.add_argument("--budget", type=int, help="node budget (default from env or 10^8)")
     p.add_argument("--use-symmetry", action="store_true",
-                   help="prune by bit permutations; needs --limit 1")
+                   help="accepted with --limit 1, which already searches up to "
+                   "bit permutations; changes nothing")
     p.add_argument("--out", help="write the first decomposition found")
     p.set_defaults(fn=_cmd_search)
 

@@ -90,7 +90,7 @@ def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
     return (int("".join(digits), 2) if k else 0, c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # one memo per host, for as many hosts as build_cuboid keeps
 def _token_memo(k: int, n: int) -> dict[str, tuple[int, int]]:
     """Token spelling -> element of P(k, n), for tokens already accepted."""
     return {}

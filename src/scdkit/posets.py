@@ -310,7 +310,9 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     )
 
 
-@lru_cache(maxsize=None)
+# Bounded: a long-lived process keeps the hosts it used last, not every
+# host it ever built.
+@lru_cache(maxsize=16)
 def build_cuboid(k: int, n: int) -> GradedPoset:
     """P(k, n) = Q_k x chain(n) on elements ``(bits, level)``.
 
@@ -328,8 +330,8 @@ def build_cuboid(k: int, n: int) -> GradedPoset:
 def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:
     """``p x chain(n)`` with the chain factor recorded.
 
-    Hypercube bases route through :func:`build_cuboid` so the same
-    ``(k, n)`` host is shared object-wide.
+    Hypercube bases route through :func:`build_cuboid`, so a ``(k, n)``
+    host still in its cache is shared, not rebuilt.
     """
     if p.hypercube_k is not None:
         return build_cuboid(p.hypercube_k, n)

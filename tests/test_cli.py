@@ -305,14 +305,14 @@ def test_huge_hosts_fail_fast(tmp_path, argv):
 
 
 # The largest admitted host: a search must stop at its budget, or at the
-# prover's row limit, before it allocates anything per element.  With
+# cover's row limit, before it allocates anything per element.  With
 # neither --limit nor --out a search counts instead of enumerating.
 @pytest.mark.parametrize("argv, reason", [
     (["--budget", "1", "--limit", "2"], "node-budget"),
     (["--budget", "1", "--forbid-taut", "--limit", "2"], "node-budget"),
     (["--forbid-taut"], "row-limit"),
     (["--budget", "1"], "node-budget"),
-], ids=["walker", "prover", "prover-unbudgeted", "count"])
+], ids=["enumeration", "prover", "prover-unbudgeted", "count"])
 def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
     proc = run_limited(1 << 29, ["search", "--k", "18", "--n", "4", *argv])
     assert proc.returncode == 2, proc.stderr
@@ -321,18 +321,20 @@ def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
     assert proc.stdout.count("\n") == 1
 
 
-# Hosts whose search recurses deeper than Python's frame limit: the widest
-# ranks of P(12,2) hold over 1000 open chains for the walker, and every row
-# of P(0,1500) is a chain of 1500 elements for the prover's row generator.
-# Counting P(12,2) stops at the row limit first.
-@pytest.mark.parametrize("argv, reason", [
-    (["--k", "12", "--n", "2", "--limit", "2"], "depth-limit"),
-    (["--k", "0", "--n", "1500", "--forbid-taut"], "depth-limit"),
-    (["--k", "12", "--n", "2"], "row-limit"),
-], ids=["walker", "prover", "count"])
-def test_searches_past_the_frame_limit_stop_with_a_status_line(argv, reason):
+# Hosts that a search recursing once per chain or per cover would take past
+# Python's frame limit: the widest ranks of P(12,2) hold over 1000 chains,
+# and P(0,1500) is one column of 1500 elements.  Rows are grown and picked
+# on explicit stacks, so each search ends with its own verdict: P(12,2) has
+# more rows than the cover's table holds, and P(0,1500) has no taut-free
+# row, so it has no taut-free decomposition.
+@pytest.mark.parametrize("argv, code, status", [
+    (["--k", "12", "--n", "2", "--limit", "2"], 2, "found 0, stopped (row-limit)"),
+    (["--k", "0", "--n", "1500", "--forbid-taut"], 0, "found 0, exhausted"),
+    (["--k", "12", "--n", "2"], 2, "found 0, stopped (row-limit)"),
+], ids=["enumeration", "prover", "count"])
+def test_searches_past_the_frame_limit_stop_with_a_status_line(argv, code, status):
     proc = run_limited(1 << 29, ["search", *argv])
-    assert proc.returncode == 2, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.startswith("found 0, stopped (" + reason + "), nodes ")
+    assert proc.stdout.startswith(status + ", nodes ")
     assert proc.stdout.count("\n") == 1

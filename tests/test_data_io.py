@@ -1,7 +1,11 @@
+import contextlib
+import io
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from scdkit import cli, posets
 from scdkit.chains import SCD, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import (
@@ -241,10 +245,17 @@ def test_the_memo_stops_at_the_host_size():
 
 
 def test_no_memo_outgrows_its_host():
-    # Runs after the parses of the test modules collected before this one.
-    for k in range(13):
-        for n in range(1, 41):
-            assert len(_token_memo(k, n)) <= (1 << k) * n
+    # Documents of 20 hosts in turn, more than the cache keeps, each naming
+    # every element in four spellings: no memo outgrows its host, and the
+    # cache keeps at most 16 memos.
+    for k in range(4):
+        for n in range(1, 6):
+            host = build_cuboid(k, n)
+            bits = [",".join(format(b, f"0{k}b")) if k else "" for b in range(1 << k)]
+            doc = [f"{bits[b]};{'0' * pad}{c}" for pad in range(4) for b, c in host.elements]
+            parse_scd("\n".join(doc), k, n)
+            assert len(_token_memo(k, n)) == len(host)
+    assert _token_memo.cache_info().currsize <= 16
 
 
 def _permuted(b: int, k: int, perm: list[int]) -> int:
@@ -271,3 +282,27 @@ def test_parsing_permuted_shuffled_documents(k, n, data):
     ))
     for _ in range(2):
         assert parse_scd("\n".join([header, *lines])) == expected
+
+
+ASCII = st.text(st.characters(max_codepoint=127))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(
+    ASCII,
+    # a header of a small host, so that the body reaches the token parser
+    st.builds("{} {}\n{}".format, st.integers(0, 3), st.integers(1, 12),
+              st.one_of(ASCII, st.text(st.sampled_from("0123456789,; \n#"))))))
+def test_arbitrary_text_is_parsed_or_refused(tmp_path_factory, monkeypatch, text):
+    # A header may name any admissible host; here those over 2^12 elements
+    # are refused like those over the real limit, so none is built.
+    monkeypatch.setattr(posets, "MAX_HOST_ELEMENTS", 1 << 12)
+    try:
+        parse_scd(text)
+    except ValueError:  # ParseError, or a host refused by posets
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzzed.scd"
+    path.write_text(text, encoding="ascii")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.run(["validate", str(path)]) in (0, 1)

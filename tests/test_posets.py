@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import scdkit
+from scdkit import constructions, data_io
 from scdkit.chains import ScdError, validate_chain
 from scdkit.posets import (
     GradedPoset,
@@ -308,3 +309,9 @@ def test_oversized_posets_are_refused_before_allocation(call):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr
+
+
+def test_the_module_caches_are_bounded():
+    # A long-lived process that builds many hosts must not keep them all.
+    for cached in (build_cuboid, constructions.generate, data_io._token_memo):
+        assert cached.cache_info().maxsize is not None

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from math import factorial
 
 import pytest
@@ -65,6 +66,46 @@ def test_counts_agree_with_exact_cover_oracle(make):
     assert out.exhausted
     assert len(out.found) == len(oracle)
     assert {s.chain_set for s in out.found} == set(oracle)
+
+
+def antichain(size):
+    return GradedPoset(range(size), [], {i: 0 for i in range(size)})
+
+
+def _oracle(host):
+    """The oracle's decompositions; it recurses once per chain picked."""
+    frames = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(frames, 4 * len(host)))
+    try:
+        return set(brute_force_scds(host))
+    finally:
+        sys.setrecursionlimit(frames)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: product(build_chain_poset(3), build_hypercube(2)),
+    lambda: build_hypercube(3),
+    lambda: antichain(7),
+], ids=["chain(3)xQ2", "Q3", "antichain(7)"])
+def test_hosts_without_a_chain_factor_agree_with_the_oracle(make):
+    # Without a chain factor there is no quotient, and every row weighs 1.
+    host = make()
+    oracle = _oracle(host)
+    out = enumerate_scds(host)
+    assert out.exhausted and {s.chain_set for s in out.found} == oracle
+    assert len(out.found) == count_search(host).count == count_scds(host)
+    first = enumerate_scds(host, SearchConfig(limit=1))
+    assert first.stop_reason == "limit" and first.found[0].chain_set in oracle
+
+
+def test_a_wide_antichain_is_searched_without_recursion():
+    # Its one decomposition picks 1500 rows, one node each, on the search's
+    # own stack: no search runs into Python's frame limit.
+    host = antichain(1500)
+    out = enumerate_scds(host)
+    assert (len(out.found), out.exhausted, out.stop_reason) == (1, True, None)
+    assert {s.chain_set for s in out.found} == _oracle(host)
+    assert count_search(host) == search.CountOutcome(1, True, 3000)
 
 
 def test_every_emitted_scd_validates():
@@ -159,16 +200,11 @@ def test_count_scds_values():
     assert count_scds(build_cuboid(2, 3)) == 3 * count_scds(build_cuboid(2, 2))
 
 
-def test_count_scds_guard():
-    with pytest.raises(SearchError):
-        count_scds(build_cuboid(2, 7))  # 28 elements > default guard
-
-
 def test_count_scds_guard_override():
     # P(1,n) has exactly two decompositions for n >= 2: the bit may only
     # flip at the very bottom or the very top if the leftover column is to
     # stay a single chain.
-    assert count_scds(build_cuboid(1, 13), force=True) == 2
+    assert count_scds(build_cuboid(1, 13)) == 2
 
 
 def test_exists_desk_scale_negatives_are_search_proofs():
@@ -222,29 +258,30 @@ def _digest(found) -> str:
 
 
 # (found, exhausted, nodes_visited, stop_reason) and the digest of the
-# found decompositions of fixed searches: each engine must visit the same
-# nodes in the same order and find the same decompositions.  The
-# forbid-taut cuboid searches run the prover; the others run the walker.
+# found decompositions of fixed searches: each must visit the same nodes in
+# the same order and find the same decompositions.  Existence queries and
+# forbid-taut cuboid searches run on the quotient; the others enumerate
+# unquotiented.
 PINNED_WALKS = [
-    (lambda: build_cuboid(3, 3), SearchConfig(), (1488, True, 35923, None),
-     "32159449e31d046bce6ba82e59a8351a9f8409d9cf94cf187cca88ba9e3eb4cf"),
-    (lambda: build_cuboid(2, 6), SearchConfig(), (18, True, 706, None),
-     "1ba12ff841410ac3ca3372f863999ee4f04ab33d7d370db264bd748dee81c026"),
+    (lambda: build_cuboid(3, 3), SearchConfig(), (1488, True, 5182, None),
+     "796718d61d3c908f083c5855621a5f5663598ed02a35c979e1f4c2133f4ffa4d"),
+    (lambda: build_cuboid(2, 6), SearchConfig(), (18, True, 173, None),
+     "429609513b987c7e66a1a4d5f5ab7b3aa9284b56650d9c1f166232f0bfff5f22"),
     (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 209, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(2, 3), SearchConfig(limit=1, use_symmetry=True),
-     (1, False, 19, "limit"),
-     "1e10caff83263d41df954ade67b4516309645d2de2f0d91d1f5045428fd8cbc0"),
+     (1, False, 25, "limit"),
+     "473cc98297717c9da63d00621ad38dabcf0c8b6c555aacb8aa2f3eeb20822a96"),
     (lambda: build_cuboid(3, 3), SearchConfig(limit=1, use_symmetry=True),
-     (1, False, 30, "limit"),
-     "d9580253da37509cf1484367ae55f1c1037310f1717476620310ce8aa0998357"),
+     (1, False, 92, "limit"),
+     "a59abbb69936c586413e0b3e21d6aa278c419aa2f03979dd42d722df94d213ca"),
     (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1, use_symmetry=True),
      (0, True, 93, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, False, 4, "node-budget"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (generic_host, SearchConfig(forbid_taut=True), (48, True, 5328, None),
-     "ff29dae7dcd97dcbcd0f1b84598afc001320c23af4d1a53eb904ad5e4c96a41c"),
+    (generic_host, SearchConfig(forbid_taut=True), (48, True, 347, None),
+     "77d3e6ff96542203b49d15b91a1afce8b36ff3b7dfa8b6cde55d0c8b3f352e05"),
     (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 7905, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=1),
@@ -300,7 +337,7 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
     # k! decompositions when its maximal chain's word is a palindrome and
     # for 2 * k! otherwise (the duality reverses the word).
     host = build_cuboid(k, n)
-    cover = _Cover(host, SearchConfig(), taut_free=False)
+    cover = _Cover(host, SearchConfig())
     solutions = [cover.decode(sol) for sol in cover.solve(limit=None)]
     weights = [1 if w == w[::-1] else 2 for w in map(_maximal_word, solutions)]
     assert all(validate_scd(host, s).valid for s in solutions)
@@ -308,8 +345,8 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
     assert factorial(k) * sum(weights) == len(enumerate_scds(host).found)
 
 
-# Counting: the prover's weighted quotient count, checked against the
-# walker, the oracle, and the paper's counting identities.
+# Counting: the weighted quotient count, checked against enumeration, the
+# oracle, and the paper's counting identities.
 
 def _count(k, n, **config):
     out = count_search(build_cuboid(k, n), SearchConfig(**config))
@@ -328,11 +365,12 @@ ENUMERATED = [
 @pytest.mark.parametrize("k, n, forbid_taut", ENUMERATED, ids=[
     f"P({k},{n})" + "-taut-free" * forbid_taut for k, n, forbid_taut in ENUMERATED])
 def test_the_count_matches_the_walker(k, n, forbid_taut):
+    # The count on the quotient against the unquotiented enumeration.
     host = build_cuboid(k, n)
     cfg = SearchConfig(forbid_taut=forbid_taut)
-    walked = enumerate_scds(host, cfg)
-    assert walked.exhausted
-    assert _count(k, n, forbid_taut=forbid_taut) == len(walked.found)
+    enumerated = enumerate_scds(host, cfg)
+    assert enumerated.exhausted
+    assert _count(k, n, forbid_taut=forbid_taut) == len(enumerated.found)
 
 
 @pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 1)])
@@ -359,9 +397,9 @@ def test_counts_of_p_times_m_agree_for_every_m_past_rk(k):
 
 
 def test_the_count_of_q5_is_pinned():
-    # P(4,2) is Q_5; the walker takes seconds to enumerate the same number.
+    # P(4,2) is Q_5.
     assert _count(4, 2) == 235_200
-    assert count_scds(build_cuboid(4, 2), force=True) == 235_200
+    assert count_scds(build_cuboid(4, 2)) == 235_200
 
 
 def test_a_count_builds_no_decomposition(monkeypatch):
@@ -411,10 +449,10 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
     # With room for only 5 memo entries beside the row table, P(3,3) is
     # counted right, in more nodes.
     host = build_cuboid(3, 3)
-    unbounded = _Cover(host, SearchConfig(), taut_free=False)
+    unbounded = _Cover(host, SearchConfig())
     assert unbounded.count() == 1488
     monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(unbounded.rows) + 5))
-    cover = _Cover(host, SearchConfig(), taut_free=False)
+    cover = _Cover(host, SearchConfig())
     assert cover.count() == 1488
     assert len(cover.memo) == 5 and cover.nodes > unbounded.nodes
 
@@ -436,20 +474,19 @@ def test_prover_agrees_with_the_middle_rank_bound(k, n):
     assert res.exists is False and res.method == "middle-rank-bound"
 
 
-def test_prover_hands_its_budget_on_to_the_walker(monkeypatch):
-    # P(5,3) has a taut-free decomposition, so an enumeration goes on in
-    # the walker after the prover's 3808 nodes, on the same budget.
+def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
+    # P(5,3) has a taut-free decomposition, so an enumeration goes on in an
+    # unquotiented cover after the quotient's 3808 nodes, on the same budget.
     starts = []
-    place = search._Walk.place
+    init = _Cover.__init__
 
-    def recording_place(walk, r, opens, closed):
-        if r == 0:
-            starts.append(walk.nodes)
-        place(walk, r, opens, closed)
+    def recording_init(cover, host, cfg, quotient=True, spent=None):
+        starts.append((quotient, spent and spent.nodes))
+        init(cover, host, cfg, quotient, spent)
 
-    monkeypatch.setattr(search._Walk, "place", recording_place)
+    monkeypatch.setattr(_Cover, "__init__", recording_init)
     out = enumerate_scds(build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=2, node_budget=5000))
-    assert starts == [3808]
+    assert starts == [(True, None), (False, 3808)]
     assert not out.exhausted and out.stop_reason == "node-budget"
     assert out.nodes_visited == 5001
 
@@ -483,13 +520,13 @@ def test_cut_off_runs_leave_no_false_dead_sets(k, n, taut_free, seed, limit):
     # an unfinished subproblem recorded as dead would lose its solutions
     # (and the budget stops a run that then searches on in vain).
     host = build_cuboid(k, n)
-    shared = _Cover(host, SearchConfig(node_budget=50_000), taut_free)
+    shared = _Cover(host, SearchConfig(forbid_taut=taut_free, node_budget=50_000))
     for s in search.RESTART_SEEDS:
         with pytest.raises(search._StopSearch) as stop:
             shared.solve(s, cutoff=20 if taut_free else 5)
         assert stop.value.reason == "cutoff"
     assert shared.memo and not any(shared.memo.values())
-    expected = _Cover(host, SearchConfig(), taut_free).solve(seed, limit=limit)
+    expected = _Cover(host, SearchConfig(forbid_taut=taut_free)).solve(seed, limit=limit)
     assert expected and shared.solve(seed, limit=limit) == expected
 
 
