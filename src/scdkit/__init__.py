@@ -8,14 +8,8 @@ containing a full vertical run of the chain coordinate).
 
 from .chains import (
     SCD,
-    ChainCheck,
-    NecessaryConditions,
-    ScdError,
     ValidationReport,
-    expected_chain_count,
     is_taut,
-    necessary_conditions,
-    validate_chain,
     validate_scd,
 )
 from .constructions import (
@@ -44,15 +38,12 @@ from .data_io import (
 )
 from .posets import (
     GradedPoset,
-    Packet,
     PacketGrid,
     PosetError,
     build_chain_poset,
     build_cuboid,
     build_hypercube,
-    element_at,
     is_rank_symmetric,
-    packet,
     packet_grid,
     poset_times_chain,
     product,
@@ -73,20 +64,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SCD",
-    "ChainCheck",
     "ConstructionError",
     "CountOutcome",
     "EdgeMatching",
     "ExistenceResult",
     "GradedPoset",
     "MiddleGraph",
-    "NecessaryConditions",
-    "Packet",
     "PacketGrid",
     "ParseError",
     "PosetError",
     "RegionError",
-    "ScdError",
     "SearchConfig",
     "SearchError",
     "SearchOutcome",
@@ -98,12 +85,10 @@ __all__ = [
     "collapse",
     "count_scds",
     "count_search",
-    "element_at",
     "enumerate_matchings",
     "enumerate_scds",
     "exists_nontaut_scd",
     "expand",
-    "expected_chain_count",
     "extend_dimension",
     "generate",
     "grid_scd",
@@ -111,8 +96,6 @@ __all__ = [
     "is_rank_symmetric",
     "is_taut",
     "middle_graph",
-    "necessary_conditions",
-    "packet",
     "packet_grid",
     "parse_scd",
     "poset_times_chain",
@@ -122,6 +105,5 @@ __all__ = [
     "repair",
     "serialize_scd",
     "shift",
-    "validate_chain",
     "validate_scd",
 ]

@@ -40,13 +40,9 @@ from itertools import chain as concat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .posets import Element, GradedPoset, PosetError, is_rank_symmetric, steps_ascend
+from .posets import Element, GradedPoset, steps_ascend
 
 Chain = tuple  # elements in ascending rank order
-
-
-class ScdError(ValueError):
-    """Raised for structurally unusable decomposition inputs."""
 
 
 def canonical_chain_order(host: GradedPoset, chains: Iterable[Sequence]) -> tuple[Chain, ...]:
@@ -101,24 +97,6 @@ class SCD:
 
     def __repr__(self) -> str:
         return f"SCD({self.host.label}, {self.chain_count} chains)"
-
-
-@dataclass(frozen=True)
-class ChainCheck:
-    is_chain: bool
-    is_symmetric: bool
-
-
-def validate_chain(host: GradedPoset, chain: Sequence) -> ChainCheck:
-    """Check cover-consecutiveness and rank symmetry of one chain."""
-    if not chain:
-        raise ScdError("empty chain")
-    for e in chain:
-        if e not in host:
-            raise ScdError(f"{e!r} is not an element of {host.label}")
-    is_chain = all(host.is_cover(a, b) for a, b in zip(chain, chain[1:]))
-    is_symmetric = host.rank[chain[0]] + host.rank[chain[-1]] == host.rk
-    return ChainCheck(is_chain, is_symmetric)
 
 
 def is_taut(chain: Sequence, n: int) -> bool:
@@ -257,40 +235,3 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
         messages=tuple(messages),
     )
 
-
-def expected_chain_count(host: GradedPoset) -> int:
-    """Size of the middle rank: every symmetric chain crosses it once, so
-    any decomposition of a rank-symmetric host has exactly this many chains."""
-    if not is_rank_symmetric(host):
-        raise ScdError(f"{host.label} is not rank-symmetric")
-    return host.rank_vector[host.rk // 2]
-
-
-@dataclass(frozen=True)
-class NecessaryConditions:
-    """Counting conditions a base poset must satisfy.
-
-    ``rank_symmetric`` is required for any symmetric chain decomposition
-    of ``p x chain(n)`` to exist.  ``middle_rank_ok`` (computed only when
-    asked about taut-free decompositions) is the middle-rank bound: with
-    rk(p) even, the middle rank may not outnumber all lower ranks
-    combined; with rk(p) odd, the common middle-rank size may not exceed
-    twice the ranks strictly below the middle pair.
-    """
-
-    rank_symmetric: bool
-    middle_rank_ok: bool | None = None
-
-
-def necessary_conditions(p: GradedPoset, for_nontaut: bool = False) -> NecessaryConditions:
-    rank_symmetric = is_rank_symmetric(p)
-    if not for_nontaut:
-        return NecessaryConditions(rank_symmetric)
-    rv = p.rank_vector
-    if p.rk % 2 == 0:
-        mid = p.rk // 2
-        middle_ok = rv[mid] <= sum(rv[:mid])
-    else:
-        mid = (p.rk - 1) // 2
-        middle_ok = rv[mid] <= 2 * sum(rv[:mid])
-    return NecessaryConditions(rank_symmetric, middle_ok)

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import constructions, data_io, search
-from .chains import necessary_conditions
 from .posets import build_cuboid, build_hypercube
 from .search import SearchConfig
 
@@ -123,6 +122,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.use_symmetry and args.limit != 1:
+        raise CliError("--use-symmetry is only sound for existence queries (--limit 1)")
     budget = args.budget
     if budget is None:
         env = os.environ.get(NODE_BUDGET_ENV)
@@ -131,7 +132,6 @@ def _cmd_search(args) -> int:
         forbid_taut=args.forbid_taut,
         limit=args.limit,
         node_budget=budget,
-        use_symmetry=args.use_symmetry,
     )
     host = build_cuboid(args.k, args.n)
     if args.limit is None and not args.out:
@@ -147,20 +147,6 @@ def _cmd_search(args) -> int:
         _emit(data_io.serialize_scd(outcome.found[0]), args.out)
     conclusive = outcome.exhausted or outcome.stop_reason == "limit"
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
-
-
-def _cmd_check(args) -> int:
-    cube = build_hypercube(args.k)
-    conditions = necessary_conditions(cube, for_nontaut=True)
-    print(f"Q{args.k} rank vector: {cube.rank_vector}")
-    print(f"rank_symmetric: {conditions.rank_symmetric}")
-    print(f"middle_rank_ok: {conditions.middle_rank_ok}")
-    if not conditions.middle_rank_ok:
-        print(
-            f"no taut-free decomposition of P({args.k},n) exists for any n: "
-            "the middle rank outnumbers what lower ranks can absorb"
-        )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bit permutations; changes nothing")
     p.add_argument("--out", help="write the first decomposition found")
     p.set_defaults(fn=_cmd_search)
-
-    p = sub.add_parser("check", help="report the counting conditions for Q_k")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_check)
 
     return parser
 

@@ -338,73 +338,21 @@ def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:
     return product(p, build_chain_poset(n))
 
 
-# -- the chain coordinate and packets --------------------------------------
-
-
-def element_at(host: GradedPoset, p: Element, r: int) -> Element:
-    """The unique element of ``base x chain(n)`` with base coordinate ``p``
-    and total rank ``r``; rejects ``r`` outside ``[rk(p), rk(p)+n)``."""
-    if host.chain_factor is None:
-        raise PosetError(f"{host.label} does not expose a chain coordinate")
-    base, n = host.chain_factor
-    if p not in base:
-        raise PosetError(f"{p!r} is not an element of {base.label}")
-    rp = base.rank[p]
-    if not rp <= r < rp + n:
-        raise PosetError(
-            f"rank {r} out of window [{rp}, {rp + n}) for base element {p!r}"
-        )
-    return (p, r - rp)
-
-
-@dataclass(frozen=True)
-class Packet:
-    """All elements of ``base x chain(n)`` with base rank ``x`` and total
-    rank ``y`` (equivalently chain coordinate ``y - x``)."""
-
-    x: int
-    y: int
-    members: frozenset
-
-
-def packet(host: GradedPoset, x: int, y: int) -> Packet:
-    if host.chain_factor is None:
-        raise PosetError(f"{host.label} does not expose a chain coordinate")
-    base, n = host.chain_factor
-    if not (0 <= x <= base.rk and x <= y <= x + n - 1):
-        raise PosetError(f"no packet at (x={x}, y={y}) in {host.label}")
-    members = frozenset((p, y - x) for p in base.by_rank[x])
-    return Packet(x, y, members)
+# -- the packet grid -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PacketGrid:
-    """Packet sizes of ``p x chain(n)`` indexed by (base rank, total rank).
+    """The sizes of the packets of ``p x chain(n)``, indexed by (base rank,
+    total rank).
 
-    Block ranges follow the three rank regimes of the product: the first
-    block is ``[0, rk_p)``, the middle block ``[rk_p, n-1]``, and the last
-    block ``(n-1, rk_p+n-1]``.  They are only defined for ``n >= rk_p``.
+    The packet at ``(x, y)`` holds the elements ``(q, y - x)`` for the
+    rank-x elements ``q`` of ``p``.
     """
 
     counts: dict[tuple[int, int], int]
     rk_p: int
     n: int
-
-    @property
-    def first_block(self) -> range | None:
-        return range(0, self.rk_p) if self.n >= self.rk_p else None
-
-    @property
-    def middle_block(self) -> range | None:
-        return range(self.rk_p, self.n) if self.n >= self.rk_p else None
-
-    @property
-    def last_block(self) -> range | None:
-        return range(self.n, self.rk_p + self.n) if self.n >= self.rk_p else None
-
-    def row(self, y: int) -> dict[int, int]:
-        """Column -> count for the single total rank ``y``."""
-        return {x: c for (x, yy), c in self.counts.items() if yy == y}
 
 
 def packet_grid(p: GradedPoset, n: int) -> PacketGrid:

@@ -49,6 +49,14 @@ exhausted-empty, and with one it goes on, with the nodes and deadline
 spent so far.  A count runs on the quotient where there is one.  Every
 answer is deterministic, and only a finished search says that no
 decomposition exists.
+
+``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
+construction, and every other pair by one taut-free existence query on
+P(k, m), ``m = min(n, max(k+1, 3))``: the ``shift`` bijection between the
+decompositions of ``P x m`` and ``P x n`` for m, n >= rk(P)+1 preserves
+taut chains, so one search of at most P(4, 5) settles every n.  Each
+such query runs once per process and is kept, so the first k = 4,
+n >= 5 query proves P(4, 5), and the rest reuse the proof.
 """
 
 from __future__ import annotations
@@ -57,15 +65,14 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from math import factorial
 
-from .chains import SCD, canonical_chain_order, necessary_conditions
+from .chains import SCD, canonical_chain_order
 from .constructions import generate
-from .posets import GradedPoset, build_cuboid, build_hypercube, is_rank_symmetric
+from .posets import GradedPoset, build_cuboid, is_rank_symmetric
 
 DEFAULT_NODE_BUDGET = 10**8
-DESK_SCALE_ELEMENTS = 24  # hosts this small are re-proved by search
 # The restarts of an existence query: one run per seeded row order, each
 # of at most RESTART_NODES nodes, before the uncapped run in canonical order.
 RESTART_SEEDS = tuple(range(1, 9))
@@ -89,11 +96,8 @@ class _StopSearch(Exception):
 class SearchConfig:
     """Knobs for :func:`enumerate_scds`.
 
-    ``use_symmetry`` is accepted for existence queries only, so it demands
-    ``limit == 1``, and changes nothing: an existence query on a cuboid
-    already runs on the quotient by bit permutations and duality.  When
-    the caller sets no budget at all, a node cap of 10**8 applies so runs
-    stay bounded.  ``limit`` must be at least 1 and the budgets
+    When the caller sets no budget at all, a node cap of 10**8 applies so
+    runs stay bounded.  ``limit`` must be at least 1 and the budgets
     nonnegative.
     """
 
@@ -101,7 +105,6 @@ class SearchConfig:
     limit: int | None = None
     node_budget: int | None = None
     time_budget: float | None = None
-    use_symmetry: bool = False
 
 
 @dataclass(frozen=True)
@@ -379,8 +382,6 @@ def _checked(config: SearchConfig | None, host: GradedPoset) -> SearchConfig:
         raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
     if cfg.time_budget is not None and cfg.time_budget < 0:
         raise SearchError(f"time budget must be nonnegative, got {cfg.time_budget}")
-    if cfg.use_symmetry and cfg.limit != 1:
-        raise SearchError("use_symmetry is only sound for existence queries (limit=1)")
     if cfg.forbid_taut and host.chain_factor is None:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
     return cfg
@@ -442,16 +443,27 @@ def count_scds(host: GradedPoset) -> int:
         raise SearchError(f"count interrupted by {outcome.stop_reason}; no exact count")
     return outcome.count
 
+
 @dataclass(frozen=True)
 class ExistenceResult:
     """Answer to "does P(k, n) admit a taut-free decomposition?".
 
-    ``proof_exhaustive`` is True only when a finished exhaustive search
-    backs the answer.  ``method`` records how the answer was reached:
-    ``n-rule`` (n <= 2 forces a taut maximal chain), ``middle-rank-bound``
-    (the counting conditions fail), ``exhaustive``, or ``construction``
-    (a validated witness).  A budget-capped search answers ``exists=None``
-    with method ``inconclusive`` -- never a nonexistence claim.
+    ``method`` records how the answer was reached, one of five values:
+
+    * ``n-rule``: n <= 2, where every maximal chain is taut;
+    * ``construction``: k >= 5, a witness built and validated by
+      :func:`~scdkit.constructions.generate`;
+    * ``exhaustive``: a finished taut-free search of P(k, n) itself;
+    * ``exhaustive+shift``: a finished taut-free search of P(k, m) for the
+      smaller ``m = max(k+1, 3)``, carried over to P(k, n) by the
+      ``shift`` bijection, which preserves taut chains for m, n >= k+1;
+    * ``inconclusive``: the search stopped at a budget, so ``exists``
+      is None -- never a nonexistence claim.
+
+    ``proof_exhaustive`` is True only when a finished search backs a
+    "no".  Searches run for k <= 4 only, and each is made once per
+    process, so the first k = 4, n >= 5 query proves P(4, 5) (about
+    275,000 nodes, a few seconds) and later ones reuse that proof.
     """
 
     exists: bool | None
@@ -461,36 +473,36 @@ class ExistenceResult:
     nodes_visited: int = 0
 
 
+@lru_cache(maxsize=16)
+def _taut_free_search(k: int, m: int, cfg: SearchConfig) -> SearchOutcome:
+    """``enumerate_scds`` on P(k, m), once per process for each config."""
+    return enumerate_scds(build_cuboid(k, m), cfg)
+
+
 def exists_nontaut_scd(k: int, n: int, config: SearchConfig | None = None) -> ExistenceResult:
     """Decide whether P(k, n) has a taut-free symmetric chain decomposition.
 
-    Fast paths: n <= 2 is rejected outright (n = 1 makes every chain a
-    column; for n = 2 the maximal chain is one), and a failing middle-rank
-    bound rejects the base hypercube.  Desk-scale bases (k <= 2, host at
-    most 24 elements) are re-proved by actual exhaustive search instead of
-    the bound.  Inside the feasible region the witness is constructed and
-    validated.
+    n <= 2 is rejected outright (n = 1 makes every chain a column; for
+    n = 2 the maximal chain is one), and for k >= 5 the witness is
+    constructed and validated.  Every other pair is decided by a
+    taut-free existence search of P(k, m) with ``m = min(n, max(k+1, 3))``,
+    under the budgets of ``config``: at most 8 hosts, up to P(4, 5), each
+    searched once per process (see :class:`ExistenceResult`).
     """
     if k < 0 or n < 1:
         raise SearchError(f"need k >= 0 and n >= 1, got k={k}, n={n}")
     if n <= 2:
         return ExistenceResult(False, None, False, "n-rule")
+    if k >= 5:
+        # Every step of the pipeline checks its output taut-free where it
+        # is built.
+        return ExistenceResult(True, generate(k, n), False, "construction")
 
-    conditions = necessary_conditions(build_hypercube(k), for_nontaut=True)
-    if not (conditions.rank_symmetric and conditions.middle_rank_ok):
-        if k <= 2 and (1 << k) * n <= DESK_SCALE_ELEMENTS:
-            cfg = replace(config or SearchConfig(), forbid_taut=True, limit=1)
-            outcome = enumerate_scds(build_cuboid(k, n), cfg)
-            if outcome.found:
-                return ExistenceResult(
-                    True, outcome.found[0], False, "exhaustive", outcome.nodes_visited
-                )
-            if outcome.exhausted:
-                return ExistenceResult(False, None, True, "exhaustive", outcome.nodes_visited)
-            return ExistenceResult(None, None, False, "inconclusive", outcome.nodes_visited)
-        return ExistenceResult(False, None, False, "middle-rank-bound")
-
-    # The middle-rank bound passes a hypercube only for k >= 5, where the
-    # generation pipeline always applies; every step of it checks its
-    # output taut-free where it is built.
-    return ExistenceResult(True, generate(k, n), False, "construction")
+    m = min(n, max(k + 1, 3))
+    cfg = replace(config or SearchConfig(), forbid_taut=True, limit=1)
+    outcome = _taut_free_search(k, m, cfg)
+    if outcome.exhausted:
+        method = "exhaustive" if m == n else "exhaustive+shift"
+        return ExistenceResult(False, None, True, method, outcome.nodes_visited)
+    # A budget stopped the search: no P(k, n) with k <= 4 has a witness to find.
+    return ExistenceResult(None, None, False, "inconclusive", outcome.nodes_visited)

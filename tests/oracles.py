@@ -8,6 +8,8 @@ cross-check rather than the same algorithm twice.
 
 from itertools import product as iproduct
 
+from scdkit.chains import SCD
+
 
 def rank_vector_by_bucketing(elements, rank_of):
     """Count elements per rank by direct enumeration."""
@@ -24,6 +26,21 @@ def product_rank_vector(vec_a, vec_b):
         for j, b in enumerate(vec_b):
             out[i + j] += a * b
     return tuple(out)
+
+
+def middle_rank_size(host):
+    """Elements at rank rk // 2, counted one by one: every chain of a
+    decomposition of a rank-symmetric host crosses that rank once."""
+    return sum(1 for e in host.elements if host.rank[e] == host.rk // 2)
+
+
+def middle_rank_bound_holds(rank_vector):
+    """The paper's counting condition on a base P for P x n to have a
+    taut-free decomposition: for even rk(P) the middle rank may not
+    outnumber all lower ranks together, and for odd rk(P) each rank of
+    the middle pair may not exceed twice the ranks below it."""
+    rk = len(rank_vector) - 1
+    return rank_vector[rk // 2] <= (1 + rk % 2) * sum(rank_vector[:rk // 2])
 
 
 def all_symmetric_chains(host):
@@ -89,3 +106,16 @@ def has_full_column(chain, n):
 def enumerate_grid_cells(a, b):
     """All cells of an a x b grid, for partition checks."""
     return set(iproduct(range(a), range(b)))
+
+
+def permuted_bits(b, k, perm):
+    """Bits of ``b`` with the digit at position perm[j] moved to position j."""
+    return sum((b >> (k - 1 - perm[j]) & 1) << (k - 1 - j) for j in range(k))
+
+
+def permute_scd(scd, perm):
+    """``scd`` with the bit digits of every element moved by :func:`permuted_bits`."""
+    k = scd.host.chain_factor[0].hypercube_k
+    return SCD(scd.host, tuple(
+        tuple((permuted_bits(b, k, perm), c) for b, c in ch) for ch in scd.chains
+    ))

@@ -8,7 +8,7 @@ golden grid rendering.  Run with ``pytest tests/test_acceptance.py -v``
 
 import math
 
-from scdkit.chains import expected_chain_count, validate_scd
+from scdkit.chains import validate_scd
 from scdkit.constructions import (
     collapse,
     enumerate_matchings,
@@ -23,6 +23,8 @@ from scdkit.constructions import (
 from scdkit.data_io import builtin_table, render_pictorial, serialize_scd
 from scdkit.posets import build_cuboid, build_hypercube
 from scdkit.search import count_scds, enumerate_scds, exists_nontaut_scd
+
+from oracles import middle_rank_size
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -54,17 +56,13 @@ def test_criterion_2_negative_side_at_desk_scale():
     ok = True
     details = []
 
-    for k, n in [(1, 3), (1, 4), (2, 3), (2, 4)]:
-        res = exists_nontaut_scd(k, n)
-        good = res.exists is False and res.proof_exhaustive and res.method == "exhaustive"
-        ok &= good
-        details.append(f"({k},{n}):search-false")
-
-    for k in (3, 4):
+    # P(k, n) is searched for n <= max(k+1, 3) and shifted from there.
+    for k in range(5):
         for n in range(3, 13):
             res = exists_nontaut_scd(k, n)
-            ok &= res.exists is False and res.method == "middle-rank-bound"
-    details.append("(3..4,n):bound-false")
+            method = "exhaustive" if n <= max(k + 1, 3) else "exhaustive+shift"
+            ok &= res.exists is False and res.proof_exhaustive and res.method == method
+    details.append("(0..4,3..12):search-false")
 
     for k in range(9):
         res = exists_nontaut_scd(k, 2)
@@ -84,7 +82,7 @@ def test_criterion_3_generation_sweep():
             ok &= (
                 report.valid
                 and report.taut_count == 0
-                and scd.chain_count == expected_chain_count(build_cuboid(k, n))
+                and scd.chain_count == middle_rank_size(scd.host)
             )
             checked += 1
     _report(

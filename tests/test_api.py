@@ -1,0 +1,20 @@
+import scdkit
+
+# Names the package no longer has: the middle-rank bound and the API that
+# only the tests used.
+GONE = {
+    "ChainCheck", "NecessaryConditions", "Packet", "ScdError",
+    "element_at", "expected_chain_count", "necessary_conditions", "packet",
+    "validate_chain",
+}
+
+
+def test_every_exported_name_resolves_once():
+    assert len(scdkit.__all__) == len(set(scdkit.__all__))
+    for name in scdkit.__all__:
+        assert getattr(scdkit, name) is not None, name
+
+
+def test_deleted_names_are_not_exported():
+    assert not GONE & set(scdkit.__all__)
+    assert not any(hasattr(scdkit, name) for name in GONE)

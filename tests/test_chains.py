@@ -4,52 +4,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdkit.chains import (
-    SCD,
-    ScdError,
-    _diagnose,
-    expected_chain_count,
-    is_taut,
-    necessary_conditions,
-    validate_chain,
-    validate_scd,
-)
+from scdkit.chains import SCD, _diagnose, is_taut, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
 from scdkit.posets import build_chain_poset, build_cuboid, build_hypercube, product
 from scdkit.search import SearchConfig, enumerate_scds
 
+from oracles import middle_rank_bound_holds, middle_rank_size, permute_scd
 
-def bits(s):
-    return int(s, 2)
+
+def _chain_findings(host, chain):
+    """What ``validate_scd`` reports about ``chain`` itself."""
+    return [m for m in validate_scd(host, [chain]).messages if m.startswith("chain 0:")]
 
 
 def test_validate_chain_maximal_row():
     t1 = builtin_table("P53")
     row6 = next(ch for ch in t1.chains if ch[0] == (0, 0))
-    check = validate_chain(t1.host, row6)
-    assert check.is_chain and check.is_symmetric
+    assert _chain_findings(t1.host, row6) == []
     assert [t1.host.rank[e] for e in row6] == list(range(8))
 
 
 def test_validate_chain_singleton_not_symmetric():
     host = build_cuboid(5, 3)
-    check = validate_chain(host, ((bits("11000"), 1),))
-    assert check.is_chain and not check.is_symmetric
+    assert _chain_findings(host, ((0b11000, 1),)) == [
+        "chain 0: spans ranks 3..3, not symmetric about 7/2"]
 
 
 def test_validate_chain_middle_pair():
     host = build_cuboid(5, 3)
-    ch = ((bits("11010"), 0), (bits("11010"), 1))
-    check = validate_chain(host, ch)
-    assert check.is_chain and check.is_symmetric
+    ch = ((0b11010, 0), (0b11010, 1))
+    assert _chain_findings(host, ch) == []
     assert [host.rank[e] for e in ch] == [3, 4]
 
 
 def test_validate_chain_rejects_foreign():
     host = build_cuboid(2, 2)
-    with pytest.raises(ScdError):
-        validate_chain(host, ((9, 9),))
+    assert _chain_findings(host, ((9, 9),)) == ["chain 0: foreign elements [(9, 9)]"]
 
 
 def test_is_taut_definitional_witness():
@@ -69,8 +60,9 @@ def test_maximal_chains_of_n2_are_taut():
     straight_up_first = ((0, 0), (0, 1), (1, 1), (3, 1), (7, 1))
     straight_up_last = ((0, 0), (1, 0), (3, 0), (7, 0), (7, 1))
     mid = ((0, 0), (1, 0), (1, 1), (3, 1), (7, 1))
+    host = build_cuboid(3, 2)
     for ch in (straight_up_first, straight_up_last, mid):
-        assert validate_chain(build_cuboid(3, 2), ch).is_chain
+        assert all(host.is_cover(a, b) for a, b in zip(ch, ch[1:]))
         assert is_taut(ch, 2)
 
 
@@ -116,80 +108,33 @@ def test_elements_that_are_no_base_level_pair_are_reported(chain, spelled):
 
 
 def test_expected_chain_count_by_enumeration():
+    # Every chain of a decomposition crosses the middle rank once.
     host = build_cuboid(5, 3)
-    middle = sum(1 for e in host.elements if host.rank[e] == 3)
-    assert expected_chain_count(host) == middle == 25
-
+    assert middle_rank_size(host) == host.rank_vector[3] == generate(5, 3).chain_count == 25
     host5 = build_cuboid(5, 5)
-    middle5 = sum(1 for e in host5.elements if host5.rank[e] == 4)
-    assert expected_chain_count(host5) == middle5 == 31
-
-    assert expected_chain_count(build_chain_poset(9)) == 1
-
-
-def test_expected_chain_count_rejects_asymmetric():
-    from scdkit.posets import GradedPoset
-
-    vee = GradedPoset("abc", [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1})
-    with pytest.raises(ScdError):
-        expected_chain_count(vee)
+    assert middle_rank_size(host5) == host5.rank_vector[4] == generate(5, 5).chain_count == 31
+    assert middle_rank_size(build_chain_poset(9)) == 1
 
 
 def test_tables_have_expected_chain_count():
     for tid in ("P53", "P54", "P55"):
         t = builtin_table(tid)
-        assert t.chain_count == expected_chain_count(t.host)
-
-
-def test_necessary_conditions_hypercubes():
-    q4 = necessary_conditions(build_hypercube(4), for_nontaut=True)
-    assert q4.rank_symmetric and q4.middle_rank_ok is False  # 6 > 1 + 4
-
-    q5 = necessary_conditions(build_hypercube(5), for_nontaut=True)
-    assert q5.middle_rank_ok is True  # 10 <= 2 * (1 + 5)
-
-    q3 = necessary_conditions(build_hypercube(3), for_nontaut=True)
-    assert q3.middle_rank_ok is False  # 3 > 2 * 1
-
-
-def test_necessary_conditions_without_taut_question():
-    nc = necessary_conditions(build_hypercube(4))
-    assert nc.rank_symmetric and nc.middle_rank_ok is None
+        assert t.chain_count == middle_rank_size(t.host)
 
 
 def test_nontaut_scd_implies_conditions_hold():
-    # Observed taut-free decompositions only occur over bases passing the
-    # counting conditions.
-    from scdkit.constructions import generate
-
+    # Taut-free decompositions only occur over bases that pass the
+    # middle-rank counting condition.
     for k, n in [(5, 3), (5, 7), (6, 4)]:
         scd = generate(k, n)
-        report = validate_scd(scd.host, scd)
-        assert report.taut_count == 0
-        base = scd.host.chain_factor[0]
-        nc = necessary_conditions(base, for_nontaut=True)
-        assert nc.rank_symmetric and nc.middle_rank_ok
-
-
-def permute_bits(scd, perm):
-    """Apply a permutation of bit positions to every element of an SCD."""
-    k = scd.host.chain_factor[0].hypercube_k
-
-    def move(b):
-        out = 0
-        for i in range(k):
-            if b & (1 << i):
-                out |= 1 << perm[i]
-        return out
-
-    chains = tuple(tuple((move(b), c) for b, c in ch) for ch in scd.chains)
-    return SCD(scd.host, chains)
+        assert scd.report.taut_count == 0
+        assert middle_rank_bound_holds(scd.host.chain_factor[0].rank_vector)
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2, 3, 4), (4, 0, 1, 2, 3), (2, 3, 4, 0, 1)])
 def test_tautness_stable_under_bit_permutations(perm):
     t1 = builtin_table("P53")
-    moved = permute_bits(t1, perm)
+    moved = permute_scd(t1, perm)
     report = validate_scd(moved.host, moved)
     assert report.valid and report.taut_count == 0
 
@@ -200,7 +145,7 @@ def test_taut_count_stable_under_bit_permutations():
     host = build_cuboid(2, 2)
     for scd in enumerate_scds(host).found:
         base_taut = validate_scd(host, scd).taut_count
-        moved = permute_bits(scd, (1, 0))
+        moved = permute_scd(scd, (1, 0))
         report = validate_scd(host, moved)
         assert report.valid and report.taut_count == base_taut
 

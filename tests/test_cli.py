@@ -178,13 +178,14 @@ def test_search_writes_witness(tmp_path, capsys):
     assert parse_scd(doc.read_text()).chain_count == 3
 
 
-def test_check_reports_middle_rank_obstruction(capsys):
-    code, out, _ = invoke(capsys, "check", "--k", "4")
-    assert code == 0
-    assert "rank_symmetric: True" in out
-    assert "middle_rank_ok: False" in out
-    code, out, _ = invoke(capsys, "check", "--k", "5")
-    assert "middle_rank_ok: True" in out
+def test_use_symmetry_is_accepted_with_limit_1_only(capsys):
+    # The flag changes nothing: an existence query already runs on the
+    # quotient by bit permutations.
+    args = ("search", "--k", "3", "--n", "3", "--forbid-taut")
+    assert invoke(capsys, *args, "--limit", "1", "--use-symmetry") == invoke(
+        capsys, *args, "--limit", "1")
+    code, out, err = invoke(capsys, *args, "--use-symmetry")
+    assert (code, out) == (1, "") and "--limit 1" in err
 
 
 def test_unwritable_out_path(tmp_path, capsys):
@@ -291,7 +292,6 @@ def run_limited(limit, argv):
     ["generate", "--k", "40", "--n", "3"],
     ["search", "--k", "40", "--n", "3"],
     ["show", "--k", "40", "--n", "3"],
-    ["check", "--k", "40"],
     ["show", "--k", "21", "--n", "1"],
     ["search", "--k", "18", "--n", "5"],
     ["show", "--k", "2", "--n", "30000000"],

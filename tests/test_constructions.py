@@ -1,8 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scdkit.chains import SCD, canonical_chain_order, expected_chain_count, validate_scd
+from scdkit.chains import SCD, canonical_chain_order, validate_scd
 from scdkit.constructions import (
     ConstructionError,
     RegionError,
@@ -30,7 +32,7 @@ from scdkit.posets import (
 )
 from scdkit.search import SearchConfig, enumerate_scds
 
-from oracles import brute_force_scds
+from oracles import brute_force_scds, middle_rank_size, permute_scd
 
 
 # -- rectangles and hypercubes ------------------------------------------------
@@ -93,7 +95,7 @@ def test_product_lift_table1_by_q1():
     report = validate_scd(out.host, out)
     assert report.valid and report.taut_count == 0
     assert len(out.host) == 192
-    assert out.chain_count == expected_chain_count(out.host)
+    assert out.chain_count == middle_rank_size(out.host)
 
 
 def test_product_lift_with_point_is_relabeling():
@@ -109,7 +111,7 @@ def test_product_lift_table2_by_q2():
     out = product_lift(builtin_table("P54"), hypercube_scd(2))
     report = validate_scd(out.host, out)
     assert report.valid and report.taut_count == 0
-    assert out.chain_count == expected_chain_count(build_cuboid(7, 4))
+    assert out.chain_count == middle_rank_size(build_cuboid(7, 4))
 
 
 def test_product_lift_rejects_taut_input():
@@ -130,7 +132,7 @@ def test_extend_dimension_valid(tid, k2):
     assert out.host == build_cuboid(k2, n)
     report = validate_scd(out.host, out)
     assert report.valid and report.taut_count == 0
-    assert out.chain_count == expected_chain_count(out.host)
+    assert out.chain_count == middle_rank_size(out.host)
 
 
 def test_extend_dimension_rejects_narrowing():
@@ -186,6 +188,16 @@ def test_shift_round_trip_over_enumerated_scds():
             there = shift(s, m)
             assert validate_scd(there.host, there).valid
             assert shift(there, 3) == s
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(6, 9), m=st.integers(6, 12), perm=st.permutations(range(5)))
+def test_shift_round_trips_bit_permuted_generated_scds(n, m, perm):
+    s = permute_scd(generate(5, n), perm)
+    there = shift(s, m)
+    report = there.report
+    assert report.valid and report.taut_count == 0
+    assert shift(there, n) == s
 
 
 def test_shift_preserves_taut_count_exactly():
@@ -291,6 +303,16 @@ def test_expand_outputs_are_pairwise_distinct():
         assert len({l.chain_set for l in lifts}) == len(matchings)
         for lift in lifts:
             assert collapse(lift) == s
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(perm=st.permutations(range(5)))
+def test_collapse_undoes_expand_on_the_bit_permuted_p55_table(perm):
+    s = permute_scd(builtin_table("P55"), perm)
+    matchings = enumerate_matchings(middle_graph(s))
+    assert len(matchings) == 6
+    for f in matchings:
+        assert collapse(expand(s, f)) == s
 
 
 def test_expand_table3_with_any_matching():
@@ -407,7 +429,7 @@ def test_generate_5_12():
     out = generate(5, 12)
     report = validate_scd(out.host, out)
     assert report.valid and report.taut_count == 0
-    assert out.chain_count == expected_chain_count(out.host)
+    assert out.chain_count == middle_rank_size(out.host)
 
 
 def test_generate_rejects_outside_region():

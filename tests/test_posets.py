@@ -8,16 +8,14 @@ import pytest
 
 import scdkit
 from scdkit import constructions, data_io
-from scdkit.chains import ScdError, validate_chain
+from scdkit.chains import validate_scd
 from scdkit.posets import (
     GradedPoset,
     PosetError,
     build_chain_poset,
     build_cuboid,
     build_hypercube,
-    element_at,
     is_rank_symmetric,
-    packet,
     packet_grid,
     poset_times_chain,
     product,
@@ -156,29 +154,11 @@ def test_cuboid_chain_factor_recorded():
     assert n == 3 and base.hypercube_k == 5
 
 
-def test_element_at():
-    host = build_cuboid(5, 3)
-    p = int("11000", 2)
-    assert element_at(host, p, 3) == (p, 1)
-    assert element_at(host, 0, 0) == (0, 0)
-    assert element_at(host, 0b11111, 7) == (0b11111, 2)
-
-
-def test_element_at_window_rejected():
-    host = build_cuboid(5, 3)
-    with pytest.raises(PosetError):
-        element_at(host, 0b11000, 1)  # below rk(p)
-    with pytest.raises(PosetError):
-        element_at(host, 0b11000, 5)  # above rk(p) + n - 1
-
-
 def test_packet_grid_q4_6():
     grid = packet_grid(build_hypercube(4), 6)
     assert grid.counts[(2, 4)] == 6
     assert (0, 9) not in grid.counts
-    assert grid.first_block == range(0, 4)
-    assert grid.middle_block == range(4, 6)
-    assert grid.last_block == range(6, 10)
+    assert set(grid.counts) == {(x, y) for x in range(5) for y in range(x, x + 6)}
 
 
 def test_packet_grid_q0():
@@ -198,7 +178,8 @@ def test_packet_grid_q5_row3_by_enumeration():
             x = bin(b).count("1")
             oracle[x] = oracle.get(x, 0) + 1
     grid = packet_grid(build_hypercube(5), 3)
-    assert grid.row(3) == oracle == {1: 5, 2: 10, 3: 10}
+    row3 = {x: c for (x, y), c in grid.counts.items() if y == 3}
+    assert row3 == oracle == {1: 5, 2: 10, 3: 10}
     assert sum(oracle.values()) == 25
 
 
@@ -207,21 +188,23 @@ def test_packet_grid_row_sums_equal_product_rank_vector(k, n):
     host = build_cuboid(k, n)
     grid = packet_grid(build_hypercube(k), n)
     for y, size in enumerate(host.rank_vector):
-        assert sum(grid.row(y).values()) == size
+        assert sum(c for (_, yy), c in grid.counts.items() if yy == y) == size
 
 
 def test_packet_grid_middle_rows_identical():
+    # The middle block: total ranks rk(Q_3) = 3 .. n - 1 = 6.
     grid = packet_grid(build_hypercube(3), 7)
-    rows = [grid.row(y) for y in grid.middle_block]
+    rows = [{x: c for (x, yy), c in grid.counts.items() if yy == y} for y in range(3, 7)]
     assert all(r == rows[0] for r in rows)
 
 
 def test_packet_members():
+    # The packet at (x, y) holds the elements (q, y - x) with q of rank x.
     host = build_cuboid(2, 3)
-    pk = packet(host, 1, 2)
-    assert pk.members == {(1, 1), (2, 1)}
-    with pytest.raises(PosetError):
-        packet(host, 1, 0)  # y < x
+    grid = packet_grid(build_hypercube(2), 3)
+    for (x, y), size in grid.counts.items():
+        assert size == sum(1 for q, c in host.elements if q.bit_count() == x and c == y - x)
+    assert sum(grid.counts.values()) == len(host)
 
 
 def test_is_rank_symmetric():
@@ -251,8 +234,8 @@ def test_construction_rejects_foreign_cover():
 def test_rank_of_a_foreign_element_does_not_make_it_a_member():
     p = GradedPoset("ab", [], {"a": 0, "b": 0, "z": 5})
     assert "z" not in p and p.rank == {"a": 0, "b": 0} and p.rk == 0
-    with pytest.raises(ScdError):
-        validate_chain(p, ("z",))
+    report = validate_scd(p, [("z",)])
+    assert report.messages[0] == "chain 0: foreign elements ['z']"
 
 
 @pytest.mark.parametrize("host, foreign", [

@@ -25,7 +25,7 @@ from scdkit.search import (
     exists_nontaut_scd,
 )
 
-from oracles import brute_force_scds, has_full_column
+from oracles import brute_force_scds, has_full_column, middle_rank_bound_holds
 
 
 def generic_host(a=2, b=3, n=4):
@@ -182,14 +182,11 @@ def test_non_rank_symmetric_host_is_empty_exhausted():
     assert out.exhausted and not out.found and out.stop_reason == "not-rank-symmetric"
 
 
-def test_use_symmetry_requires_existence_query():
-    with pytest.raises(SearchError):
-        enumerate_scds(build_cuboid(2, 2), SearchConfig(use_symmetry=True))
-
-
 def test_use_symmetry_witness_validates_on_original_host():
+    # An existence query searches the quotient by bit permutations and
+    # duality; its witness is a decomposition of the host itself.
     host = build_cuboid(2, 3)
-    out = enumerate_scds(host, SearchConfig(limit=1, use_symmetry=True))
+    out = enumerate_scds(host, SearchConfig(limit=1))
     assert out.found
     assert validate_scd(host, out.found[0]).valid
 
@@ -208,19 +205,25 @@ def test_count_scds_guard_override():
 
 
 def test_exists_desk_scale_negatives_are_search_proofs():
-    for k, n in [(1, 3), (1, 4), (2, 3), (2, 4)]:
+    # For k <= 2, P(k, 3) answers for P(k, 4) through shift: both are at
+    # least k+1 tall.
+    for k, n, method in [(1, 3, "exhaustive"), (1, 4, "exhaustive+shift"),
+                         (2, 3, "exhaustive"), (2, 4, "exhaustive+shift")]:
         res = exists_nontaut_scd(k, n)
         assert res.exists is False
         assert res.proof_exhaustive is True
-        assert res.method == "exhaustive"
-        assert res.nodes_visited > 0
+        assert res.method == method
+        assert res.nodes_visited == exists_nontaut_scd(k, 3).nodes_visited > 0
 
 
 def test_exists_fast_paths():
+    # k = 3, 4: P(k, n) is searched for n <= k+1, and P(k, k+1) stands for
+    # every taller n.
     for k in (3, 4):
         for n in (3, 5, 9):
             res = exists_nontaut_scd(k, n)
-            assert res.exists is False and res.method == "middle-rank-bound"
+            assert res.exists is False and res.proof_exhaustive
+            assert res.method == ("exhaustive" if n <= k + 1 else "exhaustive+shift")
     for k in range(9):
         res = exists_nontaut_scd(k, 2)
         assert res.exists is False and res.method == "n-rule"
@@ -242,6 +245,24 @@ def test_exists_inconclusive_under_tiny_budget():
     assert res.proof_exhaustive is False
 
 
+def test_each_existence_search_runs_once_per_config(monkeypatch):
+    # A config of its own, so no earlier query has filled these entries.
+    cfg = SearchConfig(node_budget=123_456)
+    searched = []
+    real = search.enumerate_scds
+
+    def recording(host, config):
+        searched.append((host.label, config))
+        return real(host, config)
+
+    monkeypatch.setattr(search, "enumerate_scds", recording)
+    for _ in range(2):
+        for n in range(3, 9):
+            assert exists_nontaut_scd(3, n, cfg).proof_exhaustive
+    taut_free = SearchConfig(forbid_taut=True, limit=1, node_budget=123_456)
+    assert searched == [("P(3,3)", taut_free), ("P(3,4)", taut_free)]
+
+
 def test_exists_rejects_bad_arguments():
     with pytest.raises(SearchError):
         exists_nontaut_scd(-1, 3)
@@ -260,8 +281,8 @@ def _digest(found) -> str:
 # (found, exhausted, nodes_visited, stop_reason) and the digest of the
 # found decompositions of fixed searches: each must visit the same nodes in
 # the same order and find the same decompositions.  Existence queries and
-# forbid-taut cuboid searches run on the quotient; the others enumerate
-# unquotiented.
+# forbid-taut cuboid searches run on the quotient, by bit permutations and
+# duality (the ids' "-symmetry"); the others enumerate unquotiented.
 PINNED_WALKS = [
     (lambda: build_cuboid(3, 3), SearchConfig(), (1488, True, 5182, None),
      "796718d61d3c908f083c5855621a5f5663598ed02a35c979e1f4c2133f4ffa4d"),
@@ -269,14 +290,11 @@ PINNED_WALKS = [
      "429609513b987c7e66a1a4d5f5ab7b3aa9284b56650d9c1f166232f0bfff5f22"),
     (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 209, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (lambda: build_cuboid(2, 3), SearchConfig(limit=1, use_symmetry=True),
-     (1, False, 25, "limit"),
+    (lambda: build_cuboid(2, 3), SearchConfig(limit=1), (1, False, 25, "limit"),
      "473cc98297717c9da63d00621ad38dabcf0c8b6c555aacb8aa2f3eeb20822a96"),
-    (lambda: build_cuboid(3, 3), SearchConfig(limit=1, use_symmetry=True),
-     (1, False, 92, "limit"),
+    (lambda: build_cuboid(3, 3), SearchConfig(limit=1), (1, False, 92, "limit"),
      "a59abbb69936c586413e0b3e21d6aa278c419aa2f03979dd42d722df94d213ca"),
-    (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1, use_symmetry=True),
-     (0, True, 93, None),
+    (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1), (0, True, 93, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, False, 4, "node-budget"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -420,9 +438,9 @@ def test_counts_on_other_hosts_are_walked():
 
 @pytest.mark.parametrize("config", [
     SearchConfig(limit=1),
-    SearchConfig(limit=1, use_symmetry=True),
-    SearchConfig(use_symmetry=True),
+    SearchConfig(limit=2),
     SearchConfig(node_budget=-1),
+    SearchConfig(time_budget=-0.5),
 ])
 def test_a_count_takes_no_limit_and_checks_its_config(config):
     with pytest.raises(SearchError):
@@ -457,7 +475,7 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
     assert len(cover.memo) == 5 and cover.nodes > unbounded.nodes
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_prover_finds_taut_free_witnesses_for_k5(n):
     host = build_cuboid(5, n)
     out = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
@@ -468,10 +486,14 @@ def test_prover_finds_taut_free_witnesses_for_k5(n):
 
 @pytest.mark.parametrize("k, n", [(3, 3), (3, 4), (4, 3), (4, 4)])
 def test_prover_agrees_with_the_middle_rank_bound(k, n):
+    # The middle-rank counting condition fails for Q_3 and Q_4.  A finished
+    # search agrees, and exists_nontaut_scd reports that search.
+    assert not middle_rank_bound_holds(build_hypercube(k).rank_vector)
     out = enumerate_scds(build_cuboid(k, n), SearchConfig(forbid_taut=True, limit=1))
     assert out.exhausted and not out.found
     res = exists_nontaut_scd(k, n)
-    assert res.exists is False and res.method == "middle-rank-bound"
+    assert (res.exists, res.proof_exhaustive, res.method) == (False, True, "exhaustive")
+    assert res.nodes_visited == out.nodes_visited
 
 
 def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
