@@ -38,7 +38,6 @@ from .data_io import (
 )
 from .posets import (
     GradedPoset,
-    PacketGrid,
     PosetError,
     build_chain_poset,
     build_cuboid,
@@ -70,7 +69,6 @@ __all__ = [
     "ExistenceResult",
     "GradedPoset",
     "MiddleGraph",
-    "PacketGrid",
     "ParseError",
     "PosetError",
     "RegionError",

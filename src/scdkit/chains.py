@@ -40,7 +40,7 @@ from itertools import chain as concat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .posets import Element, GradedPoset, steps_ascend
+from .posets import Element, GradedPoset, cuboid_shape, steps_ascend
 
 Chain = tuple  # elements in ascending rank order
 
@@ -145,7 +145,7 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
     """Partition, per-chain shape, symmetry and tautness, with a message
     for every finding (see the module doc for how the verdict is reached)."""
     chains = tuple(tuple(ch) for ch in (scd.chains if isinstance(scd, SCD) else scd))
-    if host.chain_factor is not None and host.chain_factor[0].hypercube_k is not None:
+    if cuboid_shape(host) is not None:
         taut = _cuboid_taut_indices(host, chains)
         if taut is not None:
             return ValidationReport(

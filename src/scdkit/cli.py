@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import constructions, data_io, search
-from .posets import build_cuboid, build_hypercube
+from .posets import build_cuboid, build_hypercube, cuboid_shape
 from .search import SearchConfig
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def _cmd_repair(args) -> int:
 
 def _cmd_lift(args) -> int:
     scd = _read_scd(args.file)
-    k = scd.host.chain_factor[0].hypercube_k
+    k, _ = cuboid_shape(scd.host)
     _emit(
         data_io.serialize_scd(constructions.extend_dimension(scd, k + args.with_hypercube)),
         args.out,

@@ -37,6 +37,7 @@ from .posets import (
     build_chain_poset,
     build_cuboid,
     build_hypercube,
+    cuboid_shape,
     poset_times_chain,
     product,
 )
@@ -166,10 +167,11 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     with ``d`` of Q_j is ``((b << j) | d, level)``, so no product host is
     built.
     """
-    base, n = _chain_factor(scd, "extend_dimension")
-    k = base.hypercube_k
-    if k is None:
+    _chain_factor(scd, "extend_dimension")
+    shape = cuboid_shape(scd.host)
+    if shape is None:
         raise ConstructionError("extend_dimension needs a cuboid host")
+    k, n = shape
     if k_prime < k:
         raise ConstructionError(f"cannot extend k={k} down to k'={k_prime}")
     _check(scd, "extend_dimension input", taut_count=0)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chains import SCD
-from .posets import MAX_HOST_ELEMENTS, GradedPoset, build_cuboid, packet_grid
+from .posets import MAX_HOST_ELEMENTS, GradedPoset, build_cuboid, cuboid_shape, packet_grid
 from .tables import BUILTIN_TABLES
 
 
@@ -175,10 +175,10 @@ def serialize_scd(scd: SCD) -> str:
     costs one lookup and one concatenation with its level.
     """
     host = scd.host
-    if host.chain_factor is None or host.chain_factor[0].hypercube_k is None:
+    shape = cuboid_shape(host)
+    if shape is None:
         raise ParseError(f"{host.label} is not a cuboid; only cuboid hosts serialize")
-    k = host.chain_factor[0].hypercube_k
-    n = host.chain_factor[1]
+    k, n = shape
     compact = n <= COMPACT_LEVEL_LIMIT
     out = [f"# {host.label}", f"# chains: {scd.chain_count}"]
     out += [f"# note: {note}" for note in scd.notes]
@@ -213,12 +213,12 @@ def render_pictorial(p: GradedPoset, n: int) -> str:
     Rows run top rank down to 0; column x holds the packet sizes of base
     rank x, right-aligned, blank where the packet does not exist.
     """
-    grid = packet_grid(p, n)
-    width = max(len(str(c)) for c in grid.counts.values())
+    counts = packet_grid(p, n)
+    width = max(len(str(c)) for c in counts.values())
     rows = []
     for y in range(p.rk + n - 1, -1, -1):
         cells = [
-            str(grid.counts[x, y]).rjust(width) if (x, y) in grid.counts else " " * width
+            str(counts[x, y]).rjust(width) if (x, y) in counts else " " * width
             for x in range(p.rk + 1)
         ]
         rows.append(" ".join(cells).rstrip())

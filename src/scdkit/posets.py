@@ -20,7 +20,6 @@ All posets are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -327,6 +326,14 @@ def build_cuboid(k: int, n: int) -> GradedPoset:
     return _Cuboid(k, n)
 
 
+def cuboid_shape(host: GradedPoset) -> tuple[int, int] | None:
+    """``(k, n)`` when ``host`` is Q_k x chain(n), else None."""
+    if host.chain_factor is None:
+        return None
+    base, n = host.chain_factor
+    return None if base.hypercube_k is None else (base.hypercube_k, n)
+
+
 def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:
     """``p x chain(n)`` with the chain factor recorded.
 
@@ -341,25 +348,12 @@ def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:
 # -- the packet grid -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PacketGrid:
-    """The sizes of the packets of ``p x chain(n)``, indexed by (base rank,
-    total rank).
+def packet_grid(p: GradedPoset, n: int) -> dict[tuple[int, int], int]:
+    """The packet sizes of ``p x chain(n)``, keyed by (base rank, total rank).
 
     The packet at ``(x, y)`` holds the elements ``(q, y - x)`` for the
-    rank-x elements ``q`` of ``p``.
-    """
-
-    counts: dict[tuple[int, int], int]
-    rk_p: int
-    n: int
-
-
-def packet_grid(p: GradedPoset, n: int) -> PacketGrid:
-    """Pictorial-representation grid of ``p x chain(n)``.
-
-    A rank-x element of ``p`` contributes one packet of size
-    ``rank_vector[x]`` at every total rank ``y`` with ``x <= y <= x+n-1``.
+    rank-x elements ``q`` of ``p``, so it has ``rank_vector[x]`` elements
+    and exists at every total rank ``y`` with ``x <= y <= x+n-1``.
     Refuses grids of more than ``MAX_HOST_ELEMENTS`` cells.
     """
     if n < 1:
@@ -373,7 +367,7 @@ def packet_grid(p: GradedPoset, n: int) -> PacketGrid:
     for x, size in enumerate(p.rank_vector):
         for y in range(x, x + n):
             counts[(x, y)] = size
-    return PacketGrid(counts, p.rk, n)
+    return counts
 
 
 def is_rank_symmetric(p: GradedPoset) -> bool:

@@ -31,24 +31,25 @@ uncovered elements, so each uncovered set is counted once, in the memo;
 there one node is one set counted or one generated row, and no
 decomposition is built.  A search for solutions records in the same
 memo, as zeros, the sets whose subtree it exhausted without one, and
-skips them.  A run that is cut off unwinds by exception past the record,
-so the memo never drops a solution nor reorders a run.  It lives on the
-``_Cover``, shared by its runs, and with the row table holds at most
-``MAX_COVER_BITS`` bits; once full it records no more, and only prunes
-less.
+skips them.  A run that is cut off stops where it stands and records
+nothing it did not finish, so the memo never drops a solution nor
+reorders a run.  It lives on the ``_Cover``, shared by its runs, and
+with the row table holds at most ``MAX_COVER_BITS`` bits; once full it
+records no more, and only prunes less.
 
 First-solution times are heavy-tailed, so an existence query
-(``limit == 1``) runs the rows in a fixed list of seeded orders, each
-for at most ``RESTART_NODES`` nodes, then once, uncapped, in canonical
-order, on the quotient where there is one.  A run that finishes without
-a solution is a proof whatever its order, and what the seeded runs
-exhaust prunes the later ones.  Any other enumeration is one
-unquotiented run in canonical order.  A ``forbid_taut`` enumeration of
-a cuboid asks the quotient for a witness first: without one it is
-exhausted-empty, and with one it goes on, with the nodes and deadline
-spent so far.  A count runs on the quotient where there is one.  Every
-answer is deterministic, and only a finished search says that no
-decomposition exists.
+(``limit == 1``) restarts on Luby's universal cutoffs, on the quotient
+where there is one: run i shuffles the rows by seed i and is cut off
+after ``unit * luby(i)`` nodes, luby being 1, 1, 2, 1, 1, 2, 4, 1, ...
+and ``unit`` ``RESTART_NODES``, or twice the host's width if more (a
+path to a leaf alone costs width + 1 nodes).  The cutoffs grow without
+bound, a run that finishes without a solution is a proof whatever its
+order, and what a run exhausts prunes the later ones.  Any other
+enumeration is one unquotiented run in canonical order; a
+``forbid_taut`` enumeration of a cuboid asks the quotient for a witness
+first, and is exhausted-empty without one.  A count runs on the quotient
+where there is one.  The node budget is the one bound, so every answer
+is deterministic, and only a finished search says none exists.
 
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
 construction, and every other pair by one taut-free existence query on
@@ -61,8 +62,8 @@ n >= 5 query proves P(4, 5), and the rest reuse the proof.
 
 from __future__ import annotations
 
+import itertools
 import random
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
@@ -70,12 +71,10 @@ from math import factorial
 
 from .chains import SCD, canonical_chain_order
 from .constructions import generate
-from .posets import GradedPoset, build_cuboid, is_rank_symmetric
+from .posets import GradedPoset, build_cuboid, cuboid_shape, is_rank_symmetric
 
 DEFAULT_NODE_BUDGET = 10**8
-# The restarts of an existence query: one run per seeded row order, each
-# of at most RESTART_NODES nodes, before the uncapped run in canonical order.
-RESTART_SEEDS = tuple(range(1, 9))
+# The least unit of an existence query's restart cutoffs, in nodes.
 RESTART_NODES = 1000
 # The cover's tables hold one bit per element for each row and each memo
 # entry; a host with more rows than fit stops the search ("row-limit")
@@ -96,15 +95,14 @@ class _StopSearch(Exception):
 class SearchConfig:
     """Knobs for :func:`enumerate_scds`.
 
-    When the caller sets no budget at all, a node cap of 10**8 applies so
-    runs stay bounded.  ``limit`` must be at least 1 and the budgets
+    ``node_budget`` is the one bound on a search; without one, a cap of
+    10**8 nodes applies.  ``limit`` must be at least 1 and the budget
     nonnegative.
     """
 
     forbid_taut: bool = False
     limit: int | None = None
     node_budget: int | None = None
-    time_budget: float | None = None
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,11 @@ class CountOutcome:
     stop_reason: str | None = None
 
 
-def _cube_k(host: GradedPoset) -> int | None:
-    """k when ``host`` is Q_k x chain(n), else None."""
-    return host.chain_factor[0].hypercube_k if host.chain_factor else None
+def _luby(i: int) -> int:
+    """The i-th term, from i = 1, of Luby's sequence 1, 1, 2, 1, 1, 2, 4, 1, ..."""
+    while (i + 1) & i:  # i is not 2^j - 1: drop the largest complete prefix
+        i -= (1 << (i.bit_length() - 1)) - 1
+    return (i + 1) >> 1
 
 
 def _word_weight(chain: list) -> int:
@@ -150,24 +150,18 @@ class _Cover:
     canonical order (start rank, start element, covers in ``up`` order),
     and ``weights[i]`` is row i's weight in a count.  Rows are taut-free
     under ``cfg.forbid_taut``.  ``quotient`` takes effect on cuboids only.
-    ``spent``, a cover that ran before in the same search, hands on its
-    nodes and its deadline.  Nothing is allocated per element before the
-    first row is ticked.
+    ``nodes`` counts those a cover used before in the same search, against
+    the same budget.  Nothing is allocated per element before the first
+    row is ticked.
     """
 
     def __init__(self, host: GradedPoset, cfg: SearchConfig, quotient: bool = True,
-                 spent: _Cover | None = None):
-        self.node_budget = cfg.node_budget
-        if cfg.node_budget is None and cfg.time_budget is None:
-            self.node_budget = DEFAULT_NODE_BUDGET
-        if spent is not None:
-            self.nodes, self.deadline = spent.nodes, spent.deadline
-        else:
-            self.nodes = 0
-            self.deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
-        k = _cube_k(host)
-        self.quotient = quotient and k is not None
-        self.scale = factorial(k) if self.quotient else 1
+                 nodes: int = 0):
+        self.node_budget = DEFAULT_NODE_BUDGET if cfg.node_budget is None else cfg.node_budget
+        self.nodes = nodes
+        shape = cuboid_shape(host)
+        self.quotient = quotient and shape is not None
+        self.scale = factorial(shape[0]) if self.quotient else 1
         self.host, self.found = host, []
         self.max_rows = MAX_COVER_BITS // len(host)
         self.rows: list[tuple[int, ...]] = []
@@ -184,11 +178,8 @@ class _Cover:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        if self.nodes > self.node_budget:
             raise _StopSearch("node-budget", self.nodes)
-        if (self.deadline is not None and self.nodes % 1024 == 0
-                and time.monotonic() > self.deadline):
-            raise _StopSearch("time-budget", self.nodes)
 
     def _grow_rows(self, taut_free: bool) -> None:
         """Every row, depth first from each start along ``host.up``."""
@@ -240,11 +231,12 @@ class _Cover:
                         row.pop()
 
     def solve(self, seed: int | None = None, cutoff: int | None = None,
-              limit: int | None = 1) -> list[tuple[int, ...]]:
-        """Up to ``limit`` solutions, each a tuple of row indices.
+              limit: int | None = 1) -> list[tuple[int, ...]] | None:
+        """Up to ``limit`` solutions, each a tuple of row indices, or None
+        when the run is cut off first.
 
         Rows are tried in canonical order, or in the order ``seed``
-        shuffles them to; past ``cutoff`` nodes the run stops ("cutoff").
+        shuffles them to; past ``cutoff`` nodes the run is cut off.
         """
         order = None
         if seed is not None:
@@ -258,48 +250,43 @@ class _Cover:
         # row that led to each frame but the root, and then to a leaf.
         uncovered, live = (1 << len(self.host)) - 1, (1 << len(rows)) - 1
         stack, picked = [], []
-        try:
-            while True:
-                self.tick()
-                if stop_at is not None and self.nodes > stop_at:
-                    raise _StopSearch("cutoff", self.nodes)
-                if uncovered:
-                    tried = self._branch(uncovered, live)
-                    if order is not None:
-                        tried.sort(key=order.__getitem__)
-                    stack.append((uncovered, live, iter(tried), len(found)))
-                else:
-                    found.append(tuple(picked))
-                    if len(found) == limit:
-                        raise _StopSearch("limit", self.nodes)
-                    picked.pop()
-                while stack:  # on to the next child not known dead
-                    uncovered, live, tried, before = stack[-1]
-                    for i in tried:
-                        left, rest = uncovered, live
-                        for e in rows[i]:
-                            left ^= 1 << e
-                            rest &= ~rows_of[e]
-                        if memo.get(left) != 0:
-                            picked.append(i)
-                            uncovered, live = left, rest
-                            break
-                    else:
-                        # Only a finished node gets here; a cut-off run
-                        # unwinds past it.
-                        stack.pop()
-                        if len(found) == before and len(memo) < self.max_memo:
-                            memo[uncovered] = 0
-                        if picked:
-                            picked.pop()
-                        continue
-                    break
-                else:
+        while True:
+            self.tick()
+            if stop_at is not None and self.nodes > stop_at:
+                return None
+            if uncovered:
+                tried = self._branch(uncovered, live)
+                if order is not None:
+                    tried.sort(key=order.__getitem__)
+                stack.append((uncovered, live, iter(tried), len(found)))
+            else:
+                found.append(tuple(picked))
+                if len(found) == limit:
                     return found
-        except _StopSearch as stop:
-            if stop.reason != "limit":
-                raise
-        return found
+                picked.pop()
+            while stack:  # on to the next child not known dead
+                uncovered, live, tried, before = stack[-1]
+                for i in tried:
+                    left, rest = uncovered, live
+                    for e in rows[i]:
+                        left ^= 1 << e
+                        rest &= ~rows_of[e]
+                    if memo.get(left) != 0:
+                        picked.append(i)
+                        uncovered, live = left, rest
+                        break
+                else:
+                    # Only a finished node gets here; a cut-off run
+                    # leaves its open nodes unrecorded.
+                    stack.pop()
+                    if len(found) == before and len(memo) < self.max_memo:
+                        memo[uncovered] = 0
+                    if picked:
+                        picked.pop()
+                    continue
+                break
+            else:
+                return found
 
     def _branch(self, uncovered: int, live: int) -> list[int]:
         """The live rows through the uncovered element with the fewest."""
@@ -357,14 +344,11 @@ class _Cover:
     def witness(self) -> SCD | None:
         """A decomposition by the restart schedule, or None once a run
         finishes without one."""
-        for seed in RESTART_SEEDS + (None,):
-            try:
-                found = self.solve(seed, None if seed is None else RESTART_NODES)
-            except _StopSearch as stop:
-                if stop.reason != "cutoff":
-                    raise
-                continue
-            return self.decode(found[0]) if found else None
+        unit = max(RESTART_NODES, 2 * max(self.host.rank_vector))
+        for seed in itertools.count(1):
+            found = self.solve(seed, unit * _luby(seed))
+            if found is not None:
+                return self.decode(found[0]) if found else None
 
     def decode(self, solution: tuple[int, ...]) -> SCD:
         """The decomposition of a solution, chains in canonical order."""
@@ -380,8 +364,6 @@ def _checked(config: SearchConfig | None, host: GradedPoset) -> SearchConfig:
         raise SearchError(f"limit must be at least 1, got {cfg.limit}")
     if cfg.node_budget is not None and cfg.node_budget < 0:
         raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
-    if cfg.time_budget is not None and cfg.time_budget < 0:
-        raise SearchError(f"time budget must be nonnegative, got {cfg.time_budget}")
     if cfg.forbid_taut and host.chain_factor is None:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
     return cfg
@@ -401,14 +383,14 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
         return SearchOutcome((), True, 0, "not-rank-symmetric")
     cover = prover = None
     try:
-        if cfg.limit == 1 or cfg.forbid_taut and _cube_k(host) is not None:
+        if cfg.limit == 1 or cfg.forbid_taut and cuboid_shape(host) is not None:
             prover = _Cover(host, cfg)
             witness = prover.witness()
             if witness is None:
                 return SearchOutcome((), True, prover.nodes)
             if cfg.limit == 1:
                 return SearchOutcome((witness,), False, prover.nodes, "limit")
-        cover = _Cover(host, cfg, quotient=False, spent=prover)
+        cover = _Cover(host, cfg, quotient=False, nodes=prover.nodes if prover else 0)
         cover.solve(limit=cfg.limit)
     except _StopSearch as stop:
         reason, nodes = stop.reason, stop.nodes
@@ -422,7 +404,7 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
 def count_search(host: GradedPoset, config: SearchConfig | None = None) -> CountOutcome:
     """The number of decompositions ``enumerate_scds`` finds with no limit,
     counted without building one.  ``config`` takes the same checks and
-    budgets, but no ``limit``."""
+    node budget, but no ``limit``."""
     cfg = _checked(config, host)
     if cfg.limit is not None:
         raise SearchError("a count takes no limit")
@@ -457,8 +439,8 @@ class ExistenceResult:
     * ``exhaustive+shift``: a finished taut-free search of P(k, m) for the
       smaller ``m = max(k+1, 3)``, carried over to P(k, n) by the
       ``shift`` bijection, which preserves taut chains for m, n >= k+1;
-    * ``inconclusive``: the search stopped at a budget, so ``exists``
-      is None -- never a nonexistence claim.
+    * ``inconclusive``: the search stopped at the node budget, so
+      ``exists`` is None -- never a nonexistence claim.
 
     ``proof_exhaustive`` is True only when a finished search backs a
     "no".  Searches run for k <= 4 only, and each is made once per
@@ -486,8 +468,8 @@ def exists_nontaut_scd(k: int, n: int, config: SearchConfig | None = None) -> Ex
     n = 2 the maximal chain is one), and for k >= 5 the witness is
     constructed and validated.  Every other pair is decided by a
     taut-free existence search of P(k, m) with ``m = min(n, max(k+1, 3))``,
-    under the budgets of ``config``: at most 8 hosts, up to P(4, 5), each
-    searched once per process (see :class:`ExistenceResult`).
+    under the node budget of ``config``: at most 8 hosts, up to P(4, 5),
+    each searched once per process (see :class:`ExistenceResult`).
     """
     if k < 0 or n < 1:
         raise SearchError(f"need k >= 0 and n >= 1, got k={k}, n={n}")
@@ -504,5 +486,5 @@ def exists_nontaut_scd(k: int, n: int, config: SearchConfig | None = None) -> Ex
     if outcome.exhausted:
         method = "exhaustive" if m == n else "exhaustive+shift"
         return ExistenceResult(False, None, True, method, outcome.nodes_visited)
-    # A budget stopped the search: no P(k, n) with k <= 4 has a witness to find.
+    # The node budget stopped it: no P(k, n) with k <= 4 has a witness to find.
     return ExistenceResult(None, None, False, "inconclusive", outcome.nodes_visited)

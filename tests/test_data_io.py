@@ -191,7 +191,7 @@ def test_render_q5_3_against_grid():
             cell = padded[x * (width + 1): x * (width + 1) + width].strip()
             if cell:
                 row[x] = int(cell)
-        assert row == {x: c for (x, yy), c in grid.counts.items() if yy == y}
+        assert row == {x: c for (x, yy), c in grid.items() if yy == y}
     assert lines[0].strip() == "1"  # single packet at x=5 on top
     assert lines[-1].strip() == "1"  # single packet at x=0 on the bottom
 

@@ -15,6 +15,7 @@ from scdkit.posets import (
     build_chain_poset,
     build_cuboid,
     build_hypercube,
+    cuboid_shape,
     is_rank_symmetric,
     packet_grid,
     poset_times_chain,
@@ -154,16 +155,23 @@ def test_cuboid_chain_factor_recorded():
     assert n == 3 and base.hypercube_k == 5
 
 
+def test_cuboid_shape_names_every_hypercube_by_chain_host():
+    assert cuboid_shape(build_cuboid(5, 3)) == (5, 3)
+    assert cuboid_shape(product(build_hypercube(2), build_chain_poset(4))) == (2, 4)
+    assert cuboid_shape(poset_times_chain(build_chain_poset(2), 3)) is None
+    assert cuboid_shape(build_hypercube(3)) is None
+
+
 def test_packet_grid_q4_6():
     grid = packet_grid(build_hypercube(4), 6)
-    assert grid.counts[(2, 4)] == 6
-    assert (0, 9) not in grid.counts
-    assert set(grid.counts) == {(x, y) for x in range(5) for y in range(x, x + 6)}
+    assert grid[(2, 4)] == 6
+    assert (0, 9) not in grid
+    assert set(grid) == {(x, y) for x in range(5) for y in range(x, x + 6)}
 
 
 def test_packet_grid_q0():
     grid = packet_grid(build_hypercube(0), 5)
-    assert grid.counts == {(0, y): 1 for y in range(5)}
+    assert grid == {(0, y): 1 for y in range(5)}
 
 
 def test_packet_grid_q5_row3_by_enumeration():
@@ -178,7 +186,7 @@ def test_packet_grid_q5_row3_by_enumeration():
             x = bin(b).count("1")
             oracle[x] = oracle.get(x, 0) + 1
     grid = packet_grid(build_hypercube(5), 3)
-    row3 = {x: c for (x, y), c in grid.counts.items() if y == 3}
+    row3 = {x: c for (x, y), c in grid.items() if y == 3}
     assert row3 == oracle == {1: 5, 2: 10, 3: 10}
     assert sum(oracle.values()) == 25
 
@@ -188,13 +196,13 @@ def test_packet_grid_row_sums_equal_product_rank_vector(k, n):
     host = build_cuboid(k, n)
     grid = packet_grid(build_hypercube(k), n)
     for y, size in enumerate(host.rank_vector):
-        assert sum(c for (_, yy), c in grid.counts.items() if yy == y) == size
+        assert sum(c for (_, yy), c in grid.items() if yy == y) == size
 
 
 def test_packet_grid_middle_rows_identical():
     # The middle block: total ranks rk(Q_3) = 3 .. n - 1 = 6.
     grid = packet_grid(build_hypercube(3), 7)
-    rows = [{x: c for (x, yy), c in grid.counts.items() if yy == y} for y in range(3, 7)]
+    rows = [{x: c for (x, yy), c in grid.items() if yy == y} for y in range(3, 7)]
     assert all(r == rows[0] for r in rows)
 
 
@@ -202,9 +210,9 @@ def test_packet_members():
     # The packet at (x, y) holds the elements (q, y - x) with q of rank x.
     host = build_cuboid(2, 3)
     grid = packet_grid(build_hypercube(2), 3)
-    for (x, y), size in grid.counts.items():
+    for (x, y), size in grid.items():
         assert size == sum(1 for q, c in host.elements if q.bit_count() == x and c == y - x)
-    assert sum(grid.counts.values()) == len(host)
+    assert sum(grid.values()) == len(host)
 
 
 def test_is_rank_symmetric():

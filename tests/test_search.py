@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from dataclasses import fields
 from math import factorial
 
 import pytest
@@ -151,7 +152,6 @@ def test_limit_stops_early():
     SearchConfig(limit=0),
     SearchConfig(limit=-3),
     SearchConfig(node_budget=-1),
-    SearchConfig(time_budget=-0.5),
 ])
 def test_rejects_nonpositive_limit_and_negative_budgets(config):
     with pytest.raises(SearchError):
@@ -164,16 +164,9 @@ def test_node_budget_reported_distinctly():
     assert out.nodes_visited <= 11
 
 
-def test_time_budget_reported_distinctly():
-    from scdkit.posets import poset_times_chain, product
-
-    # Needs a host whose search outlives the first periodic clock check.
-    host = poset_times_chain(product(build_chain_poset(2), build_chain_poset(3)), 4)
-    out = enumerate_scds(host, SearchConfig(time_budget=0.0))
-    assert not out.exhausted and out.stop_reason == "time-budget"
-    # The prover reads the same clock.
-    out = enumerate_scds(build_cuboid(4, 3), SearchConfig(forbid_taut=True, time_budget=0.0))
-    assert not out.exhausted and out.stop_reason == "time-budget"
+def test_the_node_budget_is_the_only_bound():
+    # No wall clock: every answer, a stopped one included, is deterministic.
+    assert [f.name for f in fields(SearchConfig)] == ["forbid_taut", "limit", "node_budget"]
 
 
 def test_non_rank_symmetric_host_is_empty_exhausted():
@@ -300,7 +293,7 @@ PINNED_WALKS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (generic_host, SearchConfig(forbid_taut=True), (48, True, 347, None),
      "77d3e6ff96542203b49d15b91a1afce8b36ff3b7dfa8b6cde55d0c8b3f352e05"),
-    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 7905, None),
+    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 7888, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=1),
      (1, False, 3808, "limit"),
@@ -440,7 +433,6 @@ def test_counts_on_other_hosts_are_walked():
     SearchConfig(limit=1),
     SearchConfig(limit=2),
     SearchConfig(node_budget=-1),
-    SearchConfig(time_budget=-0.5),
 ])
 def test_a_count_takes_no_limit_and_checks_its_config(config):
     with pytest.raises(SearchError):
@@ -453,8 +445,6 @@ def test_a_count_stops_at_its_budgets():
     for budget in (10, 100):
         out = count_search(build_cuboid(3, 3), SearchConfig(node_budget=budget))
         assert out == search.CountOutcome(0, False, budget + 1, "node-budget")
-    out = count_search(build_cuboid(4, 3), SearchConfig(time_budget=0.0))
-    assert (out.count, out.exhausted, out.stop_reason) == (0, False, "time-budget")
 
 
 def test_a_count_stops_at_the_row_limit(monkeypatch):
@@ -502,13 +492,13 @@ def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
     starts = []
     init = _Cover.__init__
 
-    def recording_init(cover, host, cfg, quotient=True, spent=None):
-        starts.append((quotient, spent and spent.nodes))
-        init(cover, host, cfg, quotient, spent)
+    def recording_init(cover, host, cfg, quotient=True, nodes=0):
+        starts.append((quotient, nodes))
+        init(cover, host, cfg, quotient, nodes)
 
     monkeypatch.setattr(_Cover, "__init__", recording_init)
     out = enumerate_scds(build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=2, node_budget=5000))
-    assert starts == [(True, None), (False, 3808)]
+    assert starts == [(True, 0), (False, 3808)]
     assert not out.exhausted and out.stop_reason == "node-budget"
     assert out.nodes_visited == 5001
 
@@ -543,19 +533,17 @@ def test_cut_off_runs_leave_no_false_dead_sets(k, n, taut_free, seed, limit):
     # (and the budget stops a run that then searches on in vain).
     host = build_cuboid(k, n)
     shared = _Cover(host, SearchConfig(forbid_taut=taut_free, node_budget=50_000))
-    for s in search.RESTART_SEEDS:
-        with pytest.raises(search._StopSearch) as stop:
-            shared.solve(s, cutoff=20 if taut_free else 5)
-        assert stop.value.reason == "cutoff"
+    for s in range(1, 9):
+        assert shared.solve(s, cutoff=20 if taut_free else 5) is None
     assert shared.memo and not any(shared.memo.values())
     expected = _Cover(host, SearchConfig(forbid_taut=taut_free)).solve(seed, limit=limit)
     assert expected and shared.solve(seed, limit=limit) == expected
 
 
 def test_restarts_cost_little_on_an_empty_host():
-    # The seeded runs of P(4,3) find nothing, but what they exhaust prunes
-    # the canonical run, so the whole schedule costs under 5% more nodes
-    # than the canonical run alone.
+    # The cut-off runs of P(4,3) find nothing, but what each exhausts prunes
+    # the later ones, so the whole schedule costs under 5% more nodes than
+    # one uncapped canonical run.
     host = build_cuboid(4, 3)
     cfg = SearchConfig(forbid_taut=True)
     scheduled, alone = _Cover(host, cfg), _Cover(host, cfg)
@@ -577,3 +565,74 @@ def test_a_full_memo_only_prunes_less(monkeypatch, make, config, summary, digest
     found, exhausted, nodes, reason = summary
     assert (len(out.found), out.exhausted, out.stop_reason) == (found, exhausted, reason)
     assert out.nodes_visited >= nodes and _digest(out.found) == digest
+
+
+# The restart schedule of an existence query: seeds 1, 2, 3, ..., run i
+# cut off after unit * luby(i) nodes, and no uncapped run.
+
+def test_luby_sequence():
+    assert [search._luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+# Runs per witness search, by (k, n, RESTART_NODES).
+LUBY_RUNS = {(5, 4, 1000): 3, (4, 3, 1000): 6, (5, 4, 1): 5, (4, 3, 1): 109}
+
+
+@pytest.mark.parametrize("k, n, restart_nodes", LUBY_RUNS, ids=[
+    f"P({k},{n})-unit-{u}" for k, n, u in LUBY_RUNS])
+def test_a_witness_search_runs_on_the_luby_schedule(monkeypatch, k, n, restart_nodes):
+    # Run i is cut off after unit * luby(i) nodes, unit being at least
+    # twice the width, until a run finds a witness or finishes.  With a
+    # unit of one node most runs are cut off and hand their dead sets on:
+    # one recorded from an unfinished run would lose P(5,4)'s witness or
+    # prove a false "no" on P(4,3).
+    monkeypatch.setattr(search, "RESTART_NODES", restart_nodes)
+    runs = []
+    solve = _Cover.solve
+
+    def recording(cover, seed=None, cutoff=None, limit=1):
+        found = solve(cover, seed, cutoff, limit)
+        runs.append((seed, cutoff, found is None))
+        return found
+
+    monkeypatch.setattr(_Cover, "solve", recording)
+    host = build_cuboid(k, n)
+    out = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
+    unit = max(restart_nodes, 2 * max(host.rank_vector))
+    assert runs == [(i, unit * search._luby(i), i < len(runs)) for i in range(1, len(runs) + 1)]
+    assert len(runs) == LUBY_RUNS[k, n, restart_nodes]
+    if k == 4:
+        assert out.exhausted and not out.found
+    else:
+        report = validate_scd(host, out.found[0])
+        assert out.stop_reason == "limit" and report.valid and report.taut_count == 0
+
+
+def test_the_unit_cutoff_reaches_a_leaf_of_a_wide_host():
+    # A path from the root to a leaf of antichain(1500) takes 1501 nodes,
+    # so the first run, of twice the width, finds the one decomposition
+    # after the 1500 rows are generated.
+    out = enumerate_scds(antichain(1500), SearchConfig(limit=1))
+    assert out.stop_reason == "limit" and out.nodes_visited <= 3001
+
+
+SHORT_RUNS = [(k, n) for k in range(3) for n in range(1, 5)] + [(3, n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("k, n", SHORT_RUNS, ids=[f"P({k},{n})" for k, n in SHORT_RUNS])
+def test_cut_off_runs_keep_existence_answers_exact(monkeypatch, k, n):
+    # With a unit of one node, raised to twice the width, the answer and
+    # the witness must still agree with the oracle.  (On these hosts that
+    # unit is short enough to cut runs off only on taut-free P(3,3).)
+    monkeypatch.setattr(search, "RESTART_NODES", 1)
+    host = build_cuboid(k, n)
+    oracle = set(brute_force_scds(host))
+    for forbid_taut in (False, True):
+        wanted = {s for s in oracle if not any(has_full_column(ch, n) for ch in s)} \
+            if forbid_taut else oracle
+        out = enumerate_scds(host, SearchConfig(forbid_taut=forbid_taut, limit=1))
+        if wanted:
+            assert out.stop_reason == "limit" and out.found[0].chain_set in wanted
+        else:
+            assert out.exhausted and not out.found
+
