@@ -11,24 +11,35 @@ are engineered to avoid.
 
 ``validate_scd`` reaches its verdict first and explains only failures.
 On a hypercube-by-chain host, whose elements are ``(bits, level)``
-pairs, the verdict takes set algebra and one order scan per chain:
+pairs, the verdict takes one scan per chain and one set, and builds no
+table of the host:
 
-* the chains partition the host iff none is empty, their lengths sum
-  to its size and the set of their elements is exactly its element set;
-* then all elements are distinct, so a chain is saturated iff its steps
-  ascend componentwise (:func:`~scdkit.posets.steps_ascend`) and it
-  holds ``rank(last) - rank(first) + 1`` elements: each step is then
-  strictly upward, raising the rank by at least one, and the length
-  leaves room for exactly one per step, which is a cover;
+* every element is a tuple, every chain is nonempty, its ends are in
+  range (bits below ``2^k``, levels below ``n``, none negative) and its
+  steps ascend (:func:`~scdkit.posets.steps_ascend`: no bit cleared,
+  the level raised by 0 or 1, ints only).  Each element then lies
+  between its chain's ends, so it is a member;
+* the lengths sum to the host's size and the elements are distinct, so
+  the chains hold every member exactly once: they partition the host;
+* a chain of distinct members that ascends is saturated iff it holds
+  ``rank(last) - rank(first) + 1`` elements: each step is strictly
+  upward, raising the rank by at least one, and the length leaves room
+  for exactly one per step, which is a cover;
 * on such a chain the levels never fall, so the level-0 elements come
   first, and the chain is taut iff ``ch[z + n - 1] == (p, n - 1)`` for
   the last of them, ``ch[z] = (p, 0)``: a saturated chain from
   ``(p, 0)`` to ``(p, n - 1)`` climbs the column of ``p``.
 
 A decomposition that fails any of these, and any decomposition of
-another host, goes through the diagnostic pass, which checks every
-step with ``is_cover`` and writes every message.  So a report, messages
-included, does not depend on which path computed it.
+another host, goes through the diagnostic pass, which writes every
+message.  On a hypercube-by-chain host whose elements are all tuples,
+it checks membership and ``is_cover`` element by element only on the
+chains that fail the same saturation test (ends in the host, steps
+ascending, distinct elements, one per rank), since a chain that passes
+it holds neither a foreign element nor a non-cover step.  So a report,
+messages included, does not depend on which path computed it.  An
+element that is no pair of ints is foreign; it is reported, never
+raised on.
 """
 
 from __future__ import annotations
@@ -47,9 +58,8 @@ Chain = tuple  # elements in ascending rank order
 
 def canonical_chain_order(host: GradedPoset, chains: Iterable[Sequence]) -> tuple[Chain, ...]:
     """Sort chains by (rank of bottom element, bottom element)."""
-    return tuple(
-        sorted((tuple(ch) for ch in chains), key=lambda ch: (host.rank[ch[0]], ch[0]))
-    )
+    rank = host.rank_of
+    return tuple(sorted((tuple(ch) for ch in chains), key=lambda ch: (rank(ch[0]), ch[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +100,21 @@ class SCD:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SCD):
             return NotImplemented
-        return (
-            self.host.elements == other.host.elements
-            and self.chain_set == other.chain_set
-        )
+        return _same_elements(self.host, other.host) and self.chain_set == other.chain_set
 
     def __repr__(self) -> str:
         return f"SCD({self.host.label}, {self.chain_count} chains)"
+
+
+def _same_elements(a: GradedPoset, b: GradedPoset) -> bool:
+    """Whether two hosts have the same elements.  Two hypercube-by-chain
+    hosts do iff their shapes agree, so no element table is built for them."""
+    if a is b:
+        return True
+    shape = cuboid_shape(a)
+    if shape is not None and cuboid_shape(b) is not None:
+        return shape == cuboid_shape(b)
+    return a.elements == b.elements
 
 
 def is_taut(chain: Sequence, n: int) -> bool:
@@ -146,7 +164,10 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
     for every finding (see the module doc for how the verdict is reached)."""
     chains = tuple(tuple(ch) for ch in (scd.chains if isinstance(scd, SCD) else scd))
     if cuboid_shape(host) is not None:
-        taut = _cuboid_taut_indices(host, chains)
+        try:
+            taut = _cuboid_taut_indices(host, chains)
+        except (TypeError, ValueError):  # an element that is no pair of ints
+            taut = None
         if taut is not None:
             return ValidationReport(
                 is_partition=True, all_symmetric=True,
@@ -160,33 +181,66 @@ _level = itemgetter(1)
 
 def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[int, ...] | None:
     """The taut chains of a valid decomposition of a hypercube-by-chain
-    host, or None when ``chains`` is not a valid decomposition of it."""
-    rank = host.rank
-    if sum(map(len, chains)) != len(rank):
+    host, or None when ``chains`` is not a valid decomposition of it.
+    An element that is no pair of ints may raise TypeError or ValueError."""
+    k, n = cuboid_shape(host)
+    size = len(host)
+    if sum(map(len, chains)) != size or not _tuples_only(chains):
         return None
-    members = set(concat.from_iterable(chains))
-    if len(members) != len(rank) or members != rank.keys():
-        return None
-    rk, n = host.rk, host.chain_factor[1]
+    rank, rk, width = host.rank_of, host.rk, 1 << k
     taut = []
     for i, ch in enumerate(chains):
         if not ch:
             return None
-        lo, hi = rank[ch[0]], rank[ch[-1]]
-        if lo + hi != rk or len(ch) != hi - lo + 1 or not steps_ascend(ch):
+        (b, c), (b2, c2) = ch[0], ch[-1]
+        # The ends in range, and every element between them: a member.
+        # Inline, since ``in host`` would cost two calls per chain.
+        if c < 0 or c2 >= n or not 0 <= b2 < width or not steps_ascend(ch):
             return None
-        if ch[0][1] == 0:
+        lo, hi = rank(ch[0]), rank(ch[-1])
+        if lo + hi != rk or len(ch) != hi - lo + 1:
+            return None
+        if c == 0:
             z = bisect_right(ch, 0, key=_level) - 1
             if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
                 taut.append(i)
+    if len(set(concat.from_iterable(chains))) != size:
+        return None
     return tuple(taut)
 
 
+def _tuples_only(chains: tuple[Chain, ...]) -> bool:
+    """Whether every element is a plain tuple (a tuple subclass, though a
+    member, takes the checks element by element).  Another object that
+    unpacks as a pair of ints (bytes, a range) is foreign, and only a
+    check element by element can tell it apart from the tuple it spells."""
+    return set(map(type, concat.from_iterable(chains))) == {tuple}
+
+
+def _saturated(host: GradedPoset, ch: Chain) -> bool:
+    """Whether the nonempty chain ``ch`` of tuples is a saturated chain of
+    the hypercube-by-chain ``host``: its ends are members, its steps
+    ascend, its elements are distinct and it holds one per rank between
+    its ends."""
+    try:
+        return (
+            ch[0] in host and ch[-1] in host
+            and len(ch) == host.rank_of(ch[-1]) - host.rank_of(ch[0]) + 1
+            and steps_ascend(ch) and len(set(ch)) == len(ch)
+        )
+    except (TypeError, ValueError):  # an element that is no pair of ints
+        return False
+
+
 def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
-    """The full diagnostic pass: every check on every chain, every message."""
+    """The full diagnostic pass: every finding on every chain, with a
+    message for each (elements are checked one by one only in the chains
+    that need it; see the module doc)."""
     messages: list[str] = []
     is_partition = True
     all_symmetric = True
+    rank, rk = host.rank_of, host.rk
+    shortcut = cuboid_shape(host) is not None and _tuples_only(chains)
 
     seen: dict[Element, int] = {}
     alien: set[int] = set()  # chains with a foreign element, which may be no (base, level) pair
@@ -195,20 +249,22 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
             messages.append(f"chain {i}: empty")
             is_partition = False
             continue
-        foreign = [e for e in ch if e not in host]
-        if foreign:
-            messages.append(f"chain {i}: foreign elements {foreign!r}")
-            is_partition = False
-            alien.add(i)
-            continue
-        bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
-        if bad:
-            messages.append(f"chain {i}: non-cover steps {bad!r}")
-            is_partition = False
-        if host.rank[ch[0]] + host.rank[ch[-1]] != host.rk:
+        # A saturated chain holds no foreign element and no non-cover step.
+        if not (shortcut and _saturated(host, ch)):
+            foreign = [e for e in ch if e not in host]
+            if foreign:
+                messages.append(f"chain {i}: foreign elements {foreign!r}")
+                is_partition = False
+                alien.add(i)
+                continue
+            bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
+            if bad:
+                messages.append(f"chain {i}: non-cover steps {bad!r}")
+                is_partition = False
+        lo, hi = rank(ch[0]), rank(ch[-1])
+        if lo + hi != rk:
             messages.append(
-                f"chain {i}: spans ranks {host.rank[ch[0]]}..{host.rank[ch[-1]]},"
-                f" not symmetric about {host.rk}/2"
+                f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {rk}/2"
             )
             all_symmetric = False
         for e in ch:
@@ -216,7 +272,7 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
                 messages.append(f"chain {i}: {e!r} already used by chain {seen[e]}")
                 is_partition = False
             seen[e] = i
-    uncovered = len(host.elements) - len(seen)
+    uncovered = len(host) - len(seen)
     if uncovered:
         messages.append(f"{uncovered} elements of {host.label} uncovered")
         is_partition = False

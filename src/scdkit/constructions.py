@@ -197,12 +197,12 @@ def _restretch(scd: SCD, m: int, coords) -> list[tuple]:
     valid chain are consecutive, so blocks are cut by index."""
     base, n = scd.host.chain_factor
     rk, lift = base.rk, m - n
-    rank_in, rank_p = scd.host.rank, base.rank
+    rank_in, rank_p = scd.host.rank_of, base.rank_of
     rows = range(rk, m)
     chains = []
     for ch, p in zip(scd.chains, coords):
-        r0 = rank_in[ch[0]]
-        out = ch[:max(rk - r0, 0)] + tuple([(p, y - rank_p[p]) for y in rows])
+        r0 = rank_in(ch[0])
+        out = ch[:max(rk - r0, 0)] + tuple([(p, y - rank_p(p)) for y in rows])
         out += tuple([(q, c + lift) for q, c in ch[max(n - r0, 0):]])
         if out:
             chains.append(out)
@@ -228,10 +228,10 @@ def shift(scd: SCD, m: int) -> SCD:
     if m == n:
         return scd
 
-    rank_in = scd.host.rank
+    rank_in = scd.host.rank_of
     coords = []
     for ch in scd.chains:
-        r0 = rank_in[ch[0]]
+        r0 = rank_in(ch[0])
         column = {p for p, _ in ch[max(rk - r0, 0):max(n - r0, 0)]}
         if len(column) != 1:
             raise ConstructionError(
@@ -273,7 +273,7 @@ def collapse(scd: SCD) -> SCD:
     _check(scd, "collapse input")
     rk = base.rk
     singletons = [ch for ch in scd.chains if len(ch) == 1]
-    if len(singletons) != 1 or scd.host.rank[singletons[0][0]] != rk:
+    if len(singletons) != 1 or scd.host.rank_of(singletons[0][0]) != rk:
         raise ConstructionError(
             "collapse input corrupted: expected exactly one singleton chain in the central row"
         )
@@ -316,12 +316,12 @@ def middle_graph(scd: SCD) -> MiddleGraph:
     base = _surgery_base(scd, "middle_graph", above=False)
     _check(scd, "middle_graph input")
     rk = base.rk
-    rank_in = scd.host.rank
+    rank_in = scd.host.rank_of
 
     edges = []
     for ch in scd.chains:
-        lo = [e for e in ch if rank_in[e] == rk - 1]
-        hi = [e for e in ch if rank_in[e] == rk]
+        lo = [e for e in ch if rank_in(e) == rk - 1]
+        hi = [e for e in ch if rank_in(e) == rk]
         if len(lo) != 1 or len(hi) != 1:
             raise ConstructionError(
                 "middle_graph input corrupted: a chain misses a central row"
@@ -346,12 +346,12 @@ def middle_graph(scd: SCD) -> MiddleGraph:
 def enumerate_matchings(graph: MiddleGraph) -> tuple[EdgeMatching, ...]:
     """All rk(P)+1 edge matchings, indexed by the rank of the vertex left
     unmatched (which is always on the maximal path)."""
-    rank = graph.base.rank
+    rank = graph.base.rank_of
     out = []
     for j in range(len(graph.path)):
         unmatched = graph.path[j]
         assignment = tuple(
-            p if p == q or rank[q] <= j else q for p, q in graph.edges
+            p if p == q or rank(q) <= j else q for p, q in graph.edges
         )
         out.append(EdgeMatching(graph.edges, assignment, unmatched))
     return tuple(out)
@@ -372,7 +372,7 @@ def expand(scd: SCD, matching: EdgeMatching) -> SCD:
     rk = base.rk
     v = matching.unmatched_vertex
     chains = _restretch(scd, rk + 1, matching.assignment)
-    chains.append(((v, rk - base.rank[v]),))
+    chains.append(((v, rk - base.rank_of(v)),))
     return _checked(poset_times_chain(base, rk + 1), chains, scd.notes, what="expand")
 
 

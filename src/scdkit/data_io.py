@@ -131,7 +131,7 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     host = build_cuboid(k, n)
     memo = _token_memo(k, n)
     size = len(host)
-    rank = host.rank
+    rank = host.rank_of
     chains = []
     for line in lines:
         tokens = line.split()
@@ -147,8 +147,8 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
             continue
         # Top-down iff the ranks never rise; only then can the first rank
         # be at least the last.
-        if len(elems) > 1 and rank[elems[0]] >= rank[elems[-1]]:
-            ranks = [rank[e] for e in elems]
+        if len(elems) > 1 and rank(elems[0]) >= rank(elems[-1]):
+            ranks = [rank(e) for e in elems]
             if ranks == sorted(ranks, reverse=True):
                 elems.reverse()
         chains.append(tuple(elems))

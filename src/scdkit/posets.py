@@ -11,16 +11,29 @@ ranks only for its own elements.  Hypercubes and cuboids are implicit:
 (``down``, ``covers``, ``top``, ``bottom``) is derived from ``up`` for all
 of them, and ``up``/``down`` of a foreign element raise ``PosetError``.
 
+Implicit hosts hold no per-element table: their size, membership
+(``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
+host of 2^15 elements costs a few hundred bytes.  The tables ``rank``,
+``elements`` and ``by_rank`` are built on first use, for the consumers
+that enumerate elements (search rows, the surgery on small bases,
+structural equality).  ``rank_of`` is the one per-element rank read:
+a dict lookup on generic posets, ``bits.bit_count() + level`` on
+cuboids.
+
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``
 pairs with ``bits`` an integer whose binary digits, most significant
 first, spell the hypercube coordinate string; ``level`` is the chain
-coordinate.  Products of arbitrary posets use nested tuples the same way.
-All posets are immutable after construction and safe to share.
+coordinate.  A cuboid's members are exactly the 2-tuples of ``int``s in
+range and a hypercube's the ``int``s in range (bools count as ints);
+anything else, a float equal to an int included, is foreign.  Products
+of arbitrary posets use nested tuples the same way.  All posets are
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Element = Hashable
@@ -46,14 +59,12 @@ class GradedPoset:
     ``up`` is the one cover relation: a table here, bit arithmetic in the
     implicit hosts, which also answer ``is_cover`` in constant time.
     ``validate_scd`` asks ``is_cover`` per chain step only to explain a
-    failure; on hypercube-by-chain hosts it reaches its verdict with
-    :func:`steps_ascend` instead.
+    chain that fails its saturation test (:func:`steps_ascend` and the
+    rank span).  ``rank``, ``elements`` and ``by_rank`` are built here for
+    a generic poset, and on first use for an implicit host.
     """
 
-    __slots__ = (
-        "elements", "rank", "label", "rk", "by_rank", "rank_vector",
-        "hypercube_k", "chain_factor", "_up",
-    )
+    __slots__ = ("label", "rk", "rank_vector", "hypercube_k", "chain_factor", "_up", "_tables")
 
     def __init__(
         self,
@@ -92,34 +103,63 @@ class GradedPoset:
         # Only the elements' own ranks are kept: a rank given for anything
         # else must not make it a member.
         own = {e: rank[e] for e in elements}
-        self._fill(own, max(own.values()), label)
+        self.label, self.rk = label, max(own.values())
+        self._fill(own)
+        self.rank_vector = tuple(map(len, self.by_rank))
         self._up = {e: tuple(sorted(up[e])) for e in elements}
         self.hypercube_k = None
         self.chain_factor = chain_factor
 
-    def _fill(self, rank: dict, rk: int, label: str) -> None:
-        """Rank bookkeeping from ``rank``, whose keys are in canonical order."""
-        self.rank = rank
-        self.elements = tuple(rank)
-        self.label = label
-        self.rk = rk
-        by_rank: list[list[Element]] = [[] for _ in range(rk + 1)]
+    # -- the element tables -------------------------------------------------
+
+    def _fill(self, rank: dict[Element, int]) -> None:
+        """Build ``rank``, ``elements`` and ``by_rank`` from ``rank``, whose
+        keys are in canonical order."""
+        by_rank: list[list[Element]] = [[] for _ in range(self.rk + 1)]
         for e, r in rank.items():
             by_rank[r].append(e)
-        self.by_rank = tuple(tuple(level) for level in by_rank)
-        self.rank_vector = tuple(len(level) for level in self.by_rank)
+        self._tables = rank, tuple(rank), tuple(map(tuple, by_rank))
+
+    def _get_tables(self) -> tuple[dict, tuple, tuple]:
+        # A generic poset fills its tables in __init__; an implicit host
+        # here, from its ``_rank_table()``, on first use.
+        if self._tables is None:
+            self._fill(self._rank_table())
+        return self._tables
+
+    @property
+    def rank(self) -> dict[Element, int]:
+        """Element -> rank, keys in canonical order."""
+        return self._get_tables()[0]
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        """Every element, in canonical order."""
+        return self._get_tables()[1]
+
+    @property
+    def by_rank(self) -> tuple[tuple[Element, ...], ...]:
+        """The elements of each rank, in canonical order."""
+        return self._get_tables()[2]
+
+    def rank_of(self, e: Element) -> int:
+        """The rank of the element ``e``; undefined for a foreign ``e``."""
+        return self._tables[0][e]
 
     def _require(self, e: Element) -> None:
-        if e not in self.rank:
+        if e not in self:
             raise PosetError(f"{e!r} is not an element of {self.label}")
 
     # -- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._tables[1])
 
-    def __contains__(self, e: Element) -> bool:
-        return e in self.rank
+    def __contains__(self, e: object) -> bool:
+        try:
+            return e in self._tables[0]
+        except TypeError:  # unhashable, so no element
+            return False
 
     def __repr__(self) -> str:
         return f"GradedPoset({self.label}, {len(self)} elements, rank {self.rk})"
@@ -143,11 +183,11 @@ class GradedPoset:
     def down(self, e: Element) -> tuple[Element, ...]:
         """Elements covered by ``e``, in canonical order."""
         self._require(e)
-        r = self.rank[e]
+        r = self.rank_of(e)
         return tuple(x for x in self.by_rank[r - 1] if e in self.up(x)) if r else ()
 
     def is_cover(self, x: Element, y: Element) -> bool:
-        return x in self.rank and y in self.up(x)
+        return x in self and y in self.up(x)
 
     @property
     def covers(self) -> tuple[tuple[Element, Element], ...]:
@@ -173,7 +213,7 @@ class GradedPoset:
     def is_chain_poset(self) -> bool:
         """True for the posets produced by :func:`build_chain_poset`."""
         return self.elements == tuple(range(len(self))) and all(
-            self.rank[i] == i for i in self.elements
+            self.rank_of(i) == i for i in self.elements
         )
 
 
@@ -183,16 +223,30 @@ class _Hypercube(GradedPoset):
     __slots__ = ()
 
     def __init__(self, k: int):
-        self._fill({x: x.bit_count() for x in range(1 << k)}, k, f"Q{k}")
+        self.label, self.rk = f"Q{k}", k
+        self.rank_vector = tuple(comb(k, r) for r in range(k + 1))
         self.hypercube_k = k
         self.chain_factor = None
+        self._tables = None
+
+    def _rank_table(self) -> dict[int, int]:
+        return {x: x.bit_count() for x in range(1 << self.hypercube_k)}
+
+    def rank_of(self, x: int) -> int:
+        return x.bit_count()
+
+    def __len__(self) -> int:
+        return 1 << self.hypercube_k
+
+    def __contains__(self, e: object) -> bool:
+        return isinstance(e, int) and 0 <= e < 1 << self.hypercube_k
 
     def up(self, x: int) -> tuple[int, ...]:
         self._require(x)
         return tuple(x | 1 << i for i in range(self.hypercube_k) if not x >> i & 1)
 
     def is_cover(self, x: Element, y: Element) -> bool:
-        if x not in self.rank or y not in self.rank:
+        if x not in self or y not in self:
             return False
         d = x ^ y
         return d != 0 and d & x == 0 and d & (d - 1) == 0
@@ -205,11 +259,31 @@ class _Cuboid(GradedPoset):
     __slots__ = ("_k", "_n")
 
     def __init__(self, k: int, n: int):
-        rank = {(b, c): b.bit_count() + c for b in range(1 << k) for c in range(n)}
-        self._fill(rank, k + n - 1, f"P({k},{n})")
+        base = build_hypercube(k)
+        self.label, self.rk = f"P({k},{n})", k + n - 1
+        # Rank r holds the base ranks r - n + 1 .. r, one level each.
+        row = base.rank_vector
+        self.rank_vector = tuple(sum(row[max(r - n + 1, 0):r + 1]) for r in range(k + n))
         self._k, self._n = k, n
         self.hypercube_k = None
-        self.chain_factor = (build_hypercube(k), n)
+        self.chain_factor = (base, n)
+        self._tables = None
+
+    def _rank_table(self) -> dict[tuple[int, int], int]:
+        return {(b, c): b.bit_count() + c for b in range(1 << self._k) for c in range(self._n)}
+
+    def rank_of(self, e: tuple[int, int]) -> int:
+        return e[0].bit_count() + e[1]
+
+    def __len__(self) -> int:
+        return self._n << self._k
+
+    def __contains__(self, e: object) -> bool:
+        return (
+            isinstance(e, tuple) and len(e) == 2
+            and isinstance(e[0], int) and 0 <= e[0] < 1 << self._k
+            and isinstance(e[1], int) and 0 <= e[1] < self._n
+        )
 
     def up(self, e: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         self._require(e)
@@ -218,7 +292,7 @@ class _Cuboid(GradedPoset):
         return above + tuple((b | 1 << i, c) for i in range(self._k) if not b >> i & 1)
 
     def is_cover(self, x: Element, y: Element) -> bool:
-        if x not in self.rank or y not in self.rank:
+        if x not in self or y not in self:
             return False
         (b, c), (b2, c2) = x, y
         if b == b2:
@@ -228,19 +302,23 @@ class _Cuboid(GradedPoset):
 
 
 def steps_ascend(chain: Sequence[tuple[int, int]]) -> bool:
-    """True iff every step of a nonempty chain of ``(bits, level)``
-    elements is componentwise non-decreasing: no bit is cleared and the
-    level does not fall.
+    """True iff no step of a nonempty chain of ``(bits, level)`` elements
+    clears a bit, and each raises the level by 0 or 1.
 
-    This is the order of ``Q_k x chain(n)`` (and of ``product`` of a
-    hypercube with a chain).  For distinct members of such a host it
-    makes every step a cover exactly when the chain also holds one
-    element per rank from its first to its last, since each step then
-    raises the rank by exactly one.
+    Every cover of ``Q_k x chain(n)`` (and of ``product`` of a hypercube
+    with a chain) is such a step.  The test takes ints only: a bit or
+    level that is no int raises ``TypeError`` (``&`` refuses floats and
+    strings), and an element that is no pair raises ``ValueError`` or
+    ``TypeError``.  So on a chain whose ends are members of such a host,
+    it puts every element in between in the host too, as a pair of ints
+    inside the ends' bits and levels.  For distinct members it makes
+    every step a cover exactly when the chain also holds one element per
+    rank from its first to its last, since each step then raises the
+    rank by at least one.
     """
     b, c = chain[0]
     for b2, c2 in chain:
-        if b & ~b2 or c2 < c:
+        if b & ~b2 or (c2 - c) & ~1:
             return False
         b, c = b2, c2
     return True
@@ -300,7 +378,7 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     elements = [(a, b) for a in p.elements for b in q.elements]
     covers = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q.elements]
     covers += [((a, b), (a, b2)) for a in p.elements for (b, b2) in q.covers]
-    rank = {(a, b): p.rank[a] + q.rank[b] for (a, b) in elements}
+    rank = {(a, b): p.rank_of(a) + q.rank_of(b) for (a, b) in elements}
     factor = (p, len(q)) if q.is_chain_poset else None
     return GradedPoset(
         elements, covers, rank,

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scdkit.chains import SCD, _diagnose, is_taut, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
-from scdkit.posets import build_chain_poset, build_cuboid, build_hypercube, product
+from scdkit.posets import (
+    GradedPoset, _Cuboid, build_chain_poset, build_cuboid, build_hypercube, product,
+)
 from scdkit.search import SearchConfig, enumerate_scds
 
 from oracles import middle_rank_bound_holds, middle_rank_size, permute_scd
@@ -156,6 +158,21 @@ def test_scd_equality_ignores_chain_order_and_notes():
     assert shuffled == t1
 
 
+def test_decompositions_of_equal_cuboids_compare_without_tables(monkeypatch):
+    a, b = generate(6, 3), generate.__wrapped__(6, 3)
+    fresh = SCD(_Cuboid(6, 3), b.chains, b.notes)
+    generic = SCD(product(build_hypercube(6), build_chain_poset(3)), tuple(reversed(b.chains)))
+    other = generate(6, 4)
+
+    def refuse(host, rank):
+        raise AssertionError(f"{host.label} built an element table")
+
+    monkeypatch.setattr(GradedPoset, "_fill", refuse)
+    assert a is not b and a == b
+    assert a == fresh == generic and fresh.host is not a.host
+    assert a != SCD(a.host, a.chains[1:]) and a != other
+
+
 # The verdict on a cuboid host is reached without is_cover (see the chains
 # module doc); these decompositions are exact partitions into symmetric
 # chains that break exactly one of the other tests it relies on.
@@ -177,6 +194,25 @@ def test_a_step_that_lowers_the_level_is_invalid_even_when_the_rank_climbs():
     report = validate_scd(host, chains)
     assert not report.valid
     assert report.messages == ("chain 0: non-cover steps [((0, 1), (3, 0))]",)
+
+
+# Exact counts of symmetric chains that ascend, each missing one member for
+# an element just out of range or for a repeat; the messages are the
+# diagnostic pass's with every step checked by is_cover.
+@pytest.mark.parametrize("k, n, chains, messages", [
+    (1, 2, [((1, -1), (1, 0), (1, 1)), ((0, 1),)],
+     ("chain 0: foreign elements [(1, -1)]", "3 elements of P(1,2) uncovered")),
+    (1, 1, [((0, 0), (2, 0))],
+     ("chain 0: foreign elements [(2, 0)]", "2 elements of P(1,1) uncovered")),
+    (1, 2, [((0, 0), (0, 1), (1, 1)), ((-2, 0),)],
+     ("chain 1: foreign elements [(-2, 0)]", "1 elements of P(1,2) uncovered")),
+    (2, 1, [((0, 0), (0, 0), (3, 0)), ((1, 0),), ((2, 0),)],
+     ("chain 0: non-cover steps [((0, 0), (0, 0)), ((0, 0), (3, 0))]",
+      "chain 0: (0, 0) already used by chain 0")),
+], ids=["level-below-0", "bits-above-range", "negative-bits", "repeat"])
+def test_partitions_by_count_alone_are_caught(k, n, chains, messages):
+    report = validate_scd(build_cuboid(k, n), chains)
+    assert not report.valid and report.messages == messages
 
 
 @lru_cache(maxsize=None)

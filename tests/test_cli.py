@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import scdkit
 from scdkit import chains
 from scdkit.cli import run
-from scdkit.constructions import generate
+from scdkit.constructions import generate, shift
 from scdkit.data_io import builtin_table, parse_scd, serialize_scd
 
 
@@ -338,3 +339,50 @@ def test_searches_past_the_frame_limit_stop_with_a_status_line(argv, code, statu
     assert proc.stderr == ""
     assert proc.stdout.startswith(status + ", nodes ")
     assert proc.stdout.count("\n") == 1
+
+
+# Runs CLI requests, given as a JSON list of argv lists, in a fresh process
+# in which building an element table (rank, elements, by_rank) raises, and
+# prints their exit codes as the last line.
+TABLE_FREE_CLI = """
+import json, sys
+from scdkit import posets
+from scdkit.cli import run
+
+def refuse(host, rank):
+    raise AssertionError(f"{host.label} built an element table")
+
+posets.GradedPoset._fill = refuse
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_generate_validate_and_shift_build_no_element_table(tmp_path):
+    text = serialize_scd(generate(8, 12))
+    doc, mutant = tmp_path / "p8_12.scd", tmp_path / "mutant.scd"
+    p94, p810 = tmp_path / "p9_4.scd", tmp_path / "p8_10.scd"
+    doc.write_text(text, encoding="ascii")
+    # Swap the bottoms of the first and the last chain, of ranks 0 and 9.
+    lines = text.splitlines()
+    first, last = lines.index("8 12") + 1, len(lines) - 1
+    a, b = lines[first].split(), lines[last].split()
+    a[0], b[0] = b[0], a[0]
+    lines[first], lines[last] = " ".join(a), " ".join(b)
+    mutant.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+    requests = [
+        ["generate", "--k", "9", "--n", "4", "--out", str(p94)],
+        ["validate", str(doc)],
+        ["validate", str(mutant)],
+        ["shift", "--file", str(doc), "--to", "10", "--out", str(p810)],
+    ]
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", TABLE_FREE_CLI, json.dumps(requests)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 0]
+    assert "finding: chain 0: non-cover steps" in proc.stdout
+    assert p94.read_text(encoding="ascii") == serialize_scd(generate(9, 4))
+    assert p810.read_text(encoding="ascii") == serialize_scd(shift(generate(8, 12), 10))

@@ -5,12 +5,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scdkit
 from scdkit import constructions, data_io
-from scdkit.chains import validate_scd
+from scdkit.chains import _diagnose, validate_scd
 from scdkit.posets import (
     GradedPoset,
+    _Cuboid,
+    _Hypercube,
     PosetError,
     build_chain_poset,
     build_cuboid,
@@ -112,6 +116,100 @@ def test_cuboid_matches_generic_product(k, n):
     for e in slow.elements:
         assert fast.up(e) == slow.up(e)
         assert fast.down(e) == slow.down(e)
+
+
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_implicit_sizes_and_ranks_match_the_tables(k, n):
+    # Fresh hosts, so that the arithmetic answers come before any table.
+    cube, host = _Hypercube(k), _Cuboid(k, n)
+    sizes = (len(cube), len(host))
+    vectors = (cube.rank_vector, host.rank_vector)
+    assert cube._tables is None and host._tables is None
+    assert sizes == (len(cube.elements), len(host.elements))
+    assert vectors == (tuple(map(len, cube.by_rank)), tuple(map(len, host.by_rank)))
+    assert host.rank_vector == product(cube, build_chain_poset(n)).rank_vector
+    assert all(host.rank_of(e) == r for e, r in host.rank.items())
+    assert all(cube.rank_of(x) == r for x, r in cube.rank.items())
+
+
+class _Pair(tuple):
+    """A tuple subclass: equal to, and hashed like, the plain tuple."""
+
+
+_scalars = st.one_of(
+    st.integers(-2, 9), st.booleans(), st.integers(-2, 9).map(float),
+    st.floats(allow_nan=False), st.text(max_size=2),
+)
+_hostile = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.tuples(_scalars),
+    st.tuples(_scalars, _scalars),
+    st.tuples(_scalars, _scalars).map(_Pair),
+    st.tuples(_scalars, _scalars, _scalars),
+    st.tuples(st.lists(_scalars, max_size=2), _scalars),
+)
+_small_hosts = [build_cuboid(k, n) for k in range(3) for n in range(1, 4)]
+_small_hosts += [build_hypercube(k) for k in range(4)]
+
+
+def _integral_float(e) -> bool:
+    """Whether ``e`` is, or is a tuple holding, a float equal to an int."""
+    return any(isinstance(x, float) and x.is_integer()
+               for x in (e if isinstance(e, tuple) else (e,)))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(host=st.sampled_from(_small_hosts), e=_hostile)
+def test_membership_is_the_rank_tables(host, e):
+    try:
+        in_table = e in host.rank
+    except TypeError:  # unhashable
+        in_table = False
+    if _integral_float(e):
+        assert e not in host  # a member is a tuple of ints, or an int
+    else:
+        assert (e in host) == in_table
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(host=st.sampled_from([*_small_hosts, product(build_hypercube(1), build_chain_poset(2))]),
+       data=st.data())
+def test_validate_reports_hostile_elements_and_never_raises(host, data):
+    members = st.sampled_from(host.elements)
+    chains = data.draw(st.lists(st.lists(st.one_of(members, _hostile), max_size=4), max_size=4))
+    report = validate_scd(host, chains)
+    assert report == _diagnose(host, tuple(map(tuple, chains)))
+    if any(e not in host for ch in chains for e in ch):
+        assert not report.valid and any("foreign elements" in m for m in report.messages)
+
+
+@pytest.mark.parametrize("chains, foreign", [
+    ([((0, 0), (1.0, 0))], "[(1.0, 0)]"),
+    ([((0, 0), ([1], 0))], "[([1], 0)]"),
+    ([((0, 0), b"\x01\x00")], "[b'\\x01\\x00']"),
+])
+def test_hostile_elements_are_foreign(chains, foreign):
+    report = validate_scd(build_cuboid(1, 1), chains)
+    assert not report.valid
+    assert report.messages[0] == f"chain 0: foreign elements {foreign}"
+
+
+def test_an_object_that_spells_a_member_is_foreign_inside_a_saturated_chain():
+    # Bytes and ranges unpack as pairs of ints, but are no tuples.
+    host = build_cuboid(0, 3)
+    for spelling in (b"\x00\x01", range(0, 2)):
+        report = validate_scd(host, [((0, 0), spelling, (0, 2))])
+        assert not report.valid
+        assert report.messages[0] == f"chain 0: foreign elements {[spelling]!r}"
+
+
+def test_a_chain_through_a_fractional_level_is_invalid():
+    # (0, 0.5) ascends between two members and leaves room for the length.
+    report = validate_scd(build_cuboid(0, 3), [((0, 0), (0, 0.5), (0, 2))])
+    assert not report.valid
+    assert report.messages[0] == "chain 0: foreign elements [(0, 0.5)]"
 
 
 @pytest.mark.parametrize("k", range(6))
