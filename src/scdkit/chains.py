@@ -91,6 +91,13 @@ class SCD:
     def report(self) -> "ValidationReport":
         return validate_scd(self.host, self)
 
+    @property
+    def known_valid(self) -> bool:
+        """Whether ``report`` is computed and found this decomposition
+        valid; computes nothing."""
+        report = self.__dict__.get("report")
+        return report is not None and report.valid
+
     def with_notes(self, *notes: str) -> "SCD":
         copy = SCD(self.host, self.chains, self.notes + notes)
         if "report" in self.__dict__:
@@ -187,7 +194,7 @@ def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[
     size = len(host)
     if sum(map(len, chains)) != size or not _tuples_only(chains):
         return None
-    rank, rk, width = host.rank_of, host.rk, 1 << k
+    rk, width = host.rk, 1 << k
     taut = []
     for i, ch in enumerate(chains):
         if not ch:
@@ -195,9 +202,11 @@ def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[
         (b, c), (b2, c2) = ch[0], ch[-1]
         # The ends in range, and every element between them: a member.
         # Inline, since ``in host`` would cost two calls per chain.
+        # ``steps_ascend`` runs first: it raises TypeError on a bit that
+        # is no int, so ``bit_count`` below only ever sees ints.
         if c < 0 or c2 >= n or not 0 <= b2 < width or not steps_ascend(ch):
             return None
-        lo, hi = rank(ch[0]), rank(ch[-1])
+        lo, hi = b.bit_count() + c, b2.bit_count() + c2
         if lo + hi != rk or len(ch) != hi - lo + 1:
             return None
         if c == 0:

@@ -88,7 +88,8 @@ def _grid_cells(a: int, b: int) -> list[list[tuple[int, int]]]:
 
     For a <= b, chain i climbs column x=i from (i, 0) to (i, b-1-i) and
     then walks the row y=b-1-i out to (a-1, b-1-i); chain i has length
-    a+b-1-2i.  For a > b the transposed walk is used.
+    a+b-1-2i.  For a > b the transposed walk is used.  The cells depend
+    on the shape alone, so :func:`_cross` peels each shape once.
     """
     if a <= b:
         return [
@@ -104,10 +105,23 @@ def _grid_cells(a: int, b: int) -> list[list[tuple[int, int]]]:
 def _cross(left, right, pair) -> list[tuple]:
     """Peeling product: the rectangle ``c x d`` of every chain ``c`` of
     ``left`` and every chain ``d`` of ``right``, peeled by
-    :func:`_grid_cells`; ``pair(a, b)`` names the product element."""
-    # tuple([...]) over tuple(generator): the list builds faster.
-    return [tuple([pair(c[x], d[y]) for x, y in cells])
-            for c in left for d in right for cells in _grid_cells(len(c), len(d))]
+    :func:`_grid_cells`; ``pair(a, b)`` names the product element.
+
+    The rectangles come in few shapes (20 among the 1,050 of P(12,4)),
+    and each ``(len(c), len(d))`` is peeled once per call, so an element
+    costs one ``pair`` call.  The peelings live only as long as the call.
+    """
+    peeled: dict[tuple[int, int], list] = {}
+    out = []
+    for c in left:
+        for d in right:
+            shape = len(c), len(d)
+            cells = peeled.get(shape)
+            if cells is None:
+                cells = peeled[shape] = _grid_cells(*shape)
+            # tuple([...]) over tuple(generator): the list builds faster.
+            out += [tuple([pair(c[x], d[y]) for x, y in walk]) for walk in cells]
+    return out
 
 
 def grid_scd(a: int, b: int) -> SCD:
@@ -459,10 +473,11 @@ def generate(k: int, n: int) -> SCD:
     k = 5 and n in {3, 4, 5} come straight from the bundled certificates;
     n >= 6 expands and repairs the P(5,5) certificate and shifts the
     middle block out to n; k > 5 lifts the k = 5 answer by extra hypercube
-    dimensions.  Pairs outside the region are rejected: with k <= 4 the
-    middle rank of Q_k outnumbers what the lower ranks can absorb (and
-    k <= 2 fails by inspection), and with n <= 2 the maximal chain is
-    itself a full column.
+    dimensions.  Pairs outside the region are rejected: with n <= 2 the
+    maximal chain is itself a full column, and for k <= 4 the finished
+    taut-free searches behind :func:`~scdkit.search.exists_nontaut_scd`
+    find none (that of P(k, max(k+1, 3)) carries over to every taller n
+    by :func:`shift`).
     """
     if k < 5 or n < 3:
         raise RegionError(

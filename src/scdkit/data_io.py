@@ -155,37 +155,36 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     return SCD(host, tuple(chains), notes)
 
 
-class _BitPrefixes(dict):
-    """Base bits -> the spelling of an element before its level digits."""
-
-    def __init__(self, k: int, compact: bool):
-        super().__init__()
-        self.k, self.compact = k, compact
-
-    def __missing__(self, bits: int) -> str:
-        s = format(bits, f"0{self.k}b") if self.k else ""
-        prefix = self[bits] = s if self.compact else ",".join(s) + ";"
-        return prefix
-
-
 def serialize_scd(scd: SCD) -> str:
     """Render an SCD over a cuboid host as a document (see module doc).
 
-    Each base's bit spelling is formatted once per call, so an element
-    costs one lookup and one concatenation with its level.
+    The spelling of every base (its bits, and in the general form the
+    commas and the semicolon) and of every level is tabled once per call,
+    so an element costs two lookups and one concatenation.  Only members
+    of the host are spelled: a decomposition whose report already found
+    it valid holds nothing else, and any other is checked element by
+    element first, so a foreign element, which could index a table from
+    its end, raises ParseError instead.
     """
     host = scd.host
     shape = cuboid_shape(host)
     if shape is None:
         raise ParseError(f"{host.label} is not a cuboid; only cuboid hosts serialize")
+    if not scd.known_valid:
+        foreign = [e for ch in scd.chains for e in ch if e not in host]
+        if foreign:
+            raise ParseError(f"{host.label} has no element {foreign[0]!r}; only members serialize")
     k, n = shape
-    compact = n <= COMPACT_LEVEL_LIMIT
+    bases = [""]
+    for _ in range(k):  # each pass prepends the next higher bit
+        bases = ["0" + s for s in bases] + ["1" + s for s in bases]
+    if n > COMPACT_LEVEL_LIMIT:
+        bases = [",".join(s) + ";" for s in bases]
+    levels = [str(c) for c in range(n)]
     out = [f"# {host.label}", f"# chains: {scd.chain_count}"]
     out += [f"# note: {note}" for note in scd.notes]
     out.append(f"{k} {n}")
-    prefix = _BitPrefixes(k, compact)
-    for ch in scd.chains:
-        out.append(" ".join([prefix[b] + str(c) for b, c in ch]))
+    out += [" ".join([bases[b] + levels[c] for b, c in ch]) for ch in scd.chains]
     return "\n".join(out) + "\n"
 
 

@@ -15,10 +15,11 @@ Implicit hosts hold no per-element table: their size, membership
 (``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
 host of 2^15 elements costs a few hundred bytes.  The tables ``rank``,
 ``elements`` and ``by_rank`` are built on first use, for the consumers
-that enumerate elements (search rows, the surgery on small bases,
-structural equality).  ``rank_of`` is the one per-element rank read:
-a dict lookup on generic posets, ``bits.bit_count() + level`` on
-cuboids.
+that enumerate elements (the surgery on small bases, structural
+equality, the search of a generic host).  ``rank_of`` is the
+per-element rank read: a dict lookup on generic posets,
+``bits.bit_count() + level`` on cuboids, which the cuboid verdict of
+``validate_scd`` computes inline from the chain ends it unpacks.
 
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``
 pairs with ``bits`` an integer whose binary digits, most significant

@@ -3,8 +3,10 @@
 Every search is exact cover (Knuth's Algorithm X) on int bitmasks.  The
 rows are the saturated symmetric chains (the taut-free ones, for a
 ``forbid_taut`` search), grown along ``host.up``; the columns are the
-elements, numbered by position in ``host.elements`` (``b * n + c`` on a
-cuboid, a host whose base is a hypercube).  A node branches on the
+elements, numbered by position in canonical order.  On a cuboid, a host
+whose base is a hypercube, that position is ``b * n + c`` and the rows
+start from elements generated from the bits, so a search of a cuboid
+builds no element table (see ``_numbering``).  A node branches on the
 uncovered element with the fewest live rows; picking a row clears every
 row that shares an element with it, through ``live &= ~rows_of[e]``.
 One node is one branch point or one generated row; both count against
@@ -163,6 +165,7 @@ class _Cover:
         self.quotient = quotient and shape is not None
         self.scale = factorial(shape[0]) if self.quotient else 1
         self.host, self.found = host, []
+        self.position, self.element, self.of_rank = _numbering(host)
         self.max_rows = MAX_COVER_BITS // len(host)
         self.rows: list[tuple[int, ...]] = []
         self.weights: list[int] = []
@@ -183,8 +186,7 @@ class _Cover:
 
     def _grow_rows(self, taut_free: bool) -> None:
         """Every row, depth first from each start along ``host.up``."""
-        host, rows, weights = self.host, self.rows, self.weights
-        position = partial(bisect_left, host.elements)
+        host, rows, weights, position = self.host, self.rows, self.weights, self.position
         # With taut_free, the steps of a full column (p, 0) .. (p, n-1).
         span = host.chain_factor[1] - 1 if taut_free else None
         if span == 0:
@@ -205,7 +207,7 @@ class _Cover:
             length = host.rk - 2 * r + 1
             maximal = self.quotient and r == 0  # rank 0 of a cuboid is its bottom
             ups = bit_order_up if maximal else up
-            chain, row, stack = [], [], [((e, position(e)) for e in host.by_rank[r])]
+            chain, row, stack = [], [], [((e, position(e)) for e in self.of_rank(r))]
             while stack:
                 for e, i in stack[-1]:
                     if span and e[1] == span and len(chain) >= span and chain[-span] == (e[0], 0):
@@ -352,9 +354,28 @@ class _Cover:
 
     def decode(self, solution: tuple[int, ...]) -> SCD:
         """The decomposition of a solution, chains in canonical order."""
-        elements = self.host.elements
-        chains = [tuple(elements[e] for e in self.rows[i]) for i in solution]
+        element = self.element
+        chains = [tuple(map(element, self.rows[i])) for i in solution]
         return SCD(self.host, canonical_chain_order(self.host, chains))
+
+
+def _numbering(host: GradedPoset):
+    """The columns of a search of ``host``: ``position(e)`` is the index
+    of ``e`` in canonical order, ``element(i)`` its inverse, and
+    ``of_rank(r)`` the rank-r elements in canonical order.  On a cuboid
+    all three are arithmetic on ``(b, c)``: the position is ``b * n + c``,
+    and the rank-r elements come from the bits with ``b`` ascending, so
+    the search builds no element table."""
+    shape = cuboid_shape(host)
+    if shape is None:
+        elements = host.elements
+        return partial(bisect_left, elements), elements.__getitem__, host.by_rank.__getitem__
+    k, n = shape
+
+    def of_rank(r):
+        return ((b, c) for b in range(1 << k) if 0 <= (c := r - b.bit_count()) < n)
+
+    return (lambda e: e[0] * n + e[1]), (lambda i: divmod(i, n)), of_rank
 
 
 def _checked(config: SearchConfig | None, host: GradedPoset) -> SearchConfig:

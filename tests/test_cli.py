@@ -386,3 +386,27 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
     assert "finding: chain 0: non-cover steps" in proc.stdout
     assert p94.read_text(encoding="ascii") == serialize_scd(generate(9, 4))
     assert p810.read_text(encoding="ascii") == serialize_scd(shift(generate(8, 12), 10))
+
+
+def test_searches_of_cuboids_build_no_element_table(tmp_path):
+    witness = tmp_path / "p5_3.scd"
+    requests = [
+        ["search", "--k", "5", "--n", "3", "--forbid-taut", "--limit", "1", "--out", str(witness)],
+        # P(18,4) has 2^20 elements: a table of them alone would take
+        # about a second and 140 MB.
+        ["search", "--k", "18", "--n", "4", "--budget", "1", "--limit", "2"],
+    ]
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", TABLE_FREE_CLI, json.dumps(requests)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines == [
+        "found 1, stopped (limit), nodes 3808",
+        "found 0, stopped (node-budget), nodes 2",
+        "[0, 2]",
+    ]
+    scd = parse_scd(witness.read_text(encoding="ascii"))
+    assert scd.report.valid and scd.report.taut_count == 0

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scdkit import cli, posets
-from scdkit.chains import validate_scd
+from scdkit.chains import SCD, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import (
     ParseError,
@@ -166,6 +166,40 @@ def test_serialize_requires_cuboid_host():
 
     with pytest.raises(ParseError):
         serialize_scd(grid_scd(2, 3))
+
+
+# Each is foreign to P(k, n): a negative or too large bit pattern or
+# level, a float equal to a member's int, or no tuple though it unpacks
+# as the member (0, 0).
+def _foreign(k, n):
+    return [(-1, 0), (1 << k, 0), (0, n), (0, -1), (1.0, 0), (0, 1.0), [0, 0], b"\0\0"]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("n", [4, 12], ids=["compact", "general"])
+@pytest.mark.parametrize("where", ["alone", "between", "reported"])
+def test_a_foreign_element_is_never_spelled_as_a_member(k, n, where):
+    host = build_cuboid(k, n)
+    for e in _foreign(k, n):
+        assert e not in host
+        chain = (e,) if where == "alone" else ((0, 0), e, (0, n - 1))
+        scd = SCD(host, (chain,))
+        if where == "reported":
+            assert not scd.report.valid
+        try:
+            text = serialize_scd(scd)
+        except ParseError as exc:
+            assert repr(e) in str(exc)
+            continue
+        with pytest.raises(ParseError):  # written, but no member's token
+            parse_scd(text)
+
+
+@pytest.mark.parametrize("n", [4, 12], ids=["compact", "general"])
+def test_a_bool_is_spelled_as_the_member_it_equals(n):
+    host = build_cuboid(3, n)
+    scd = SCD(host, (((False, False), (True, False), (True, True)),))
+    assert parse_scd(serialize_scd(scd)).chains == (((0, 0), (1, 0), (1, 1)),)
 
 
 def test_render_q4_6_matches_golden_grid():
