@@ -45,11 +45,9 @@ raised on.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain as concat
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .posets import Element, GradedPoset, cuboid_shape, steps_ascend
 
@@ -62,7 +60,6 @@ def canonical_chain_order(host: GradedPoset, chains: Iterable[Sequence]) -> tupl
     return tuple(sorted((tuple(ch) for ch in chains), key=lambda ch: (rank(ch[0]), ch[0])))
 
 
-@dataclass(frozen=True, eq=False)
 class SCD:
     """A set of chains intended to partition ``host`` into symmetric chains.
 
@@ -70,14 +67,26 @@ class SCD:
     chose); they ride along through serialization but never affect
     equality.
 
-    Hosts and chains are immutable tuples, so ``report`` validates a
-    decomposition once, on first access; :meth:`with_notes` passes a
-    computed report on to the copy.
+    An SCD is immutable: assigning or deleting an attribute raises
+    ``AttributeError``.  Hosts and chains are immutable tuples, so
+    ``report`` validates a decomposition once, on first access;
+    :meth:`with_notes` passes a computed report on to the copy.
     """
 
-    host: GradedPoset
-    chains: tuple[Chain, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("host", "chains", "notes", "_report")
+
+    def __init__(self, host: GradedPoset, chains: tuple[Chain, ...], notes: tuple[str, ...] = ()):
+        init = object.__setattr__
+        init(self, "host", host)
+        init(self, "chains", chains)
+        init(self, "notes", notes)
+        init(self, "_report", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an SCD")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an SCD")
 
     @property
     def chain_set(self) -> frozenset:
@@ -87,21 +96,21 @@ class SCD:
     def chain_count(self) -> int:
         return len(self.chains)
 
-    @cached_property
+    @property
     def report(self) -> "ValidationReport":
-        return validate_scd(self.host, self)
+        if self._report is None:
+            object.__setattr__(self, "_report", validate_scd(self.host, self))
+        return self._report
 
     @property
     def known_valid(self) -> bool:
         """Whether ``report`` is computed and found this decomposition
         valid; computes nothing."""
-        report = self.__dict__.get("report")
-        return report is not None and report.valid
+        return self._report is not None and self._report.valid
 
     def with_notes(self, *notes: str) -> "SCD":
         copy = SCD(self.host, self.chains, self.notes + notes)
-        if "report" in self.__dict__:
-            copy.__dict__["report"] = self.report
+        object.__setattr__(copy, "_report", self._report)
         return copy
 
     def __eq__(self, other: object) -> bool:
@@ -147,8 +156,7 @@ def is_taut(chain: Sequence, n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """All findings about a candidate decomposition; nothing fails fast."""
 
     is_partition: bool

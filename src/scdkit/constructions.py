@@ -25,9 +25,9 @@ The toolbox, bottom to top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 from .chains import SCD, ValidationReport, canonical_chain_order
 from .data_io import builtin_table
@@ -295,8 +295,7 @@ def collapse(scd: SCD) -> SCD:
                     scd.notes, what="collapse output")
 
 
-@dataclass(frozen=True)
-class MiddleGraph:
+class MiddleGraph(NamedTuple):
     """Directed graph on the base poset induced by a decomposition of
     ``P x chain(rk)`` across its two central rows.
 
@@ -315,8 +314,7 @@ class MiddleGraph:
         return frozenset(self.base.elements) - frozenset(self.path)
 
 
-@dataclass(frozen=True)
-class EdgeMatching:
+class EdgeMatching(NamedTuple):
     """Injective assignment of every edge of a middle graph to one of its
     endpoints, missing exactly one vertex; loops are always self-matched."""
 

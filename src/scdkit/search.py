@@ -67,9 +67,9 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from math import factorial
+from typing import NamedTuple
 
 from .chains import SCD, canonical_chain_order
 from .constructions import generate
@@ -93,8 +93,7 @@ class _StopSearch(Exception):
         self.reason, self.nodes = reason, nodes
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Knobs for :func:`enumerate_scds`.
 
     ``node_budget`` is the one bound on a search; without one, a cap of
@@ -107,8 +106,7 @@ class SearchConfig:
     node_budget: int | None = None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """``exhausted`` is True only when the whole space was explored; any
     nonexistence conclusion must check it."""
 
@@ -118,8 +116,7 @@ class SearchOutcome:
     stop_reason: str | None = None
 
 
-@dataclass(frozen=True)
-class CountOutcome:
+class CountOutcome(NamedTuple):
     """Like :class:`SearchOutcome`, with the number of decompositions in
     place of the decompositions; ``count`` is 0 unless ``exhausted``."""
 
@@ -447,8 +444,7 @@ def count_scds(host: GradedPoset) -> int:
     return outcome.count
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(NamedTuple):
     """Answer to "does P(k, n) admit a taut-free decomposition?".
 
     ``method`` records how the answer was reached, one of five values:
@@ -502,7 +498,7 @@ def exists_nontaut_scd(k: int, n: int, config: SearchConfig | None = None) -> Ex
         return ExistenceResult(True, generate(k, n), False, "construction")
 
     m = min(n, max(k + 1, 3))
-    cfg = replace(config or SearchConfig(), forbid_taut=True, limit=1)
+    cfg = (config or SearchConfig())._replace(forbid_taut=True, limit=1)
     outcome = _taut_free_search(k, m, cfg)
     if outcome.exhausted:
         method = "exhaustive" if m == n else "exhaustive+shift"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdkit import chains
 from scdkit.chains import SCD, _diagnose, is_taut, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
@@ -171,6 +172,44 @@ def test_decompositions_of_equal_cuboids_compare_without_tables(monkeypatch):
     assert a is not b and a == b
     assert a == fresh == generic and fresh.host is not a.host
     assert a != SCD(a.host, a.chains[1:]) and a != other
+
+
+@pytest.mark.parametrize("name", ["host", "chains", "notes"])
+def test_an_scd_cannot_be_changed(name):
+    scd = builtin_table("P53")
+    value = getattr(scd, name)
+    with pytest.raises(AttributeError):
+        setattr(scd, name, ())
+    with pytest.raises(AttributeError):
+        delattr(scd, name)
+    assert getattr(scd, name) is value
+
+
+def test_a_report_is_computed_once_and_passed_on_to_noted_copies(monkeypatch):
+    calls = []
+
+    def counting(host, scd):
+        calls.append(scd)
+        return validate_scd(host, scd)
+
+    monkeypatch.setattr(chains, "validate_scd", counting)
+    t1 = builtin_table("P53")
+    scd = SCD(t1.host, t1.chains)
+    early = scd.with_notes("before")
+    assert not scd.known_valid and not early.known_valid and calls == []
+    report = scd.report
+    assert scd.report is report and calls == [scd]
+    noted = scd.with_notes("after")
+    assert noted.known_valid and noted.report is report and noted.notes == ("after",)
+    assert calls == [scd] and not early.known_valid
+
+
+def test_a_report_reads_as_before():
+    report = validate_scd(build_cuboid(1, 2), [((0, 0), (0, 1), (1, 1)), ((1, 0),)])
+    assert repr(report) == (
+        "ValidationReport(is_partition=True, all_symmetric=True, "
+        "taut_chain_indices=(0,), chain_count=2, messages=())"
+    )
 
 
 # The verdict on a cuboid host is reached without is_cover (see the chains

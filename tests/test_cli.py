@@ -410,3 +410,24 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
     ]
     scd = parse_scd(witness.read_text(encoding="ascii"))
     assert scd.report.valid and scd.report.taut_count == 0
+
+
+# Prints the sorted names of the modules loaded by importing the CLI in a
+# fresh interpreter that writes no bytecode, as on a cold start.
+IMPORTED_BY_CLI = "import sys, scdkit.cli; print(*sorted(sys.modules))"
+
+
+def test_the_cli_loads_every_module_of_the_package_and_no_dataclasses():
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTED_BY_CLI],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    # dataclasses pulls in inspect, ast, dis and tokenize on every start.
+    assert not {"dataclasses", "inspect"} & modules
+    # Nothing is imported lazily: no set-up cost moves into a first request.
+    layers = {f"scdkit.{name}" for name in ("posets", "chains", "data_io", "constructions", "search")}
+    assert layers <= modules

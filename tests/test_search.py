@@ -1,6 +1,5 @@
 import hashlib
 import sys
-from dataclasses import fields
 from math import factorial
 
 import pytest
@@ -166,7 +165,7 @@ def test_node_budget_reported_distinctly():
 
 def test_the_node_budget_is_the_only_bound():
     # No wall clock: every answer, a stopped one included, is deterministic.
-    assert [f.name for f in fields(SearchConfig)] == ["forbid_taut", "limit", "node_budget"]
+    assert SearchConfig._fields == ("forbid_taut", "limit", "node_budget")
 
 
 def test_non_rank_symmetric_host_is_empty_exhausted():
@@ -239,8 +238,8 @@ def test_exists_inconclusive_under_tiny_budget():
 
 
 def test_each_existence_search_runs_once_per_config(monkeypatch):
-    # A config of its own, so no earlier query has filled these entries.
-    cfg = SearchConfig(node_budget=123_456)
+    # A budget of its own, so no earlier query has filled these entries;
+    # each query gets an equal config, not the same one.
     searched = []
     real = search.enumerate_scds
 
@@ -251,9 +250,23 @@ def test_each_existence_search_runs_once_per_config(monkeypatch):
     monkeypatch.setattr(search, "enumerate_scds", recording)
     for _ in range(2):
         for n in range(3, 9):
-            assert exists_nontaut_scd(3, n, cfg).proof_exhaustive
+            assert exists_nontaut_scd(3, n, SearchConfig(node_budget=123_456)).proof_exhaustive
     taut_free = SearchConfig(forbid_taut=True, limit=1, node_budget=123_456)
     assert searched == [("P(3,3)", taut_free), ("P(3,4)", taut_free)]
+
+
+def test_outcomes_read_as_before():
+    assert repr(enumerate_scds(build_cuboid(1, 2))) == (
+        "SearchOutcome(found=(SCD(P(1,2), 2 chains), SCD(P(1,2), 2 chains)), "
+        "exhausted=True, nodes_visited=9, stop_reason=None)"
+    )
+    assert repr(count_search(build_cuboid(1, 3))) == (
+        "CountOutcome(count=2, exhausted=True, nodes_visited=7, stop_reason=None)"
+    )
+    assert repr(exists_nontaut_scd(1, 4)) == (
+        "ExistenceResult(exists=False, witness=None, proof_exhaustive=True, "
+        "method='exhaustive+shift', nodes_visited=6)"
+    )
 
 
 def test_exists_rejects_bad_arguments():
