@@ -11,20 +11,20 @@ are engineered to avoid.
 
 ``validate_scd`` reaches its verdict first and explains only failures.
 On a hypercube-by-chain host, whose elements are ``(bits, level)``
-pairs, the verdict takes one scan per chain and one set, and builds no
-table of the host:
+pairs, the verdict takes one saturation test per chain and one set, and
+builds no table of the host:
 
-* every element is a tuple, every chain is nonempty, its ends are in
-  range (bits below ``2^k``, levels below ``n``, none negative) and its
-  steps ascend (:func:`~scdkit.posets.steps_ascend`: no bit cleared,
-  the level raised by 0 or 1, ints only).  Each element then lies
+* every element is a tuple and every chain *climbs* the host: it is
+  nonempty, its ends are in range (bits below ``2^k``, levels below
+  ``n``, none negative), no step clears a bit or raises the level by
+  more than one (ints only), it holds ``rank(last) - rank(first) + 1``
+  elements and those two ranks sum to ``rk``.  Each element then lies
   between its chain's ends, so it is a member;
 * the lengths sum to the host's size and the elements are distinct, so
   the chains hold every member exactly once: they partition the host;
-* a chain of distinct members that ascends is saturated iff it holds
-  ``rank(last) - rank(first) + 1`` elements: each step is strictly
-  upward, raising the rank by at least one, and the length leaves room
-  for exactly one per step, which is a cover;
+* a chain of distinct members that climbs is saturated and symmetric:
+  each step is strictly upward, raising the rank by at least one, and
+  the length leaves room for exactly one per step, which is a cover;
 * on such a chain the levels never fall, so the level-0 elements come
   first, and the chain is taut iff ``ch[z + n - 1] == (p, n - 1)`` for
   the last of them, ``ch[z] = (p, 0)``: a saturated chain from
@@ -34,12 +34,11 @@ A decomposition that fails any of these, and any decomposition of
 another host, goes through the diagnostic pass, which writes every
 message.  On a hypercube-by-chain host whose elements are all tuples,
 it checks membership and ``is_cover`` element by element only on the
-chains that fail the same saturation test (ends in the host, steps
-ascending, distinct elements, one per rank), since a chain that passes
-it holds neither a foreign element nor a non-cover step.  So a report,
-messages included, does not depend on which path computed it.  An
-element that is no pair of ints is foreign; it is reported, never
-raised on.
+chains that fail the same test (or repeat an element), since a chain of
+distinct elements that climbs holds neither a foreign element nor a
+non-cover step.  So a report, messages included, does not depend on
+which path computed it.  An element that is no pair of ints is foreign;
+it is reported, never raised on.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from itertools import chain as concat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .posets import Element, GradedPoset, cuboid_shape, steps_ascend
+from .posets import Element, GradedPoset, cuboid_shape
 
 Chain = tuple  # elements in ascending rank order
 
@@ -179,10 +178,7 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
     for every finding (see the module doc for how the verdict is reached)."""
     chains = tuple(tuple(ch) for ch in (scd.chains if isinstance(scd, SCD) else scd))
     if cuboid_shape(host) is not None:
-        try:
-            taut = _cuboid_taut_indices(host, chains)
-        except (TypeError, ValueError):  # an element that is no pair of ints
-            taut = None
+        taut = _cuboid_taut_indices(host, chains)
         if taut is not None:
             return ValidationReport(
                 is_partition=True, all_symmetric=True,
@@ -196,8 +192,7 @@ _level = itemgetter(1)
 
 def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[int, ...] | None:
     """The taut chains of a valid decomposition of a hypercube-by-chain
-    host, or None when ``chains`` is not a valid decomposition of it.
-    An element that is no pair of ints may raise TypeError or ValueError."""
+    host, or None when ``chains`` is not a valid decomposition of it."""
     k, n = cuboid_shape(host)
     size = len(host)
     if sum(map(len, chains)) != size or not _tuples_only(chains):
@@ -205,19 +200,9 @@ def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[
     rk, width = host.rk, 1 << k
     taut = []
     for i, ch in enumerate(chains):
-        if not ch:
+        if not _climbs(ch, n, width, rk):
             return None
-        (b, c), (b2, c2) = ch[0], ch[-1]
-        # The ends in range, and every element between them: a member.
-        # Inline, since ``in host`` would cost two calls per chain.
-        # ``steps_ascend`` runs first: it raises TypeError on a bit that
-        # is no int, so ``bit_count`` below only ever sees ints.
-        if c < 0 or c2 >= n or not 0 <= b2 < width or not steps_ascend(ch):
-            return None
-        lo, hi = b.bit_count() + c, b2.bit_count() + c2
-        if lo + hi != rk or len(ch) != hi - lo + 1:
-            return None
-        if c == 0:
+        if ch[0][1] == 0:
             z = bisect_right(ch, 0, key=_level) - 1
             if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
                 taut.append(i)
@@ -234,19 +219,27 @@ def _tuples_only(chains: tuple[Chain, ...]) -> bool:
     return set(map(type, concat.from_iterable(chains))) == {tuple}
 
 
-def _saturated(host: GradedPoset, ch: Chain) -> bool:
-    """Whether the nonempty chain ``ch`` of tuples is a saturated chain of
-    the hypercube-by-chain ``host``: its ends are members, its steps
-    ascend, its elements are distinct and it holds one per rank between
-    its ends."""
+def _climbs(ch: Chain, n: int, width: int, rk: int) -> bool:
+    """The saturation test of a chain of tuples of ``Q_k x chain(n)``,
+    ``width = 2^k``, of rank ``rk``: the chain is nonempty, its ends are
+    in range, it holds one element per rank from its first to its last,
+    those two ranks sum to ``rk``, and no step clears a bit or raises the
+    level by more than one.  False for any element that is no pair of
+    ints (``&`` refuses floats and strings).  Every element of a chain
+    that climbs lies between its ends, so it is a member, and a chain of
+    distinct members that climbs is saturated and symmetric."""
     try:
-        return (
-            ch[0] in host and ch[-1] in host
-            and len(ch) == host.rank_of(ch[-1]) - host.rank_of(ch[0]) + 1
-            and steps_ascend(ch) and len(set(ch)) == len(ch)
-        )
-    except (TypeError, ValueError):  # an element that is no pair of ints
+        (b, c), (b2, c2) = ch[0], ch[-1]
+        lo, hi = b.bit_count() + c, b2.bit_count() + c2
+        if c < 0 or c2 >= n or not 0 <= b2 < width or lo + hi != rk or len(ch) != hi - lo + 1:
+            return False
+        for b2, c2 in ch:
+            if b & ~b2 or (c2 - c) & ~1:
+                return False
+            b, c = b2, c2
+    except (AttributeError, IndexError, TypeError, ValueError):  # empty, or no pair of ints
         return False
+    return True
 
 
 def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
@@ -257,7 +250,8 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
     is_partition = True
     all_symmetric = True
     rank, rk = host.rank_of, host.rk
-    shortcut = cuboid_shape(host) is not None and _tuples_only(chains)
+    shape = cuboid_shape(host)
+    shortcut = shape is not None and _tuples_only(chains)
 
     seen: dict[Element, int] = {}
     alien: set[int] = set()  # chains with a foreign element, which may be no (base, level) pair
@@ -266,8 +260,10 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
             messages.append(f"chain {i}: empty")
             is_partition = False
             continue
-        # A saturated chain holds no foreign element and no non-cover step.
-        if not (shortcut and _saturated(host, ch)):
+        # A chain of distinct elements that climbs holds no foreign
+        # element and no non-cover step.
+        if not (shortcut and _climbs(ch, shape[1], 1 << shape[0], rk)
+                and len(set(ch)) == len(ch)):
             foreign = [e for e in ch if e not in host]
             if foreign:
                 messages.append(f"chain {i}: foreign elements {foreign!r}")

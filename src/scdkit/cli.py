@@ -5,16 +5,12 @@ document format from :mod:`scdkit.data_io` through files or stdio, so
 commands compose in shell pipelines.  Exit codes: 0 success, 1 invalid
 input or out-of-region request, 2 search stopped by budget before
 reaching a conclusion.
-
-The default node budget for ``search`` can be set with the
-``SCDKIT_NODE_BUDGET`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +21,6 @@ from .search import SearchConfig
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INCONCLUSIVE = 2
-
-NODE_BUDGET_ENV = "SCDKIT_NODE_BUDGET"
 
 
 class CliError(Exception):
@@ -124,14 +118,10 @@ def _cmd_lift(args) -> int:
 def _cmd_search(args) -> int:
     if args.use_symmetry and args.limit != 1:
         raise CliError("--use-symmetry is only sound for existence queries (--limit 1)")
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get(NODE_BUDGET_ENV)
-        budget = int(env) if env else None
     cfg = SearchConfig(
         forbid_taut=args.forbid_taut,
         limit=args.limit,
-        node_budget=budget,
+        node_budget=args.budget,
     )
     host = build_cuboid(args.k, args.n)
     if args.limit is None and not args.out:
@@ -214,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid-taut", action="store_true")
     p.add_argument("--limit", type=int)
-    p.add_argument("--budget", type=int, help="node budget (default from env or 10^8)")
+    p.add_argument("--budget", type=int, help="node budget (default 10^8)")
     p.add_argument("--use-symmetry", action="store_true",
                    help="accepted with --limit 1, which already searches up to "
                    "bit permutations; changes nothing")

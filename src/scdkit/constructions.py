@@ -464,7 +464,6 @@ def _taut_free_p56() -> SCD:
     raise ConstructionError("no matching yields a taut-free lift of P(5,5)")
 
 
-@lru_cache(maxsize=16)  # bounded like build_cuboid, whose hosts its answers hold
 def generate(k: int, n: int) -> SCD:
     """A taut-free symmetric chain decomposition of P(k, n), k >= 5, n >= 3.
 

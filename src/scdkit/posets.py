@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 Element = Hashable
 
@@ -54,18 +54,17 @@ class GradedPoset:
 
     ``chain_factor`` is set when the poset was built as ``base x chain(n)``
     with elements ``(p, level)``; operations that care about the chain
-    coordinate (tautness, block surgery) require it.  ``hypercube_k`` is
-    set only on the hosts :func:`build_hypercube` returns.
+    coordinate (tautness, block surgery) require it.
 
     ``up`` is the one cover relation: a table here, bit arithmetic in the
-    implicit hosts, which also answer ``is_cover`` in constant time.
+    implicit hosts; ``is_cover`` reads it for every host.
     ``validate_scd`` asks ``is_cover`` per chain step only to explain a
-    chain that fails its saturation test (:func:`steps_ascend` and the
-    rank span).  ``rank``, ``elements`` and ``by_rank`` are built here for
-    a generic poset, and on first use for an implicit host.
+    chain that fails its one saturation test.  ``rank``, ``elements`` and
+    ``by_rank`` are built here for a generic poset, and on first use for
+    an implicit host.
     """
 
-    __slots__ = ("label", "rk", "rank_vector", "hypercube_k", "chain_factor", "_up", "_tables")
+    __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_tables")
 
     def __init__(
         self,
@@ -108,7 +107,6 @@ class GradedPoset:
         self._fill(own)
         self.rank_vector = tuple(map(len, self.by_rank))
         self._up = {e: tuple(sorted(up[e])) for e in elements}
-        self.hypercube_k = None
         self.chain_factor = chain_factor
 
     # -- the element tables -------------------------------------------------
@@ -188,7 +186,9 @@ class GradedPoset:
         return tuple(x for x in self.by_rank[r - 1] if e in self.up(x)) if r else ()
 
     def is_cover(self, x: Element, y: Element) -> bool:
-        return x in self and y in self.up(x)
+        # ``y in self`` first: a foreign spelling of a member, such as a
+        # float level, compares equal to it in ``up(x)``.
+        return x in self and y in self and y in self.up(x)
 
     @property
     def covers(self) -> tuple[tuple[Element, Element], ...]:
@@ -226,31 +226,24 @@ class _Hypercube(GradedPoset):
     def __init__(self, k: int):
         self.label, self.rk = f"Q{k}", k
         self.rank_vector = tuple(comb(k, r) for r in range(k + 1))
-        self.hypercube_k = k
         self.chain_factor = None
         self._tables = None
 
     def _rank_table(self) -> dict[int, int]:
-        return {x: x.bit_count() for x in range(1 << self.hypercube_k)}
+        return {x: x.bit_count() for x in range(1 << self.rk)}
 
     def rank_of(self, x: int) -> int:
         return x.bit_count()
 
     def __len__(self) -> int:
-        return 1 << self.hypercube_k
+        return 1 << self.rk
 
     def __contains__(self, e: object) -> bool:
-        return isinstance(e, int) and 0 <= e < 1 << self.hypercube_k
+        return isinstance(e, int) and 0 <= e < 1 << self.rk
 
     def up(self, x: int) -> tuple[int, ...]:
         self._require(x)
-        return tuple(x | 1 << i for i in range(self.hypercube_k) if not x >> i & 1)
-
-    def is_cover(self, x: Element, y: Element) -> bool:
-        if x not in self or y not in self:
-            return False
-        d = x ^ y
-        return d != 0 and d & x == 0 and d & (d - 1) == 0
+        return tuple(x | 1 << i for i in range(self.rk) if not x >> i & 1)
 
 
 class _Cuboid(GradedPoset):
@@ -266,7 +259,6 @@ class _Cuboid(GradedPoset):
         row = base.rank_vector
         self.rank_vector = tuple(sum(row[max(r - n + 1, 0):r + 1]) for r in range(k + n))
         self._k, self._n = k, n
-        self.hypercube_k = None
         self.chain_factor = (base, n)
         self._tables = None
 
@@ -292,38 +284,6 @@ class _Cuboid(GradedPoset):
         above = ((b, c + 1),) if c + 1 < self._n else ()
         return above + tuple((b | 1 << i, c) for i in range(self._k) if not b >> i & 1)
 
-    def is_cover(self, x: Element, y: Element) -> bool:
-        if x not in self or y not in self:
-            return False
-        (b, c), (b2, c2) = x, y
-        if b == b2:
-            return c2 == c + 1
-        d = b ^ b2
-        return c == c2 and d & b == 0 and d & (d - 1) == 0
-
-
-def steps_ascend(chain: Sequence[tuple[int, int]]) -> bool:
-    """True iff no step of a nonempty chain of ``(bits, level)`` elements
-    clears a bit, and each raises the level by 0 or 1.
-
-    Every cover of ``Q_k x chain(n)`` (and of ``product`` of a hypercube
-    with a chain) is such a step.  The test takes ints only: a bit or
-    level that is no int raises ``TypeError`` (``&`` refuses floats and
-    strings), and an element that is no pair raises ``ValueError`` or
-    ``TypeError``.  So on a chain whose ends are members of such a host,
-    it puts every element in between in the host too, as a pair of ints
-    inside the ends' bits and levels.  For distinct members it makes
-    every step a cover exactly when the chain also holds one element per
-    rank from its first to its last, since each step then raises the
-    rank by at least one.
-    """
-    b, c = chain[0]
-    for b2, c2 in chain:
-        if b & ~b2 or (c2 - c) & ~1:
-            return False
-        b, c = b2, c2
-    return True
-
 
 # -- constructors ---------------------------------------------------------
 
@@ -347,7 +307,7 @@ def build_chain_poset(s: int) -> GradedPoset:
 def build_hypercube(k: int) -> GradedPoset:
     """Q_k on bitmask elements 0..2^k-1; covers flip one 0-bit up.
 
-    An implicit bit-arithmetic host with ``hypercube_k = k``.
+    An implicit bit-arithmetic host.
     """
     if k < 0:
         raise PosetError(f"hypercube dimension must be nonnegative, got k={k}")
@@ -410,7 +370,7 @@ def cuboid_shape(host: GradedPoset) -> tuple[int, int] | None:
     if host.chain_factor is None:
         return None
     base, n = host.chain_factor
-    return None if base.hypercube_k is None else (base.hypercube_k, n)
+    return (base.rk, n) if isinstance(base, _Hypercube) else None
 
 
 def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:
@@ -419,8 +379,8 @@ def poset_times_chain(p: GradedPoset, n: int) -> GradedPoset:
     Hypercube bases route through :func:`build_cuboid`, so a ``(k, n)``
     host still in its cache is shared, not rebuilt.
     """
-    if p.hypercube_k is not None:
-        return build_cuboid(p.hypercube_k, n)
+    if isinstance(p, _Hypercube):
+        return build_cuboid(p.rk, n)
     return product(p, build_chain_poset(n))
 
 

@@ -9,6 +9,7 @@ cross-check rather than the same algorithm twice.
 from itertools import product as iproduct
 
 from scdkit.chains import SCD
+from scdkit.posets import cuboid_shape
 
 
 def rank_vector_by_bucketing(elements, rank_of):
@@ -115,7 +116,7 @@ def permuted_bits(b, k, perm):
 
 def permute_scd(scd, perm):
     """``scd`` with the bit digits of every element moved by :func:`permuted_bits`."""
-    k = scd.host.chain_factor[0].hypercube_k
+    k, _ = cuboid_shape(scd.host)
     return SCD(scd.host, tuple(
         tuple((permuted_bits(b, k, perm), c) for b, c in ch) for ch in scd.chains
     ))

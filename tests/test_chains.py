@@ -9,7 +9,8 @@ from scdkit.chains import SCD, _diagnose, is_taut, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
 from scdkit.posets import (
-    GradedPoset, _Cuboid, build_chain_poset, build_cuboid, build_hypercube, product,
+    GradedPoset, _Cuboid, build_chain_poset, build_cuboid, build_hypercube, cuboid_shape,
+    product,
 )
 from scdkit.search import SearchConfig, enumerate_scds
 
@@ -160,7 +161,7 @@ def test_scd_equality_ignores_chain_order_and_notes():
 
 
 def test_decompositions_of_equal_cuboids_compare_without_tables(monkeypatch):
-    a, b = generate(6, 3), generate.__wrapped__(6, 3)
+    a, b = generate(6, 3), generate(6, 3)
     fresh = SCD(_Cuboid(6, 3), b.chains, b.notes)
     generic = SCD(product(build_hypercube(6), build_chain_poset(3)), tuple(reversed(b.chains)))
     other = generate(6, 4)
@@ -285,7 +286,7 @@ def _mutate(data, host, chains: list[list]) -> None:
     elif kind == "replace":
         ch[j] = data.draw(st.sampled_from([e for e in host.elements if e != ch[j]]))
     elif kind == "foreign":
-        k = host.chain_factor[0].hypercube_k
+        k, _ = cuboid_shape(host)
         ch[j] = data.draw(st.sampled_from([(1 << k, 0), (0, host.chain_factor[1]), (0, -1)]))
     elif kind == "move":
         # into another chain, or into a new chain of its own

@@ -11,6 +11,7 @@ from scdkit import chains
 from scdkit.cli import run
 from scdkit.constructions import generate, shift
 from scdkit.data_io import builtin_table, parse_scd, serialize_scd
+from scdkit.posets import cuboid_shape
 
 
 def invoke(capsys, *argv):
@@ -126,7 +127,7 @@ def test_lift_adds_dimensions(tmp_path, capsys):
     )
     assert code == 0
     lifted = parse_scd(out.read_text())
-    assert lifted.host.chain_factor[0].hypercube_k == 6
+    assert cuboid_shape(lifted.host) == (6, 3)
     code, txt, _ = invoke(capsys, "validate", str(out), "--require-nontaut")
     assert code == 0
 
@@ -155,12 +156,6 @@ def test_search_budget_inconclusive_exit_code(capsys):
     code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3", "--budget", "7")
     assert code == 2
     assert "stopped (node-budget)" in out
-
-
-def test_search_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SCDKIT_NODE_BUDGET", "7")
-    code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3")
-    assert code == 2 and "node-budget" in out
 
 
 @pytest.mark.parametrize("option", [("--limit", "0"), ("--limit", "-3"), ("--budget", "-1")])

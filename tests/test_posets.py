@@ -247,10 +247,19 @@ def test_implicit_is_cover_rejects_non_covers():
     assert not cube.is_cover((0, 0), (1, 0)) and not cube.is_cover("a", 1)
 
 
+
+def test_is_cover_refuses_a_foreign_spelling_of_a_member():
+    # (0, 1.0) == (0, 1) and 1.0 == 1, but neither is a member.
+    host, cube = build_cuboid(2, 3), build_hypercube(3)
+    assert host.is_cover((0, 0), (0, 1)) and cube.is_cover(0, 1)
+    assert not host.is_cover((0, 0), (0, 1.0)) and not host.is_cover((0, 0), (1.0, 0))
+    assert not cube.is_cover(0, 1.0)
+
+
 def test_cuboid_chain_factor_recorded():
     host = build_cuboid(5, 3)
     base, n = host.chain_factor
-    assert n == 3 and base.hypercube_k == 5
+    assert n == 3 and cuboid_shape(host) == (5, 3)
 
 
 def test_cuboid_shape_names_every_hypercube_by_chain_host():
@@ -402,5 +411,6 @@ def test_oversized_posets_are_refused_before_allocation(call):
 
 def test_the_module_caches_are_bounded():
     # A long-lived process that builds many hosts must not keep them all.
-    for cached in (build_cuboid, constructions.generate, data_io._token_memo):
+    for cached in (build_cuboid, data_io._token_memo):
         assert cached.cache_info().maxsize is not None
+    assert constructions.generate(6, 3) is not constructions.generate(6, 3)

@@ -12,6 +12,7 @@ from scdkit.posets import (
     build_chain_poset,
     build_cuboid,
     build_hypercube,
+    cuboid_shape,
     poset_times_chain,
     product,
 )
@@ -279,7 +280,7 @@ def test_exists_rejects_bad_arguments():
 def _digest(found) -> str:
     """sha256 over the found decompositions, as documents where the host is
     a cuboid and as chain tuples otherwise."""
-    docs = [serialize_scd(s) if s.host.chain_factor[0].hypercube_k is not None
+    docs = [serialize_scd(s) if cuboid_shape(s.host) is not None
             else f"{s.chains!r}\n" for s in found]
     return hashlib.sha256("".join(docs).encode()).hexdigest()
 
