@@ -30,15 +30,24 @@ builds no table of the host:
   the last of them, ``ch[z] = (p, 0)``: a saturated chain from
   ``(p, 0)`` to ``(p, n - 1)`` climbs the column of ``p``.
 
-A decomposition that fails any of these, and any decomposition of
-another host, goes through the diagnostic pass, which writes every
-message.  On a hypercube-by-chain host whose elements are all tuples,
-it checks membership and ``is_cover`` element by element only on the
-chains that fail the same test (or repeat an element), since a chain of
-distinct elements that climbs holds neither a foreign element nor a
-non-cover step.  So a report, messages included, does not depend on
-which path computed it.  An element that is no pair of ints is foreign;
-it is reported, never raised on.
+The verdict tests every chain and records the ones that fail.  When
+the lengths sum to the host's size, the elements are distinct tuples
+and each failing chain holds only members, the chains partition the
+host, and a failing chain is exactly one with a non-cover step or an
+asymmetric span (or an empty one): the verdict then writes the messages
+of just the failing chains, and adds their taut ones to those the scan
+found.  A cross-chain swap of two elements of different ranks is such a
+failure.
+
+Any other failure, and any decomposition of another host, goes through
+the full diagnostic pass, which writes every message.  On a
+hypercube-by-chain host whose elements are all tuples, it checks
+membership and ``is_cover`` element by element only on the chains that
+fail the same test (or repeat an element), since a chain of distinct
+elements that climbs holds neither a foreign element nor a non-cover
+step.  So a report, messages included, does not depend on which path
+computed it.  An element that is no pair of ints is foreign; it is
+reported, never raised on.
 """
 
 from __future__ import annotations
@@ -178,37 +187,66 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
     for every finding (see the module doc for how the verdict is reached)."""
     chains = tuple(tuple(ch) for ch in (scd.chains if isinstance(scd, SCD) else scd))
     if cuboid_shape(host) is not None:
-        taut = _cuboid_taut_indices(host, chains)
-        if taut is not None:
-            return ValidationReport(
-                is_partition=True, all_symmetric=True,
-                taut_chain_indices=taut, chain_count=len(chains),
-            )
+        report = _cuboid_verdict(host, chains)
+        if report is not None:
+            return report
     return _diagnose(host, chains)
 
 
 _level = itemgetter(1)
 
 
-def _cuboid_taut_indices(host: GradedPoset, chains: tuple[Chain, ...]) -> tuple[int, ...] | None:
-    """The taut chains of a valid decomposition of a hypercube-by-chain
-    host, or None when ``chains`` is not a valid decomposition of it."""
+def _cuboid_verdict(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport | None:
+    """The report on ``chains`` over a hypercube-by-chain host when they
+    hold distinct members, as many as the host's, and every chain but
+    those that fail the saturation test climbs; None otherwise, for the
+    full diagnostic pass."""
     k, n = cuboid_shape(host)
     size = len(host)
     if sum(map(len, chains)) != size or not _tuples_only(chains):
         return None
     rk, width = host.rk, 1 << k
-    taut = []
+    taut, failing = [], []
     for i, ch in enumerate(chains):
         if not _climbs(ch, n, width, rk):
-            return None
-        if ch[0][1] == 0:
+            failing.append(i)
+        elif ch[0][1] == 0:
             z = bisect_right(ch, 0, key=_level) - 1
             if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
                 taut.append(i)
+    member = host.__contains__
+    if not all(all(map(member, chains[i])) for i in failing):
+        return None
     if len(set(concat.from_iterable(chains))) != size:
         return None
-    return tuple(taut)
+    if not failing:
+        return ValidationReport(
+            is_partition=True, all_symmetric=True,
+            taut_chain_indices=tuple(taut), chain_count=len(chains),
+        )
+    # The chains partition the host, and only the failing ones can hold a
+    # non-cover step or span ranks asymmetrically: diagnose just those.
+    messages: list[str] = []
+    is_partition = all_symmetric = True
+    for i in failing:
+        ch = chains[i]
+        if not ch:
+            messages.append(f"chain {i}: empty")
+            is_partition = False
+            continue
+        if not _covers_reported(host, i, ch, messages):
+            is_partition = False
+        if not _symmetric_reported(host, i, ch, messages):
+            all_symmetric = False
+        if is_taut(ch, n):
+            taut.append(i)
+    return ValidationReport(
+        is_partition=is_partition,
+        all_symmetric=all_symmetric,
+        taut_chain_indices=tuple(sorted(taut)),
+        chain_count=len(chains),
+        messages=tuple(messages),
+    )
 
 
 def _tuples_only(chains: tuple[Chain, ...]) -> bool:
@@ -249,7 +287,6 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
     messages: list[str] = []
     is_partition = True
     all_symmetric = True
-    rank, rk = host.rank_of, host.rk
     shape = cuboid_shape(host)
     shortcut = shape is not None and _tuples_only(chains)
 
@@ -262,7 +299,7 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
             continue
         # A chain of distinct elements that climbs holds no foreign
         # element and no non-cover step.
-        if not (shortcut and _climbs(ch, shape[1], 1 << shape[0], rk)
+        if not (shortcut and _climbs(ch, shape[1], 1 << shape[0], host.rk)
                 and len(set(ch)) == len(ch)):
             foreign = [e for e in ch if e not in host]
             if foreign:
@@ -270,15 +307,9 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
                 is_partition = False
                 alien.add(i)
                 continue
-            bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
-            if bad:
-                messages.append(f"chain {i}: non-cover steps {bad!r}")
+            if not _covers_reported(host, i, ch, messages):
                 is_partition = False
-        lo, hi = rank(ch[0]), rank(ch[-1])
-        if lo + hi != rk:
-            messages.append(
-                f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {rk}/2"
-            )
+        if not _symmetric_reported(host, i, ch, messages):
             all_symmetric = False
         for e in ch:
             if e in seen:
@@ -304,3 +335,20 @@ def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
         messages=tuple(messages),
     )
 
+
+def _covers_reported(host: GradedPoset, i: int, ch: Chain, messages: list[str]) -> bool:
+    """Whether every step of chain ``i``, of members, is a cover; appends
+    the finding when not."""
+    bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
+    if bad:
+        messages.append(f"chain {i}: non-cover steps {bad!r}")
+    return not bad
+
+
+def _symmetric_reported(host: GradedPoset, i: int, ch: Chain, messages: list[str]) -> bool:
+    """Whether nonempty chain ``i``, of members, spans ranks symmetric
+    about the middle; appends the finding when not."""
+    lo, hi = host.rank_of(ch[0]), host.rank_of(ch[-1])
+    if lo + hi != host.rk:
+        messages.append(f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {host.rk}/2")
+    return lo + hi == host.rk

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .chains import SCD, ValidationReport, canonical_chain_order
@@ -212,15 +213,20 @@ def _restretch(scd: SCD, m: int, coords) -> list[tuple]:
     base, n = scd.host.chain_factor
     rk, lift = base.rk, m - n
     rank_in, rank_p = scd.host.rank_of, base.rank_of
-    rows = range(rk, m)
     chains = []
     for ch, p in zip(scd.chains, coords):
         r0 = rank_in(ch[0])
-        out = ch[:max(rk - r0, 0)] + tuple([(p, y - rank_p(p)) for y in rows])
+        out = ch[:max(rk - r0, 0)]
+        if m > rk:  # the run over p climbs from total rank rk to m - 1
+            h = rank_p(p)
+            out += tuple([(p, c) for c in range(rk - h, m - h)])
         out += tuple([(q, c + lift) for q, c in ch[max(n - r0, 0):]])
         if out:
             chains.append(out)
     return chains
+
+
+_base = itemgetter(0)
 
 
 def shift(scd: SCD, m: int) -> SCD:
@@ -246,7 +252,7 @@ def shift(scd: SCD, m: int) -> SCD:
     coords = []
     for ch in scd.chains:
         r0 = rank_in(ch[0])
-        column = {p for p, _ in ch[max(rk - r0, 0):max(n - r0, 0)]}
+        column = set(map(_base, ch[max(rk - r0, 0):max(n - r0, 0)]))
         if len(column) != 1:
             raise ConstructionError(
                 f"shift input corrupted: chain {ch!r} is not vertical across the middle block"

@@ -16,19 +16,32 @@ leftmost digit.  Bits and levels are ASCII digits, and a header number
 or level has at most ``MAX_DIGITS`` significant digits.  Output is 7-bit
 text with bare newlines, so identical inputs serialize to identical bytes.
 
-Parsing keeps one memo per host ``(k, n)``, mapping each token spelling
-already seen to its element, so a repeated spelling costs one dict
-lookup.  It is sound because it only ever holds tokens the full token
-parser accepted, each under the host it was accepted for: a miss runs
-that parser, and its result is recorded only after it returns, so a
-rejected token is never recorded.  The memo fills from the input alone
-and stops growing at ``len(host)`` entries, so its memory stays
-proportional to the documents parsed and bounded by the host.
+Serializing and parsing share one table per host ``(k, n)`` of the
+canonical spelling of every base and every level (``_spellings``).
+
+Parsing keeps one memo per host, mapping token spellings to elements,
+so a line costs one dict lookup per token, mapped over the whole line;
+a line with a miss takes the token-by-token path.  The memo holds only
+tokens that the full token parser accepts, each under its own host:
+
+* a document at least ``len(host) * (k + 2)`` characters long, long
+  enough to spell every element, replaces a memo that is not yet full
+  by the canonical spelling of every element, which the parser accepts
+  as the same element;
+* otherwise a miss runs the full parser, and its result is recorded
+  only after it returns, so a rejected token is never recorded.
+
+The memo stops growing at ``len(host)`` entries, so its memory stays
+bounded by the host, and it holds a table of the host only after a
+document as long as one, so parsing a short document of a huge host
+allocates nothing per element.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count
+from operator import itemgetter
 
 from .chains import SCD
 from .posets import MAX_HOST_ELEMENTS, GradedPoset, build_cuboid, cuboid_shape, packet_grid
@@ -96,6 +109,33 @@ def _token_memo(k: int, n: int) -> dict[str, tuple[int, int]]:
     return {}
 
 
+@lru_cache(maxsize=16)
+def _spellings(k: int, n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The canonical spelling of every base of P(k, n), indexed by its
+    bits (in the general form with its commas and semicolon), and of
+    every level: element ``(b, c)`` is spelled ``bases[b] + levels[c]``."""
+    bases = [""]
+    for _ in range(k):  # each pass prepends the next higher bit
+        bases = ["0" + s for s in bases] + ["1" + s for s in bases]
+    if n > COMPACT_LEVEL_LIMIT:
+        bases = [",".join(s) + ";" for s in bases]
+    return tuple(bases), tuple(str(c) for c in range(n))
+
+
+def _parse_tokens(tokens: list[str], memo: dict, size: int, k: int, n: int) -> tuple:
+    """The elements of one line's tokens: memo hits, and the full token
+    parser for the rest, recording what it accepts while the memo holds
+    fewer than ``size`` entries."""
+    elems = list(map(memo.get, tokens))
+    for i, token in enumerate(tokens):
+        if elems[i] is None:
+            parse = _parse_general if ";" in token else _parse_compact
+            elems[i] = parse(token, k, n)
+            if len(memo) < size:
+                memo[token] = elems[i]
+    return tuple(elems)
+
+
 def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     """Parse a decomposition document into an SCD over ``build_cuboid(k, n)``.
 
@@ -131,27 +171,33 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     host = build_cuboid(k, n)
     memo = _token_memo(k, n)
     size = len(host)
-    rank = host.rank_of
+    # A document long enough to spell every element (k + 2 characters
+    # each, the shortest canonical token and its separator) replaces a
+    # memo not yet full by every canonical spelling, so the memo's memory
+    # stays bounded by the input and by the host.
+    if len(memo) < size and len(text) >= size * (k + 2):
+        bases, levels = _spellings(k, n)
+        memo.clear()
+        memo.update(
+            (base + level, (b, c))
+            for b, base in enumerate(bases) for c, level in enumerate(levels)
+        )
+    get = memo.__getitem__
     chains = []
     for line in lines:
         tokens = line.split()
-        elems = list(map(memo.get, tokens))
-        if None in elems:
-            for i, token in enumerate(tokens):
-                if elems[i] is None:
-                    parse = _parse_general if ";" in token else _parse_compact
-                    elems[i] = parse(token, k, n)
-                    if len(memo) < size:
-                        memo[token] = elems[i]
-        if not elems:
-            continue
-        # Top-down iff the ranks never rise; only then can the first rank
-        # be at least the last.
-        if len(elems) > 1 and rank(elems[0]) >= rank(elems[-1]):
-            ranks = [rank(e) for e in elems]
+        try:
+            chains.append(tuple([*map(get, tokens)]))
+        except KeyError:
+            chains.append(_parse_tokens(tokens, memo, size, k, n))
+    # Top-down iff the ranks never rise; only then can the first rank be
+    # at least the last.  Reversing a one-element chain changes nothing.
+    first, last = itemgetter(0), itemgetter(-1)
+    for i, (b, c), (b2, c2) in zip(count(), map(first, chains), map(last, chains)):
+        if b.bit_count() + c >= b2.bit_count() + c2:
+            ranks = [bits.bit_count() + level for bits, level in chains[i]]
             if ranks == sorted(ranks, reverse=True):
-                elems.reverse()
-        chains.append(tuple(elems))
+                chains[i] = chains[i][::-1]
     return SCD(host, tuple(chains), notes)
 
 
@@ -159,12 +205,12 @@ def serialize_scd(scd: SCD) -> str:
     """Render an SCD over a cuboid host as a document (see module doc).
 
     The spelling of every base (its bits, and in the general form the
-    commas and the semicolon) and of every level is tabled once per call,
-    so an element costs two lookups and one concatenation.  Only members
-    of the host are spelled: a decomposition whose report already found
-    it valid holds nothing else, and any other is checked element by
-    element first, so a foreign element, which could index a table from
-    its end, raises ParseError instead.
+    commas and the semicolon) and of every level is tabled once per host
+    (``_spellings``), so an element costs two lookups and one
+    concatenation.  Only members of the host are spelled: a decomposition
+    whose report already found it valid holds nothing else, and any other
+    is checked element by element first, so a foreign element, which
+    could index a table from its end, raises ParseError instead.
     """
     host = scd.host
     shape = cuboid_shape(host)
@@ -175,12 +221,7 @@ def serialize_scd(scd: SCD) -> str:
         if foreign:
             raise ParseError(f"{host.label} has no element {foreign[0]!r}; only members serialize")
     k, n = shape
-    bases = [""]
-    for _ in range(k):  # each pass prepends the next higher bit
-        bases = ["0" + s for s in bases] + ["1" + s for s in bases]
-    if n > COMPACT_LEVEL_LIMIT:
-        bases = [",".join(s) + ";" for s in bases]
-    levels = [str(c) for c in range(n)]
+    bases, levels = _spellings(k, n)
     out = [f"# {host.label}", f"# chains: {scd.chain_count}"]
     out += [f"# note: {note}" for note in scd.notes]
     out.append(f"{k} {n}")

@@ -267,7 +267,9 @@ def _valid_documents() -> tuple[SCD, ...]:
     return tuple(docs)
 
 
-MUTATIONS = ("drop", "insert", "replace", "foreign", "move", "swap", "reverse")
+# "cross" swaps two elements of different ranks between two chains, as the
+# benchmark's mutated documents do: the elements stay distinct members.
+MUTATIONS = ("drop", "insert", "replace", "foreign", "move", "swap", "reverse", "cross")
 
 
 def _mutate(data, host, chains: list[list]) -> None:
@@ -279,6 +281,13 @@ def _mutate(data, host, chains: list[list]) -> None:
     j = data.draw(st.integers(0, len(ch) - 1))
     if kind in ("swap", "reverse") and len(ch) < 2:
         kind = "drop"
+    if kind == "cross":  # between members only: a generic host ranks no other element
+        rank = host.rank_of
+        others = [(t, u) for t, other in enumerate(chains) if t != i
+                  for u, e in enumerate(other)
+                  if e in host and rank(e) != rank(ch[j])] if ch[j] in host else []
+        if not others:
+            kind = "drop"
     if kind == "drop":
         del ch[j]
     elif kind == "insert":
@@ -299,6 +308,9 @@ def _mutate(data, host, chains: list[list]) -> None:
     elif kind == "swap":
         a, b = data.draw(st.lists(st.integers(0, len(ch) - 1), min_size=2, max_size=2, unique=True))
         ch[a], ch[b] = ch[b], ch[a]
+    elif kind == "cross":
+        t, u = data.draw(st.sampled_from(others))
+        ch[j], chains[t][u] = chains[t][u], ch[j]
     else:
         ch.reverse()
 
@@ -317,3 +329,20 @@ def test_the_verdict_matches_the_diagnostic_pass(data, mutations):
         assert report.valid
     if mutations == 1:
         assert not report.valid
+
+
+def test_chains_that_only_fail_the_saturation_test_are_diagnosed_alone(monkeypatch):
+    # A cross-chain swap keeps the elements distinct members, so only the
+    # two chains it breaks are diagnosed; the report is the full pass's.
+    scd = generate(6, 4)
+    rows = [list(ch) for ch in scd.chains]
+    rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
+    mutant = tuple(map(tuple, rows))
+    expected = _diagnose(scd.host, mutant)
+    assert not expected.valid and expected.messages
+
+    def full_pass(*args):
+        raise AssertionError("the full diagnostic pass ran")
+
+    monkeypatch.setattr(chains, "_diagnose", full_pass)
+    assert validate_scd(scd.host, mutant) == expected

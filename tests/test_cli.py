@@ -300,6 +300,19 @@ def test_huge_hosts_fail_fast(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr
 
 
+def test_a_short_document_of_the_largest_host_is_validated_within_memory(tmp_path):
+    # P(17,8) has 2^20 elements, the most admitted.  A one-line document is
+    # too short to spell them all, so its parse must not table their
+    # spellings, which would not fit under the limit.
+    doc = tmp_path / "p17_8.scd"
+    doc.write_text("17 8\n" + "0" * 17 + "0 " + "0" * 17 + "1\n")
+    proc = run_limited(1 << 27, ["validate", str(doc)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("1 chains, 0 taut\n")
+    assert proc.stdout.endswith("finding: 1048574 elements of P(17,8) uncovered\n")
+
+
 # The largest admitted host: a search must stop at its budget, or at the
 # cover's row limit, before it allocates anything per element.  With
 # neither --limit nor --out a search counts instead of enumerating.

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +10,7 @@ from scdkit import cli, posets
 from scdkit.chains import SCD, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import (
+    COMPACT_LEVEL_LIMIT,
     ParseError,
     _token_memo,
     builtin_table,
@@ -311,6 +313,64 @@ def test_parsing_permuted_shuffled_documents(k, n, data):
     expected = permute_scd(s, perm)
     for _ in range(2):
         assert parse_scd("\n".join([header, *lines])) == expected
+
+
+@lru_cache(maxsize=None)
+def _differential_source(k: int, n: int) -> SCD:
+    if k == 0:  # P(0, n) is one chain
+        return SCD(build_cuboid(0, n), (tuple((0, c) for c in range(n)),))
+    return generate(k, n)
+
+
+def _spell(e: tuple[int, int], k: int, general: bool, pad: int = 0) -> str:
+    bits = format(e[0], f"0{k}b") if k else ""
+    level = "0" * pad + str(e[1])
+    return ",".join(bits) + ";" + level if general else bits + level
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(shape=st.sampled_from([(5, 4), (5, 12), (0, 4), (0, 12)]), data=st.data())
+def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
+    # Bit-permuted documents, some lines top-down and some tokens in a
+    # non-canonical spelling, parse alike from a cold memo (which a whole
+    # document seeds), a seeded one, and ones filled by earlier documents.
+    k, n = shape
+    rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
+    scd = _differential_source(k, n)
+    if k:
+        scd = permute_scd(scd, data.draw(st.permutations(range(k)), label="perm"))
+    chains = list(scd.chains)
+    rnd.shuffle(chains)
+    general = n > COMPACT_LEVEL_LIMIT
+
+    def odd(e):  # a non-canonical spelling
+        return _spell(e, k, True, rnd.randint(1, 2) if general else rnd.randint(0, 2))
+
+    lines = []
+    for ch in chains:
+        tokens = [odd(e) if rnd.random() < 0.3 else _spell(e, k, general) for e in ch]
+        lines.append(" ".join(tokens[::-1] if rnd.random() < 0.5 else tokens))
+    doc = "\n".join(["# note: differential", f"{k} {n}", *lines]) + "\n"
+    expected = (tuple(chains), ("differential",))
+    memo, size = _token_memo(k, n), len(scd.host)
+
+    def parsed():
+        got = parse_scd(doc)
+        assert len(memo) <= size
+        return got.chains, got.notes
+
+    memo.clear()
+    assert parsed() == expected  # cold
+    assert parsed() == expected  # seeded
+    memo.clear()
+    for line in lines:
+        parse_scd(line, k, n)
+    assert parsed() == expected  # filled line by line
+    memo.clear()
+    for e in scd.host.elements:
+        parse_scd(odd(e), k, n)
+    assert len(memo) == size
+    assert parsed() == expected  # full of non-canonical spellings
 
 
 ASCII = st.text(st.characters(max_codepoint=127))
