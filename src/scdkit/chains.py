@@ -9,19 +9,18 @@ full vertical run ``(p, 0) < (p, 1) < ... < (p, n-1)`` for some base
 element ``p``.  Those runs are what the constructions in this package
 are engineered to avoid.
 
-``validate_scd`` reaches its verdict first and explains only failures.
-On a hypercube-by-chain host, whose elements are ``(bits, level)``
-pairs, the verdict takes one saturation test per chain and one set, and
-builds no table of the host:
+``validate_scd`` makes one pass over the chains and writes a message
+for every finding.  On a hypercube-by-chain host, whose elements are
+``(bits, level)`` pairs, and when every element is a tuple, each chain
+first takes one saturation test, and the pass builds no table of the
+host:
 
-* every element is a tuple and every chain *climbs* the host: it is
-  nonempty, its ends are in range (bits below ``2^k``, levels below
-  ``n``, none negative), no step clears a bit or raises the level by
-  more than one (ints only), it holds ``rank(last) - rank(first) + 1``
-  elements and those two ranks sum to ``rk``.  Each element then lies
-  between its chain's ends, so it is a member;
-* the lengths sum to the host's size and the elements are distinct, so
-  the chains hold every member exactly once: they partition the host;
+* a chain *climbs* the host when it is nonempty, its ends are in range
+  (bits below ``2^k``, levels below ``n``, none negative), no step
+  clears a bit or raises the level by more than one (ints only), it
+  holds ``rank(last) - rank(first) + 1`` elements and those two ranks
+  sum to ``rk``.  Each element then lies between its chain's ends, so
+  it is a member;
 * a chain of distinct members that climbs is saturated and symmetric:
   each step is strictly upward, raising the rank by at least one, and
   the length leaves room for exactly one per step, which is a cover;
@@ -30,24 +29,14 @@ builds no table of the host:
   the last of them, ``ch[z] = (p, 0)``: a saturated chain from
   ``(p, 0)`` to ``(p, n - 1)`` climbs the column of ``p``.
 
-The verdict tests every chain and records the ones that fail.  When
-the lengths sum to the host's size, the elements are distinct tuples
-and each failing chain holds only members, the chains partition the
-host, and a failing chain is exactly one with a non-cover step or an
-asymmetric span (or an empty one): the verdict then writes the messages
-of just the failing chains, and adds their taut ones to those the scan
-found.  A cross-chain swap of two elements of different ranks is such a
-failure.
-
-Any other failure, and any decomposition of another host, goes through
-the full diagnostic pass, which writes every message.  On a
-hypercube-by-chain host whose elements are all tuples, it checks
-membership and ``is_cover`` element by element only on the chains that
-fail the same test (or repeat an element), since a chain of distinct
-elements that climbs holds neither a foreign element nor a non-cover
-step.  So a report, messages included, does not depend on which path
-computed it.  An element that is no pair of ints is foreign; it is
-reported, never raised on.
+Every other chain, and every chain of another host, is checked element
+by element: membership, then ``is_cover`` per step, symmetry and
+``is_taut``.  One set over all elements tells whether they are
+distinct; when they are, the chains with no foreign element cover as
+many members as they hold, with no table of used elements.  Otherwise
+a dict records the last chain that used each element, to name every
+repeat.  An element that is no pair of ints is foreign;
+it is reported, never raised on.
 """
 
 from __future__ import annotations
@@ -184,69 +173,71 @@ class ValidationReport(NamedTuple):
 
 def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> ValidationReport:
     """Partition, per-chain shape, symmetry and tautness, with a message
-    for every finding (see the module doc for how the verdict is reached)."""
+    for every finding, in one pass over the chains (see the module doc)."""
     chains = tuple(tuple(ch) for ch in (scd.chains if isinstance(scd, SCD) else scd))
-    if cuboid_shape(host) is not None:
-        report = _cuboid_verdict(host, chains)
-        if report is not None:
-            return report
-    return _diagnose(host, chains)
-
-
-_level = itemgetter(1)
-
-
-def _cuboid_verdict(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport | None:
-    """The report on ``chains`` over a hypercube-by-chain host when they
-    hold distinct members, as many as the host's, and every chain but
-    those that fail the saturation test climbs; None otherwise, for the
-    full diagnostic pass."""
-    k, n = cuboid_shape(host)
-    size = len(host)
-    if sum(map(len, chains)) != size or not _tuples_only(chains):
-        return None
-    rk, width = host.rk, 1 << k
-    taut, failing = [], []
-    for i, ch in enumerate(chains):
-        if not _climbs(ch, n, width, rk):
-            failing.append(i)
-        elif ch[0][1] == 0:
-            z = bisect_right(ch, 0, key=_level) - 1
-            if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
-                taut.append(i)
-    member = host.__contains__
-    if not all(all(map(member, chains[i])) for i in failing):
-        return None
-    if len(set(concat.from_iterable(chains))) != size:
-        return None
-    if not failing:
-        return ValidationReport(
-            is_partition=True, all_symmetric=True,
-            taut_chain_indices=tuple(taut), chain_count=len(chains),
-        )
-    # The chains partition the host, and only the failing ones can hold a
-    # non-cover step or span ranks asymmetrically: diagnose just those.
+    shape = cuboid_shape(host)
+    climbing = shape is not None and _tuples_only(chains)  # else every element is checked
+    if climbing:
+        width, n = 1 << shape[0], shape[1]
+    covered = sum(map(len, chains))  # less the chains with a foreign element
+    try:
+        distinct = len(set(concat.from_iterable(chains))) == covered
+    except Exception:  # an element with no hash, which is foreign
+        distinct = False
     messages: list[str] = []
     is_partition = all_symmetric = True
-    for i in failing:
-        ch = chains[i]
+    taut: list[int] = []
+    seen: dict[Element, int] = {}
+    for i, ch in enumerate(chains):
         if not ch:
             messages.append(f"chain {i}: empty")
             is_partition = False
             continue
-        if not _covers_reported(host, i, ch, messages):
-            is_partition = False
-        if not _symmetric_reported(host, i, ch, messages):
-            all_symmetric = False
-        if is_taut(ch, n):
-            taut.append(i)
+        if climbing and _climbs(ch, n, width, host.rk) and (distinct or len(set(ch)) == len(ch)):
+            # A saturated symmetric chain of members; the level-0 elements
+            # come first, and it is taut iff it climbs the column of the last.
+            if ch[0][1] == 0:
+                z = bisect_right(ch, 0, key=_level) - 1
+                if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
+                    taut.append(i)
+        else:
+            foreign = [e for e in ch if e not in host]
+            if foreign:
+                messages.append(f"chain {i}: foreign elements {foreign!r}")
+                is_partition = False
+                covered -= len(ch)
+                continue
+            bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
+            if bad:
+                messages.append(f"chain {i}: non-cover steps {bad!r}")
+                is_partition = False
+            lo, hi = host.rank_of(ch[0]), host.rank_of(ch[-1])
+            if lo + hi != host.rk:
+                messages.append(
+                    f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {host.rk}/2")
+                all_symmetric = False
+            if host.chain_factor is not None and is_taut(ch, host.chain_factor[1]):
+                taut.append(i)
+        if not distinct:
+            for e in ch:
+                if e in seen:
+                    messages.append(f"chain {i}: {e!r} already used by chain {seen[e]}")
+                    is_partition = False
+                seen[e] = i
+    uncovered = len(host) - (covered if distinct else len(seen))
+    if uncovered:
+        messages.append(f"{uncovered} elements of {host.label} uncovered")
+        is_partition = False
     return ValidationReport(
         is_partition=is_partition,
         all_symmetric=all_symmetric,
-        taut_chain_indices=tuple(sorted(taut)),
+        taut_chain_indices=tuple(taut),
         chain_count=len(chains),
         messages=tuple(messages),
     )
+
+
+_level = itemgetter(1)
 
 
 def _tuples_only(chains: tuple[Chain, ...]) -> bool:
@@ -279,76 +270,3 @@ def _climbs(ch: Chain, n: int, width: int, rk: int) -> bool:
         return False
     return True
 
-
-def _diagnose(host: GradedPoset, chains: tuple[Chain, ...]) -> ValidationReport:
-    """The full diagnostic pass: every finding on every chain, with a
-    message for each (elements are checked one by one only in the chains
-    that need it; see the module doc)."""
-    messages: list[str] = []
-    is_partition = True
-    all_symmetric = True
-    shape = cuboid_shape(host)
-    shortcut = shape is not None and _tuples_only(chains)
-
-    seen: dict[Element, int] = {}
-    alien: set[int] = set()  # chains with a foreign element, which may be no (base, level) pair
-    for i, ch in enumerate(chains):
-        if not ch:
-            messages.append(f"chain {i}: empty")
-            is_partition = False
-            continue
-        # A chain of distinct elements that climbs holds no foreign
-        # element and no non-cover step.
-        if not (shortcut and _climbs(ch, shape[1], 1 << shape[0], host.rk)
-                and len(set(ch)) == len(ch)):
-            foreign = [e for e in ch if e not in host]
-            if foreign:
-                messages.append(f"chain {i}: foreign elements {foreign!r}")
-                is_partition = False
-                alien.add(i)
-                continue
-            if not _covers_reported(host, i, ch, messages):
-                is_partition = False
-        if not _symmetric_reported(host, i, ch, messages):
-            all_symmetric = False
-        for e in ch:
-            if e in seen:
-                messages.append(f"chain {i}: {e!r} already used by chain {seen[e]}")
-                is_partition = False
-            seen[e] = i
-    uncovered = len(host) - len(seen)
-    if uncovered:
-        messages.append(f"{uncovered} elements of {host.label} uncovered")
-        is_partition = False
-
-    taut: tuple[int, ...] = ()
-    if host.chain_factor is not None:
-        n = host.chain_factor[1]
-        taut = tuple(i for i, ch in enumerate(chains)
-                     if ch and i not in alien and is_taut(ch, n))
-
-    return ValidationReport(
-        is_partition=is_partition,
-        all_symmetric=all_symmetric,
-        taut_chain_indices=taut,
-        chain_count=len(chains),
-        messages=tuple(messages),
-    )
-
-
-def _covers_reported(host: GradedPoset, i: int, ch: Chain, messages: list[str]) -> bool:
-    """Whether every step of chain ``i``, of members, is a cover; appends
-    the finding when not."""
-    bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
-    if bad:
-        messages.append(f"chain {i}: non-cover steps {bad!r}")
-    return not bad
-
-
-def _symmetric_reported(host: GradedPoset, i: int, ch: Chain, messages: list[str]) -> bool:
-    """Whether nonempty chain ``i``, of members, spans ranks symmetric
-    about the middle; appends the finding when not."""
-    lo, hi = host.rank_of(ch[0]), host.rank_of(ch[-1])
-    if lo + hi != host.rk:
-        messages.append(f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {host.rk}/2")
-    return lo + hi == host.rk

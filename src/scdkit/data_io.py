@@ -22,19 +22,21 @@ canonical spelling of every base and every level (``_spellings``).
 Parsing keeps one memo per host, mapping token spellings to elements,
 so a line costs one dict lookup per token, mapped over the whole line;
 a line with a miss takes the token-by-token path.  The memo holds only
-tokens that the full token parser accepts, each under its own host:
+the canonical spelling of an element (the one the serializer writes),
+each under its own host:
 
 * a document at least ``len(host) * (k + 2)`` characters long, long
-  enough to spell every element, replaces a memo that is not yet full
-  by the canonical spelling of every element, which the parser accepts
-  as the same element;
+  enough to spell every element, fills a memo that is not yet full with
+  the canonical spelling of every element, which the parser accepts as
+  the same element;
 * otherwise a miss runs the full parser, and its result is recorded
-  only after it returns, so a rejected token is never recorded.
+  only after it returns and only for a canonical spelling, so a
+  rejected token or another spelling is never recorded.
 
-The memo stops growing at ``len(host)`` entries, so its memory stays
-bounded by the host, and it holds a table of the host only after a
-document as long as one, so parsing a short document of a huge host
-allocates nothing per element.
+So the memo never holds more than ``len(host)`` entries, and a full
+memo is exactly the table of every canonical spelling.  It holds that
+table only after a document as long as one, so parsing a short document
+of a huge host allocates nothing per element.
 """
 
 from __future__ import annotations
@@ -122,17 +124,18 @@ def _spellings(k: int, n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(bases), tuple(str(c) for c in range(n))
 
 
-def _parse_tokens(tokens: list[str], memo: dict, size: int, k: int, n: int) -> tuple:
+def _parse_tokens(tokens: list[str], memo: dict, k: int, n: int) -> tuple:
     """The elements of one line's tokens: memo hits, and the full token
-    parser for the rest, recording what it accepts while the memo holds
-    fewer than ``size`` entries."""
+    parser for the rest, recording each token it accepts that is its
+    element's canonical spelling: a compact one when n <= 10, and
+    otherwise one whose level has no leading zero."""
     elems = list(map(memo.get, tokens))
     for i, token in enumerate(tokens):
         if elems[i] is None:
-            parse = _parse_general if ";" in token else _parse_compact
-            elems[i] = parse(token, k, n)
-            if len(memo) < size:
-                memo[token] = elems[i]
+            general = ";" in token
+            elems[i] = e = (_parse_general if general else _parse_compact)(token, k, n)
+            if not general or n > COMPACT_LEVEL_LIMIT and token.endswith(f";{e[1]}"):
+                memo[token] = e
     return tuple(elems)
 
 
@@ -172,12 +175,11 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     memo = _token_memo(k, n)
     size = len(host)
     # A document long enough to spell every element (k + 2 characters
-    # each, the shortest canonical token and its separator) replaces a
-    # memo not yet full by every canonical spelling, so the memo's memory
+    # each, the shortest canonical token and its separator) fills a memo
+    # not yet full with every canonical spelling, so the memo's memory
     # stays bounded by the input and by the host.
     if len(memo) < size and len(text) >= size * (k + 2):
         bases, levels = _spellings(k, n)
-        memo.clear()
         memo.update(
             (base + level, (b, c))
             for b, base in enumerate(bases) for c, level in enumerate(levels)
@@ -189,7 +191,7 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
         try:
             chains.append(tuple([*map(get, tokens)]))
         except KeyError:
-            chains.append(_parse_tokens(tokens, memo, size, k, n))
+            chains.append(_parse_tokens(tokens, memo, k, n))
     # Top-down iff the ranks never rise; only then can the first rank be
     # at least the last.  Reversing a one-element chain changes nothing.
     first, last = itemgetter(0), itemgetter(-1)

@@ -18,7 +18,7 @@ host of 2^15 elements costs a few hundred bytes.  The tables ``rank``,
 that enumerate elements (the surgery on small bases, structural
 equality, the search of a generic host).  ``rank_of`` is the
 per-element rank read: a dict lookup on generic posets,
-``bits.bit_count() + level`` on cuboids, which the cuboid verdict of
+``bits.bit_count() + level`` on cuboids, which the saturation test of
 ``validate_scd`` computes inline from the chain ends it unpacks.
 
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``

@@ -3,12 +3,14 @@
 Deliberately naive and separate from the library's search engine: these
 enumerate decompositions by exact cover over the explicit list of all
 saturated symmetric chains, so agreement with the library is a real
-cross-check rather than the same algorithm twice.
+cross-check rather than the same algorithm twice.  Likewise
+``diagnose_by_elements`` validates a decomposition element by element,
+with none of the shortcuts of ``validate_scd``.
 """
 
 from itertools import product as iproduct
 
-from scdkit.chains import SCD
+from scdkit.chains import SCD, ValidationReport, is_taut
 from scdkit.posets import cuboid_shape
 
 
@@ -102,6 +104,57 @@ def has_full_column(chain, n):
     """True iff ``chain`` holds every level of some base point, by membership."""
     members = set(chain)
     return any(all((p, c) in members for c in range(n)) for p, _ in chain)
+
+
+def diagnose_by_elements(host, chains):
+    """The report ``validate_scd`` owes ``chains``, from checks element by
+    element alone: membership, ``is_cover`` per step, rank symmetry, a
+    dict of used elements, and ``is_taut`` on every nonempty chain with no
+    foreign element.  No saturation test and no shortcut for any host."""
+    chains = tuple(tuple(ch) for ch in chains)
+    messages = []
+    is_partition = all_symmetric = True
+    seen = {}
+    alien = set()
+    for i, ch in enumerate(chains):
+        if not ch:
+            messages.append(f"chain {i}: empty")
+            is_partition = False
+            continue
+        foreign = [e for e in ch if e not in host]
+        if foreign:
+            messages.append(f"chain {i}: foreign elements {foreign!r}")
+            is_partition = False
+            alien.add(i)
+            continue
+        bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
+        if bad:
+            messages.append(f"chain {i}: non-cover steps {bad!r}")
+            is_partition = False
+        lo, hi = host.rank_of(ch[0]), host.rank_of(ch[-1])
+        if lo + hi != host.rk:
+            messages.append(f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {host.rk}/2")
+            all_symmetric = False
+        for e in ch:
+            if e in seen:
+                messages.append(f"chain {i}: {e!r} already used by chain {seen[e]}")
+                is_partition = False
+            seen[e] = i
+    uncovered = len(host) - len(seen)
+    if uncovered:
+        messages.append(f"{uncovered} elements of {host.label} uncovered")
+        is_partition = False
+    taut = ()
+    if host.chain_factor is not None:
+        n = host.chain_factor[1]
+        taut = tuple(i for i, ch in enumerate(chains) if ch and i not in alien and is_taut(ch, n))
+    return ValidationReport(
+        is_partition=is_partition,
+        all_symmetric=all_symmetric,
+        taut_chain_indices=taut,
+        chain_count=len(chains),
+        messages=tuple(messages),
+    )
 
 
 def enumerate_grid_cells(a, b):

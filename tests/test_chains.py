@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdkit import chains
-from scdkit.chains import SCD, _diagnose, is_taut, validate_scd
+from scdkit.chains import SCD, is_taut, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
 from scdkit.posets import (
@@ -14,7 +14,7 @@ from scdkit.posets import (
 )
 from scdkit.search import SearchConfig, enumerate_scds
 
-from oracles import middle_rank_bound_holds, middle_rank_size, permute_scd
+from oracles import diagnose_by_elements, middle_rank_bound_holds, middle_rank_size, permute_scd
 
 
 def _chain_findings(host, chain):
@@ -213,8 +213,8 @@ def test_a_report_reads_as_before():
     )
 
 
-# The verdict on a cuboid host is reached without is_cover (see the chains
-# module doc); these decompositions are exact partitions into symmetric
+# A chain of a cuboid host that climbs is judged without is_cover (see the
+# chains module doc); these decompositions are exact partitions into symmetric
 # chains that break exactly one of the other tests it relies on.
 def test_a_chain_that_skips_a_rank_is_invalid_in_an_exact_partition():
     # (0,0) < (1,1) ascends componentwise; rank 1 is covered by singletons.
@@ -237,8 +237,8 @@ def test_a_step_that_lowers_the_level_is_invalid_even_when_the_rank_climbs():
 
 
 # Exact counts of symmetric chains that ascend, each missing one member for
-# an element just out of range or for a repeat; the messages are the
-# diagnostic pass's with every step checked by is_cover.
+# an element just out of range or for a repeat; the messages are those of
+# the checks element by element, with every step checked by is_cover.
 @pytest.mark.parametrize("k, n, chains, messages", [
     (1, 2, [((1, -1), (1, 0), (1, 1)), ((0, 1),)],
      ("chain 0: foreign elements [(1, -1)]", "3 elements of P(1,2) uncovered")),
@@ -269,7 +269,8 @@ def _valid_documents() -> tuple[SCD, ...]:
 
 # "cross" swaps two elements of different ranks between two chains, as the
 # benchmark's mutated documents do: the elements stay distinct members.
-MUTATIONS = ("drop", "insert", "replace", "foreign", "move", "swap", "reverse", "cross")
+# "empty" inserts an empty chain.
+MUTATIONS = ("drop", "insert", "replace", "foreign", "move", "swap", "reverse", "cross", "empty")
 
 
 def _mutate(data, host, chains: list[list]) -> None:
@@ -311,6 +312,8 @@ def _mutate(data, host, chains: list[list]) -> None:
     elif kind == "cross":
         t, u = data.draw(st.sampled_from(others))
         ch[j], chains[t][u] = chains[t][u], ch[j]
+    elif kind == "empty":
+        chains.insert(data.draw(st.integers(0, len(chains))), [])
     else:
         ch.reverse()
 
@@ -324,25 +327,34 @@ def test_the_verdict_matches_the_diagnostic_pass(data, mutations):
         _mutate(data, scd.host, chains)
     chains = tuple(tuple(ch) for ch in chains)
     report = validate_scd(scd.host, chains)
-    assert report == _diagnose(scd.host, chains)
+    assert report == diagnose_by_elements(scd.host, chains)
     if mutations == 0:
         assert report.valid
     if mutations == 1:
         assert not report.valid
 
 
-def test_chains_that_only_fail_the_saturation_test_are_diagnosed_alone(monkeypatch):
-    # A cross-chain swap keeps the elements distinct members, so only the
-    # two chains it breaks are diagnosed; the report is the full pass's.
+def test_is_cover_runs_only_on_the_chains_that_fail_the_saturation_test(monkeypatch):
+    # A cross-chain swap of two elements of different ranks breaks the two
+    # chains it touches, and a dropped element the chain it leaves; every
+    # other chain climbs, so none of its steps is asked for a cover.
     scd = generate(6, 4)
-    rows = [list(ch) for ch in scd.chains]
-    rows[0][0], rows[1][1] = rows[1][1], rows[0][0]
-    mutant = tuple(map(tuple, rows))
-    expected = _diagnose(scd.host, mutant)
-    assert not expected.valid and expected.messages
+    swapped = [list(ch) for ch in scd.chains]
+    swapped[0][0], swapped[1][1] = swapped[1][1], swapped[0][0]
+    longest = max(range(scd.chain_count), key=lambda i: len(scd.chains[i]))
+    dropped = [list(ch) for ch in scd.chains]
+    del dropped[longest][len(dropped[longest]) // 2]
+    cases = [(tuple(map(tuple, swapped)), (0, 1)), (tuple(map(tuple, dropped)), (longest,))]
+    expected = [diagnose_by_elements(scd.host, mutant) for mutant, _ in cases]
+    asked = []
+    is_cover = GradedPoset.is_cover
 
-    def full_pass(*args):
-        raise AssertionError("the full diagnostic pass ran")
+    def counting(host, a, b):
+        asked.append((a, b))
+        return is_cover(host, a, b)
 
-    monkeypatch.setattr(chains, "_diagnose", full_pass)
-    assert validate_scd(scd.host, mutant) == expected
+    monkeypatch.setattr(GradedPoset, "is_cover", counting)
+    for (mutant, broken), report in zip(cases, expected):
+        asked.clear()
+        assert validate_scd(scd.host, mutant) == report and not report.valid
+        assert asked == [step for i in broken for step in zip(mutant[i], mutant[i][1:])]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scdkit import cli, posets
+from scdkit import cli, data_io, posets
 from scdkit.chains import SCD, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import (
@@ -276,10 +276,13 @@ def test_the_memo_stops_at_the_host_size():
     scd = parse_scd("\n".join(spellings), 1, 2)
     assert {e for ch in scd.chains for e in ch} == set(host.elements)
     assert len(_token_memo(1, 2)) == len(host)
-    # A one-token document records one entry, not a table of the host.
-    _token_memo(4, 9).clear()
-    parse_scd("1,0,1,1;00000007", 4, 9)
-    assert _token_memo(4, 9) == {"1,0,1,1;00000007": (0b1011, 7)}
+    # A one-token document records one entry, not a table of the host, and
+    # only for the canonical spelling.
+    for n, other, canonical in [(9, "1,0,1,1;00000007", "10117"), (12, "1,0,1,1;07", "1,0,1,1;7")]:
+        _token_memo(4, n).clear()
+        parse_scd(other, 4, n)
+        parse_scd(canonical, 4, n)
+        assert _token_memo(4, n) == {canonical: (0b1011, 7)}
 
 
 def test_no_memo_outgrows_its_host():
@@ -369,8 +372,30 @@ def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
     memo.clear()
     for e in scd.host.elements:
         parse_scd(odd(e), k, n)
-    assert len(memo) == size
-    assert parsed() == expected  # full of non-canonical spellings
+    assert not memo  # a non-canonical spelling is never recorded
+    assert parsed() == expected  # after non-canonical spellings only
+
+
+def test_a_long_canonical_document_seeds_a_memo_after_other_spellings(monkeypatch):
+    # Short documents spelling every element of P(5,4) in the general form
+    # record nothing, so a whole canonical document still seeds the memo,
+    # and the next one parses without the token-by-token path.
+    k, n = 5, 4
+    host = build_cuboid(k, n)
+    memo = _token_memo(k, n)
+    memo.clear()
+    for e in host.elements:
+        parse_scd(_spell(e, k, True), k, n)
+    scd = generate(k, n)
+    assert parse_scd(serialize_scd(scd)) == scd
+    assert memo == {_spell(e, k, False): e for e in host.elements}
+
+    def refuse(*args):
+        raise AssertionError("a canonical line took the token-by-token path")
+
+    monkeypatch.setattr(data_io, "_parse_tokens", refuse)
+    moved = permute_scd(scd, (4, 0, 1, 2, 3))
+    assert parse_scd(serialize_scd(moved)) == moved
 
 
 ASCII = st.text(st.characters(max_codepoint=127))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import scdkit
 from scdkit import constructions, data_io
-from scdkit.chains import _diagnose, validate_scd
+from scdkit.chains import validate_scd
 from scdkit.posets import (
     GradedPoset,
     _Cuboid,
@@ -26,7 +26,7 @@ from scdkit.posets import (
     product,
 )
 
-from oracles import product_rank_vector, rank_vector_by_bucketing
+from oracles import diagnose_by_elements, product_rank_vector, rank_vector_by_bucketing
 
 
 def test_chain_poset_degenerate():
@@ -180,15 +180,26 @@ def test_validate_reports_hostile_elements_and_never_raises(host, data):
     members = st.sampled_from(host.elements)
     chains = data.draw(st.lists(st.lists(st.one_of(members, _hostile), max_size=4), max_size=4))
     report = validate_scd(host, chains)
-    assert report == _diagnose(host, tuple(map(tuple, chains)))
+    assert report == diagnose_by_elements(host, chains)
     if any(e not in host for ch in chains for e in ch):
         assert not report.valid and any("foreign elements" in m for m in report.messages)
+
+
+class _HashRaises:
+    """An element whose hash raises something other than TypeError."""
+
+    def __hash__(self):
+        raise ValueError("no hash")
+
+    def __repr__(self):
+        return "_HashRaises()"
 
 
 @pytest.mark.parametrize("chains, foreign", [
     ([((0, 0), (1.0, 0))], "[(1.0, 0)]"),
     ([((0, 0), ([1], 0))], "[([1], 0)]"),
     ([((0, 0), b"\x01\x00")], "[b'\\x01\\x00']"),
+    ([((0, 0), (_HashRaises(), 0))], "[(_HashRaises(), 0)]"),
 ])
 def test_hostile_elements_are_foreign(chains, foreign):
     report = validate_scd(build_cuboid(1, 1), chains)
