@@ -182,7 +182,6 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     with ``d`` of Q_j is ``((b << j) | d, level)``, so no product host is
     built.
     """
-    _chain_factor(scd, "extend_dimension")
     shape = cuboid_shape(scd.host)
     if shape is None:
         raise ConstructionError("extend_dimension needs a cuboid host")

@@ -17,26 +17,13 @@ or level has at most ``MAX_DIGITS`` significant digits.  Output is 7-bit
 text with bare newlines, so identical inputs serialize to identical bytes.
 
 Serializing and parsing share one table per host ``(k, n)`` of the
-canonical spelling of every base and every level (``_spellings``).
-
-Parsing keeps one memo per host, mapping token spellings to elements,
-so a line costs one dict lookup per token, mapped over the whole line;
-a line with a miss takes the token-by-token path.  The memo holds only
-the canonical spelling of an element (the one the serializer writes),
-each under its own host:
-
-* a document at least ``len(host) * (k + 2)`` characters long, long
-  enough to spell every element, fills a memo that is not yet full with
-  the canonical spelling of every element, which the parser accepts as
-  the same element;
-* otherwise a miss runs the full parser, and its result is recorded
-  only after it returns and only for a canonical spelling, so a
-  rejected token or another spelling is never recorded.
-
-So the memo never holds more than ``len(host)`` entries, and a full
-memo is exactly the table of every canonical spelling.  It holds that
-table only after a document as long as one, so parsing a short document
-of a huge host allocates nothing per element.
+canonical spelling of every base and every level (``_spellings``).  A
+document at least ``len(host) * (k + 2)`` characters long, enough to
+spell every element, maps each line's tokens through the host's table of
+canonical spellings (``_elements_by_spelling``).  Any other token, and
+every token of a shorter document, takes the token parser, so a short
+document of a huge host allocates nothing per element.  The table never
+changes, so a document parses the same whatever was parsed before it.
 """
 
 from __future__ import annotations
@@ -105,12 +92,6 @@ def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
     return (int("".join(digits), 2) if k else 0, c)
 
 
-@lru_cache(maxsize=16)  # one memo per host, for as many hosts as build_cuboid keeps
-def _token_memo(k: int, n: int) -> dict[str, tuple[int, int]]:
-    """Token spelling -> element of P(k, n), for tokens already accepted."""
-    return {}
-
-
 @lru_cache(maxsize=16)
 def _spellings(k: int, n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The canonical spelling of every base of P(k, n), indexed by its
@@ -124,19 +105,12 @@ def _spellings(k: int, n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(bases), tuple(str(c) for c in range(n))
 
 
-def _parse_tokens(tokens: list[str], memo: dict, k: int, n: int) -> tuple:
-    """The elements of one line's tokens: memo hits, and the full token
-    parser for the rest, recording each token it accepts that is its
-    element's canonical spelling: a compact one when n <= 10, and
-    otherwise one whose level has no leading zero."""
-    elems = list(map(memo.get, tokens))
-    for i, token in enumerate(tokens):
-        if elems[i] is None:
-            general = ";" in token
-            elems[i] = e = (_parse_general if general else _parse_compact)(token, k, n)
-            if not general or n > COMPACT_LEVEL_LIMIT and token.endswith(f";{e[1]}"):
-                memo[token] = e
-    return tuple(elems)
+@lru_cache(maxsize=16)  # one table per host, for as many hosts as build_cuboid keeps
+def _elements_by_spelling(k: int, n: int) -> dict[str, tuple[int, int]]:
+    """The element of P(k, n) that each canonical spelling names."""
+    bases, levels = _spellings(k, n)
+    return {base + level: (b, c)
+            for b, base in enumerate(bases) for c, level in enumerate(levels)}
 
 
 def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
@@ -172,26 +146,21 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
         raise ParseError(f"bad dimensions k={k}, n={n}")
 
     host = build_cuboid(k, n)
-    memo = _token_memo(k, n)
-    size = len(host)
-    # A document long enough to spell every element (k + 2 characters
-    # each, the shortest canonical token and its separator) fills a memo
-    # not yet full with every canonical spelling, so the memo's memory
-    # stays bounded by the input and by the host.
-    if len(memo) < size and len(text) >= size * (k + 2):
-        bases, levels = _spellings(k, n)
-        memo.update(
-            (base + level, (b, c))
-            for b, base in enumerate(bases) for c, level in enumerate(levels)
-        )
-    get = memo.__getitem__
+    # Only a document long enough to spell every element (k + 2
+    # characters each, the shortest canonical token and its separator)
+    # takes the host's table, so its memory stays bounded by the input.
+    table = _elements_by_spelling(k, n) if len(text) >= len(host) * (k + 2) else {}
+    get = table.__getitem__
     chains = []
     for line in lines:
         tokens = line.split()
         try:
             chains.append(tuple([*map(get, tokens)]))
         except KeyError:
-            chains.append(_parse_tokens(tokens, memo, k, n))
+            chains.append(tuple([
+                table.get(t) or (_parse_general if ";" in t else _parse_compact)(t, k, n)
+                for t in tokens
+            ]))
     # Top-down iff the ranks never rise; only then can the first rank be
     # at least the last.  Reversing a one-element chain changes nothing.
     first, last = itemgetter(0), itemgetter(-1)

@@ -36,8 +36,9 @@ memo, as zeros, the sets whose subtree it exhausted without one, and
 skips them.  A run that is cut off stops where it stands and records
 nothing it did not finish, so the memo never drops a solution nor
 reorders a run.  It lives on the ``_Cover``, shared by its runs, and
-with the row table holds at most ``MAX_COVER_BITS`` bits; once full it
-records no more, and only prunes less.
+with the row table holds at most ``MAX_COVER_BITS`` bits.  Once full it
+records no more: a search prunes less, and a count recounts each set it
+could not record, within the node budget.
 
 First-solution times are heavy-tailed, so an existence query
 (``limit == 1``) restarts on Luby's universal cutoffs, on the quotient

@@ -315,6 +315,29 @@ def test_collapse_undoes_expand_on_the_bit_permuted_p55_table(perm):
         assert collapse(expand(s, f)) == s
 
 
+def test_the_theorem_on_every_decomposition_of_a_product_of_chains():
+    # P = chain(2) x chain(3) has rank 3 and a unique minimum and maximum,
+    # but is no cuboid.  Each of the 336 decompositions of P x 4 shifts to
+    # P x 6 and back unchanged, keeping its taut count, and collapse maps
+    # them onto the 84 of P x 3, each the image of exactly the rk+1 = 4
+    # expansions of it.
+    p = product(build_chain_poset(2), build_chain_poset(3))
+    out = enumerate_scds(poset_times_chain(p, 4))
+    assert out.exhausted and len(out.found) == 336
+    fibers = {}
+    for s in out.found:
+        shifted = shift(s, 6)
+        assert shift(shifted, 4) == s
+        assert shifted.report.taut_count == s.report.taut_count
+        image = collapse(s)
+        fibers.setdefault(image.chain_set, (image, []))[1].append(s.chain_set)
+    assert len(fibers) == 84
+    for image, fiber in fibers.values():
+        assert len(fiber) == len(set(fiber)) == 4
+        expanded = {expand(image, f).chain_set for f in enumerate_matchings(middle_graph(image))}
+        assert expanded == set(fiber)
+
+
 def test_expand_table3_with_any_matching():
     t3 = builtin_table("P55")
     for f in enumerate_matchings(middle_graph(t3)):

@@ -12,13 +12,15 @@ from scdkit.constructions import generate
 from scdkit.data_io import (
     COMPACT_LEVEL_LIMIT,
     ParseError,
-    _token_memo,
+    _elements_by_spelling,
+    _spellings,
     builtin_table,
     parse_scd,
     render_pictorial,
     serialize_scd,
 )
 from scdkit.posets import build_cuboid, build_hypercube
+from scdkit.search import SearchConfig, enumerate_scds
 from scdkit.tables import BUILTIN_TABLES
 
 from oracles import permute_scd
@@ -238,7 +240,7 @@ def test_notes_survive_serialization_as_comments():
     assert "# note: extra: check" in doc.splitlines()
 
 
-# -- the per-host token memo -------------------------------------------------
+# -- the per-host spelling table --------------------------------------------
 
 
 @pytest.mark.parametrize("k, n, canonical, spellings", [
@@ -248,55 +250,57 @@ def test_notes_survive_serialization_as_comments():
 ])
 def test_every_spelling_parses_to_the_canonical_element(k, n, canonical, spellings):
     element = (int(canonical[:k] or "0", 2), int(canonical[k:]))
-    for order in (1, -1):  # warm the memo with either spelling first
-        _token_memo(k, n).clear()
-        for token in ([canonical] + spellings)[::order]:
-            assert parse_scd(token, k, n).chains == ((element,),)
-            assert parse_scd(f"{k} {n}\n{token}").chains == ((element,),)
+    assert _elements_by_spelling(k, n)[canonical] == element
+    for token in [canonical] + spellings:
+        assert parse_scd(token, k, n).chains == ((element,),)
+        assert parse_scd(f"{k} {n}\n{token}").chains == ((element,),)
 
 
 @pytest.mark.parametrize("token, k, n", [
-    ("000005", 5, 3),  # accepted by P(5,6) below: the memo is per host
+    ("000005", 5, 3),  # accepted by P(5,6) below: the table is per host
     ("00000A", 5, 3),
     ("0;\u0663", 1, 12),
     ("1,1;0", 3, 2),
 ])
 def test_a_rejected_token_is_never_recorded(token, k, n):
+    # Refused alone, as a short document, and again as the last line of a
+    # document long enough to take the host's table, in either order.
     assert parse_scd("000005", 5, 6).chains == (((0, 5),),)
-    for _ in range(2):
+    bases, levels = _spellings(k, n)
+    long_doc = "\n".join([*(b + c for b in bases for c in levels), token])
+    assert len(long_doc) >= len(build_cuboid(k, n)) * (k + 2)
+    for doc in [token, long_doc] * 2:
         with pytest.raises(ParseError):
-            parse_scd(token, k, n)
-        assert token not in _token_memo(k, n)
-
-
-def test_the_memo_stops_at_the_host_size():
-    host = build_cuboid(1, 2)
-    _token_memo(1, 2).clear()
-    spellings = [f"{b};{'0' * pad}{c}" for pad in range(4) for b in (0, 1) for c in (0, 1)]
-    scd = parse_scd("\n".join(spellings), 1, 2)
-    assert {e for ch in scd.chains for e in ch} == set(host.elements)
-    assert len(_token_memo(1, 2)) == len(host)
-    # A one-token document records one entry, not a table of the host, and
-    # only for the canonical spelling.
-    for n, other, canonical in [(9, "1,0,1,1;00000007", "10117"), (12, "1,0,1,1;07", "1,0,1,1;7")]:
-        _token_memo(4, n).clear()
-        parse_scd(other, 4, n)
-        parse_scd(canonical, 4, n)
-        assert _token_memo(4, n) == {canonical: (0b1011, 7)}
+            parse_scd(doc, k, n)
 
 
 def test_no_memo_outgrows_its_host():
     # Documents of 20 hosts in turn, more than the cache keeps, each naming
-    # every element in four spellings: no memo outgrows its host, and the
-    # cache keeps at most 16 memos.
+    # every element in four spellings: each host's table holds one entry
+    # per element, and the cache keeps at most 16 tables.
     for k in range(4):
         for n in range(1, 6):
             host = build_cuboid(k, n)
             bits = [",".join(format(b, f"0{k}b")) if k else "" for b in range(1 << k)]
             doc = [f"{bits[b]};{'0' * pad}{c}" for pad in range(4) for b, c in host.elements]
-            parse_scd("\n".join(doc), k, n)
-            assert len(_token_memo(k, n)) == len(host)
-    assert _token_memo.cache_info().currsize <= 16
+            scd = parse_scd("\n".join(doc), k, n)
+            assert scd.chains == tuple((e,) for e in host.elements) * 4
+            assert len(_elements_by_spelling(k, n)) == len(host)
+    assert _elements_by_spelling.cache_info().currsize <= 16
+
+
+def test_a_short_document_builds_no_table():
+    # A document shorter than len(host) * (k + 2) characters takes the
+    # token parser, so a host's table is built only for a document as
+    # long as one.
+    _elements_by_spelling.cache_clear()
+    for k, n, token in [(4, 9, "10117"), (4, 12, "1,0,1,1;07"), (17, 8, "0" * 17 + "7")]:
+        assert parse_scd(token, k, n).chains == (((0b1011 if k == 4 else 0, 7),),)
+    assert _elements_by_spelling.cache_info().currsize == 0
+    host = build_cuboid(1, 2)
+    parse_scd("0;0 1;0\n0;1 1;1", 1, 2)  # 15 characters, over the 12 of P(1,2)
+    assert len(_elements_by_spelling(1, 2)) == len(host)
+    assert _elements_by_spelling.cache_info().currsize == 1
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -304,7 +308,7 @@ def test_no_memo_outgrows_its_host():
 def test_parsing_permuted_shuffled_documents(k, n, data):
     s = generate(k, n)
     doc = serialize_scd(s)
-    # Parsing the same host's documents again and again keeps its memo warm.
+    # The same host's documents parse alike, again and again.
     assert serialize_scd(parse_scd(doc)) == doc
     perm = data.draw(st.permutations(range(k)), label="perm")
     header, *body = [ln for ln in doc.splitlines() if ln and not ln.startswith("#")]
@@ -322,6 +326,8 @@ def test_parsing_permuted_shuffled_documents(k, n, data):
 def _differential_source(k: int, n: int) -> SCD:
     if k == 0:  # P(0, n) is one chain
         return SCD(build_cuboid(0, n), (tuple((0, c) for c in range(n)),))
+    if k < 5:
+        return enumerate_scds(build_cuboid(k, n), SearchConfig(limit=1)).found[0]
     return generate(k, n)
 
 
@@ -332,11 +338,14 @@ def _spell(e: tuple[int, int], k: int, general: bool, pad: int = 0) -> str:
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(shape=st.sampled_from([(5, 4), (5, 12), (0, 4), (0, 12)]), data=st.data())
+@given(shape=st.sampled_from([(5, 4), (5, 12), (2, 4), (2, 12), (0, 4), (0, 12)]), data=st.data())
 def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
-    # Bit-permuted documents, some lines top-down and some tokens in a
-    # non-canonical spelling, parse alike from a cold memo (which a whole
-    # document seeds), a seeded one, and ones filled by earlier documents.
+    # The table path against the token path.  A bit-permuted document,
+    # some lines top-down and some tokens in a non-canonical spelling, is
+    # long enough to take the host's spelling table, from a cold cache and
+    # from a warm one.  Each of its lines shorter than the gate is a short
+    # document, which takes the token parser.  Both parse alike, in either
+    # order.
     k, n = shape
     rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
     scd = _differential_source(k, n)
@@ -354,48 +363,58 @@ def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
         tokens = [odd(e) if rnd.random() < 0.3 else _spell(e, k, general) for e in ch]
         lines.append(" ".join(tokens[::-1] if rnd.random() < 0.5 else tokens))
     doc = "\n".join(["# note: differential", f"{k} {n}", *lines]) + "\n"
-    expected = (tuple(chains), ("differential",))
-    memo, size = _token_memo(k, n), len(scd.host)
+    gate = len(scd.host) * (k + 2)
+    assert len(doc) >= gate
+    short = [(line, ch) for line, ch in zip(lines, chains) if len(line) < gate]
+    if k:
+        assert len(short) == len(lines)
 
-    def parsed():
+    def whole():
         got = parse_scd(doc)
-        assert len(memo) <= size
         return got.chains, got.notes
 
-    memo.clear()
-    assert parsed() == expected  # cold
-    assert parsed() == expected  # seeded
-    memo.clear()
-    for line in lines:
-        parse_scd(line, k, n)
-    assert parsed() == expected  # filled line by line
-    memo.clear()
-    for e in scd.host.elements:
-        parse_scd(odd(e), k, n)
-    assert not memo  # a non-canonical spelling is never recorded
-    assert parsed() == expected  # after non-canonical spellings only
+    expected = (tuple(chains), ("differential",))
+    for whole_first in (True, False):  # from a cold table, in either order
+        _elements_by_spelling.cache_clear()
+        if whole_first:
+            assert whole() == expected  # cold
+        assert [parse_scd(line, k, n).chains[0] for line, _ in short] == [ch for _, ch in short]
+        assert whole() == expected  # warm, or cold after the short documents
 
 
-def test_a_long_canonical_document_seeds_a_memo_after_other_spellings(monkeypatch):
-    # Short documents spelling every element of P(5,4) in the general form
-    # record nothing, so a whole canonical document still seeds the memo,
-    # and the next one parses without the token-by-token path.
-    k, n = 5, 4
-    host = build_cuboid(k, n)
-    memo = _token_memo(k, n)
-    memo.clear()
-    for e in host.elements:
-        parse_scd(_spell(e, k, True), k, n)
-    scd = generate(k, n)
-    assert parse_scd(serialize_scd(scd)) == scd
-    assert memo == {_spell(e, k, False): e for e in host.elements}
-
+def _refuse_the_token_parser(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a canonical line took the token-by-token path")
+        raise AssertionError("a canonical token took the token parser")
 
-    monkeypatch.setattr(data_io, "_parse_tokens", refuse)
-    moved = permute_scd(scd, (4, 0, 1, 2, 3))
-    assert parse_scd(serialize_scd(moved)) == moved
+    monkeypatch.setattr(data_io, "_parse_compact", refuse)
+    monkeypatch.setattr(data_io, "_parse_general", refuse)
+
+
+def test_the_bundled_tables_are_long_enough_for_the_spelling_table(monkeypatch):
+    # Each shipped body spells every element once, in exactly
+    # len(host) * (k + 2) characters.
+    _refuse_the_token_parser(monkeypatch)
+    for k, n, raw in BUILTIN_TABLES.values():
+        assert len(raw) == len(build_cuboid(k, n)) * (k + 2)
+        assert parse_scd(raw, k, n).chain_count == len(raw.splitlines())
+
+
+@pytest.mark.parametrize("k, n", [(5, 4), (5, 12), (0, 4)])
+def test_a_long_canonical_document_never_reaches_the_token_parser(monkeypatch, k, n):
+    scd = _differential_source(k, n)
+    doc = serialize_scd(scd)
+    _refuse_the_token_parser(monkeypatch)
+    assert parse_scd(doc) == scd
+    if k:
+        moved = permute_scd(scd, (4, 0, 1, 2, 3))
+        assert parse_scd(serialize_scd(moved)) == moved
+    # One token of the last line in another spelling takes the token parser.
+    *head, last = doc.splitlines()
+    token, *rest = last.split()
+    assert token == _spell(scd.chains[-1][0], k, n > COMPACT_LEVEL_LIMIT)
+    odd = "\n".join([*head, " ".join([_spell(scd.chains[-1][0], k, True, 1), *rest])])
+    with pytest.raises(AssertionError, match="token parser"):
+        parse_scd(odd)
 
 
 ASCII = st.text(st.characters(max_codepoint=127))

@@ -422,6 +422,6 @@ def test_oversized_posets_are_refused_before_allocation(call):
 
 def test_the_module_caches_are_bounded():
     # A long-lived process that builds many hosts must not keep them all.
-    for cached in (build_cuboid, data_io._token_memo, data_io._spellings):
+    for cached in (build_cuboid, data_io._elements_by_spelling, data_io._spellings):
         assert cached.cache_info().maxsize is not None
     assert constructions.generate(6, 3) is not constructions.generate(6, 3)

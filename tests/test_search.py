@@ -373,8 +373,15 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
 # Counting: the weighted quotient count, checked against enumeration, the
 # oracle, and the paper's counting identities.
 
-def _count(k, n, **config):
-    out = count_search(build_cuboid(k, n), SearchConfig(**config))
+def _base(p):
+    """Q_p for an integer p; "2x3" is chain(2) x chain(3), of rank 3,
+    with a unique minimum and maximum but no cuboid."""
+    return build_hypercube(p) if p != "2x3" else product(build_chain_poset(2), build_chain_poset(3))
+
+
+def _count(p, m, **config):
+    """The count of ``_base(p) x chain(m)``: of P(p, m) for an integer p."""
+    out = count_search(poset_times_chain(_base(p), m), SearchConfig(**config))
     assert out.exhausted and out.stop_reason is None
     return out.count
 
@@ -407,18 +414,27 @@ def test_the_count_matches_the_oracle(k, n):
     assert _count(k, n, forbid_taut=True) == len(taut_free)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_counts_of_p_times_rk_plus_1_are_rk_plus_1_times_those_of_p_times_rk(k):
-    # Q_k has a unique minimum and maximum and rank k: the (rk+1)-to-1
-    # surjection from the decompositions of Q_k x (k+1) onto Q_k x k.
-    assert _count(k, k + 1) == (k + 1) * _count(k, k)
+@pytest.mark.parametrize("p", [1, 2, 3, "2x3"])
+def test_counts_of_p_times_rk_plus_1_are_rk_plus_1_times_those_of_p_times_rk(p):
+    # P has a unique minimum and maximum: the (rk+1)-to-1 surjection from
+    # the decompositions of P x (rk+1) onto P x rk.
+    rk = _base(p).rk
+    assert _count(p, rk + 1) == (rk + 1) * _count(p, rk)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_counts_of_p_times_m_agree_for_every_m_past_rk(k):
-    # The canonical bijection between the decompositions of Q_k x m and
-    # Q_k x (k+1) for m >= k+1.
-    assert [_count(k, m) for m in range(k + 1, k + 4)] == [_count(k, k + 1)] * 3
+@pytest.mark.parametrize("p", [1, 2, 3, "2x3"])
+def test_counts_of_p_times_m_agree_for_every_m_past_rk(p):
+    # The canonical bijection between the decompositions of P x m and
+    # P x (rk+1) for m >= rk+1, which keeps taut chains taut.
+    rk = _base(p).rk
+    for forbid_taut in (False, True):
+        counts = [_count(p, m, forbid_taut=forbid_taut) for m in range(rk + 1, rk + 4)]
+        assert counts == counts[:1] * 3
+
+
+def test_the_counts_of_2x3_times_m_are_pinned():
+    assert [_count("2x3", m) for m in (3, 4, 5)] == [84, 336, 336]
+    assert [_count("2x3", m, forbid_taut=True) for m in (3, 4, 5)] == [11, 48, 48]
 
 
 def test_the_count_of_q5_is_pinned():
@@ -469,7 +485,8 @@ def test_a_count_stops_at_the_row_limit(monkeypatch):
 
 def test_a_full_memo_only_counts_slower(monkeypatch):
     # With room for only 5 memo entries beside the row table, P(3,3) is
-    # counted right, in more nodes.
+    # counted right, in more nodes: a count recounts each set it could not
+    # record.
     host = build_cuboid(3, 3)
     unbounded = _Cover(host, SearchConfig())
     assert unbounded.count() == 1488
@@ -477,6 +494,7 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
     cover = _Cover(host, SearchConfig())
     assert cover.count() == 1488
     assert len(cover.memo) == 5 and cover.nodes > unbounded.nodes
+    assert count_search(host) == search.CountOutcome(1488, True, cover.nodes)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
