@@ -2,6 +2,9 @@
 
 ``hypercube_scd`` and the lifts are one peeling product (``_cross``), and
 shift, collapse and expand are one middle-block restretch (``_restretch``).
+Each map validates its input once (``_check``), reads the middle rows of
+that valid decomposition by index, re-checks nothing validity implies,
+and passes its output through the same gate (``_checked``).
 The toolbox, bottom to top:
 
 * canonical decompositions of rectangles (``grid_scd``) and hypercubes
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .chains import SCD, ValidationReport, canonical_chain_order
@@ -225,9 +227,6 @@ def _restretch(scd: SCD, m: int, coords) -> list[tuple]:
     return chains
 
 
-_base = itemgetter(0)
-
-
 def shift(scd: SCD, m: int) -> SCD:
     """Restretch a decomposition of ``P x chain(n)`` to ``P x chain(m)``.
 
@@ -247,16 +246,9 @@ def shift(scd: SCD, m: int) -> SCD:
     if m == n:
         return scd
 
+    # Each chain's run over the middle block starts at total rank rk.
     rank_in = scd.host.rank_of
-    coords = []
-    for ch in scd.chains:
-        r0 = rank_in(ch[0])
-        column = set(map(_base, ch[max(rk - r0, 0):max(n - r0, 0)]))
-        if len(column) != 1:
-            raise ConstructionError(
-                f"shift input corrupted: chain {ch!r} is not vertical across the middle block"
-            )
-        coords.append(column.pop())
+    coords = [ch[rk - rank_in(ch[0])][0] for ch in scd.chains]
     return _checked(poset_times_chain(base, m), _restretch(scd, m, coords), scd.notes,
                     what="shift", taut_count=taut)
 
@@ -291,11 +283,6 @@ def collapse(scd: SCD) -> SCD:
     base = _surgery_base(scd, "collapse", above=True)
     _check(scd, "collapse input")
     rk = base.rk
-    singletons = [ch for ch in scd.chains if len(ch) == 1]
-    if len(singletons) != 1 or scd.host.rank_of(singletons[0][0]) != rk:
-        raise ConstructionError(
-            "collapse input corrupted: expected exactly one singleton chain in the central row"
-        )
     return _checked(poset_times_chain(base, rk), _restretch(scd, rk, repeat(None)),
                     scd.notes, what="collapse output")
 
@@ -336,27 +323,13 @@ def middle_graph(scd: SCD) -> MiddleGraph:
     rank_in = scd.host.rank_of
 
     edges = []
-    for ch in scd.chains:
-        lo = [e for e in ch if rank_in(e) == rk - 1]
-        hi = [e for e in ch if rank_in(e) == rk]
-        if len(lo) != 1 or len(hi) != 1:
-            raise ConstructionError(
-                "middle_graph input corrupted: a chain misses a central row"
-            )
-        edges.append((lo[0][0], hi[0][0]))
-
+    for ch in scd.chains:  # every chain crosses the two central rows
+        i = rk - 1 - rank_in(ch[0])
+        edges.append((ch[i][0], ch[i + 1][0]))
     step = {p: q for p, q in edges if p != q}
-    if len(step) != rk:
-        raise ConstructionError("middle_graph input corrupted: wrong number of climbing edges")
-    path = [base.bottom]
-    while path[-1] != base.top:
-        nxt = step.get(path[-1])
-        if nxt is None or len(path) > rk:
-            raise ConstructionError("middle_graph input corrupted: broken maximal path")
-        path.append(nxt)
-    loops = [p for p, q in edges if p == q]
-    if sorted(loops) != sorted(set(base.elements) - set(path)):
-        raise ConstructionError("middle_graph input corrupted: loops do not cover off-path vertices")
+    path = [base.bottom]  # the rk climbing edges lead from bottom to top
+    for _ in range(rk):
+        path.append(step[path[-1]])
     return MiddleGraph(base, tuple(edges), tuple(path))
 
 
@@ -396,14 +369,6 @@ def expand(scd: SCD, matching: EdgeMatching) -> SCD:
 # -- the repair step ----------------------------------------------------------
 
 
-def _maximal_chain_index(scd: SCD) -> int:
-    bottom = scd.host.by_rank[0][0]
-    for i, ch in enumerate(scd.chains):
-        if ch[0] == bottom:
-            return i
-    raise ConstructionError("no chain covers the minimum element")
-
-
 def repair(scd: SCD) -> SCD:
     """Reroute the maximal chain of a taut-free decomposition of
     ``P x chain(rk+1)`` so that its collapse is also taut-free.
@@ -425,7 +390,7 @@ def repair(scd: SCD) -> SCD:
     _check(scd, "repair input", taut_count=0)
 
     lo, hi = base.bottom, base.top
-    idx_max = _maximal_chain_index(scd)
+    idx_max = next(i for i, ch in enumerate(scd.chains) if ch[0] == (lo, 0))
     cmax = scd.chains[idx_max]
     run_bottom = (lo, rk - 1) in cmax
     run_top = (hi, 1) in cmax
@@ -438,15 +403,8 @@ def repair(scd: SCD) -> SCD:
 
     where = {e: i for i, ch in enumerate(chains) for e in ch}
     forbidden = where[(lo, rk - 1)]
-    candidates = [(p, rk) for p in base.down(hi)]
-    eligible = [e for e in candidates if where[e] != forbidden]
-    if not eligible:
-        raise ConstructionError("repair input corrupted: no eligible reattachment neighbour")
-    target = eligible[0]
+    target = next((p, rk) for p in base.down(hi) if where[(p, rk)] != forbidden)
     idx_d = where[target]
-    if chains[idx_d][-1] != target:
-        raise ConstructionError("repair input corrupted: reattachment target is not a chain top")
-
     chains[idx_d] = ((lo, 0),) + chains[idx_d] + ((hi, rk),)
     return _checked(scd.host, chains, scd.notes, what="repair", taut_count=0)
 

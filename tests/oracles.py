@@ -157,6 +157,31 @@ def diagnose_by_elements(host, chains):
     )
 
 
+def middle_graph_by_ranks(scd):
+    """``(edges, path)`` of the middle graph of a decomposition of
+    ``P x chain(rk)``, from rank scans alone.  Asserts the lemmas behind
+    it: each chain holds one element of each central row (rk-1 and rk),
+    the climbing edges form one path of rk steps from the minimum of P to
+    its maximum, and the loops sit on exactly the off-path vertices."""
+    base, _ = scd.host.chain_factor
+    rk, rank = base.rk, scd.host.rank_of
+    edges = []
+    for ch in scd.chains:
+        lo = [e for e in ch if rank(e) == rk - 1]
+        hi = [e for e in ch if rank(e) == rk]
+        assert len(lo) == len(hi) == 1, f"chain {ch!r} misses a central row"
+        edges.append((lo[0][0], hi[0][0]))
+    step = {p: q for p, q in edges if p != q}
+    assert len(step) == rk, "wrong number of climbing edges"
+    path = [base.bottom]
+    while path[-1] != base.top:
+        assert path[-1] in step and len(path) <= rk, "broken maximal path"
+        path.append(step[path[-1]])
+    loops = sorted(p for p, q in edges if p == q)
+    assert loops == sorted(set(base.elements) - set(path)), "loops miss off-path vertices"
+    return tuple(edges), tuple(path)
+
+
 def enumerate_grid_cells(a, b):
     """All cells of an a x b grid, for partition checks."""
     return set(iproduct(range(a), range(b)))

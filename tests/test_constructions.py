@@ -32,7 +32,7 @@ from scdkit.posets import (
 )
 from scdkit.search import SearchConfig, enumerate_scds
 
-from oracles import brute_force_scds, middle_rank_size, permute_scd
+from oracles import brute_force_scds, middle_graph_by_ranks, middle_rank_size, permute_scd
 
 
 # -- rectangles and hypercubes ------------------------------------------------
@@ -249,7 +249,7 @@ def test_collapse_rejects_corrupted_input():
     from scdkit.chains import SCD
 
     broken = SCD(s.host, s.chains[:-1])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="is not a valid decomposition"):
         collapse(broken)
 
 
@@ -336,6 +336,30 @@ def test_the_theorem_on_every_decomposition_of_a_product_of_chains():
         assert len(fiber) == len(set(fiber)) == 4
         expanded = {expand(image, f).chain_set for f in enumerate_matchings(middle_graph(image))}
         assert expanded == set(fiber)
+
+
+def test_the_surgery_lemmas_hold_on_every_small_decomposition():
+    # The surgery reads the middle rows by index, trusting the lemmas that
+    # validity implies; here they are checked by rank scans on every
+    # decomposition of P x rk and P x (rk+1) for Q_2, Q_3 and 2x3.
+    p23 = product(build_chain_poset(2), build_chain_poset(3))
+    for base, count in [(build_hypercube(2), 6), (build_hypercube(3), 1488), (p23, 84)]:
+        out = enumerate_scds(poset_times_chain(base, base.rk))
+        assert out.exhausted and len(out.found) == count
+        for s in out.found:
+            graph = middle_graph(s)
+            assert (graph.edges, graph.path) == middle_graph_by_ranks(s)
+    for base, count in [(build_hypercube(2), 18), (build_hypercube(3), 5952), (p23, 336)]:
+        rk = base.rk
+        out = enumerate_scds(poset_times_chain(base, rk + 1))
+        assert out.exhausted and len(out.found) == count
+        rank = out.found[0].host.rank_of
+        for s in out.found:
+            singletons = [ch for ch in s.chains if len(ch) == 1]
+            assert len(singletons) == 1 and rank(singletons[0][0]) == rk
+            for ch in s.chains:  # the middle block is the one row rk
+                assert len([e for e in ch if rank(e) == rk]) == 1
+            collapse(s)
 
 
 def test_expand_table3_with_any_matching():

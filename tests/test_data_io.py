@@ -104,6 +104,8 @@ def test_parse_rejects_bad_tokens():
         parse_scd("1,1;0 1,0;0", 3, 2)  # wrong bit count
     with pytest.raises(ParseError):
         parse_scd("000000 000001", 5, 12)  # compact form refused for n > 10
+    with pytest.raises(ParseError, match="outside chain"):
+        parse_scd("0,0;12", 2, 12)  # general-form level beyond the chain
 
 
 @pytest.mark.parametrize("text, token", [
@@ -122,6 +124,10 @@ def test_parse_requires_header_without_dimensions():
         parse_scd("000000 000001")
     scd = parse_scd("# comment\n2 2\n000 100 110 111\n".replace("000 100 110 111", "000"))
     assert scd.host == build_cuboid(2, 2)
+    # Given dimensions skip a header that matches them.
+    assert parse_scd("2 2\n000", 2, 2) == scd
+    with pytest.raises(ParseError, match="bad dimensions"):
+        parse_scd("3 0\n")
 
 
 def test_parse_normalizes_descending_chains():

@@ -173,6 +173,7 @@ def test_non_rank_symmetric_host_is_empty_exhausted():
     vee = GradedPoset("abc", [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1})
     out = enumerate_scds(vee)
     assert out.exhausted and not out.found and out.stop_reason == "not-rank-symmetric"
+    assert count_search(vee) == search.CountOutcome(0, True, 0, "not-rank-symmetric")
 
 
 def test_use_symmetry_witness_validates_on_original_host():
@@ -374,9 +375,12 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
 # oracle, and the paper's counting identities.
 
 def _base(p):
-    """Q_p for an integer p; "2x3" is chain(2) x chain(3), of rank 3,
-    with a unique minimum and maximum but no cuboid."""
-    return build_hypercube(p) if p != "2x3" else product(build_chain_poset(2), build_chain_poset(3))
+    """Q_p for an integer p; "axb" is chain(a) x chain(b), such as "2x3"
+    of rank 3, with a unique minimum and maximum but no cuboid."""
+    if isinstance(p, int):
+        return build_hypercube(p)
+    a, b = map(int, p.split("x"))
+    return product(build_chain_poset(a), build_chain_poset(b))
 
 
 def _count(p, m, **config):
@@ -437,6 +441,13 @@ def test_the_counts_of_2x3_times_m_are_pinned():
     assert [_count("2x3", m, forbid_taut=True) for m in (3, 4, 5)] == [11, 48, 48]
 
 
+def test_the_counts_of_3x3_times_m_are_pinned():
+    # Rank 4: both count identities, 20,052 * 5 = 100,260, on a second
+    # product of chains.
+    assert [_count("3x3", m) for m in (4, 5, 6)] == [20_052, 100_260, 100_260]
+    assert [_count("3x3", m, forbid_taut=True) for m in (4, 5, 6)] == [3_368, 17_600, 17_600]
+
+
 def test_the_count_of_q5_is_pinned():
     # P(4,2) is Q_5.
     assert _count(4, 2) == 235_200
@@ -469,12 +480,16 @@ def test_a_count_takes_no_limit_and_checks_its_config(config):
         count_search(build_cuboid(2, 2), config)
 
 
-def test_a_count_stops_at_its_budgets():
+def test_a_count_stops_at_its_budgets(monkeypatch):
     # P(3,3) has 72 rows without the taut test: the budget stops the count
     # in the row table or past it.
     for budget in (10, 100):
         out = count_search(build_cuboid(3, 3), SearchConfig(node_budget=budget))
         assert out == search.CountOutcome(0, False, budget + 1, "node-budget")
+    # count_scds refuses to answer from a count its default budget stopped.
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 10)
+    with pytest.raises(SearchError, match="count interrupted by node-budget"):
+        count_scds(build_cuboid(3, 3))
 
 
 def test_a_count_stops_at_the_row_limit(monkeypatch):
