@@ -14,11 +14,9 @@ from .chains import (
 )
 from .constructions import (
     ConstructionError,
-    EdgeMatching,
     MiddleGraph,
     RegionError,
     collapse,
-    enumerate_matchings,
     expand,
     extend_dimension,
     generate,
@@ -65,7 +63,6 @@ __all__ = [
     "SCD",
     "ConstructionError",
     "CountOutcome",
-    "EdgeMatching",
     "ExistenceResult",
     "GradedPoset",
     "MiddleGraph",
@@ -83,7 +80,6 @@ __all__ = [
     "collapse",
     "count_scds",
     "count_search",
-    "enumerate_matchings",
     "enumerate_scds",
     "exists_nontaut_scd",
     "expand",

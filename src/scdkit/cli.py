@@ -89,14 +89,8 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    scd = _read_scd(args.file)
-    matchings = constructions.enumerate_matchings(constructions.middle_graph(scd))
-    if not 0 <= args.matching < len(matchings):
-        raise CliError(
-            f"--matching must be in 0..{len(matchings) - 1} "
-            "(unmatched-vertex rank order)"
-        )
-    _emit(data_io.serialize_scd(constructions.expand(scd, matchings[args.matching])), args.out)
+    scd = constructions.expand(_read_scd(args.file), args.matching)
+    _emit(data_io.serialize_scd(scd), args.out)
     return EXIT_OK
 
 
@@ -159,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_show)
 
     p = sub.add_parser("tables", help="emit a bundled certificate decomposition")
-    p.add_argument("--id", required=True, choices=["P53", "P54", "P55"])
+    p.add_argument("--id", required=True, choices=sorted(data_io.BUILTIN_TABLES))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_tables)
 

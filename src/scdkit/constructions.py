@@ -15,10 +15,9 @@ The toolbox, bottom to top:
 * ``shift``: re-stretch the vertical middle block to turn a
   decomposition of ``P x chain(n)`` into one of ``P x chain(m)`` for any
   ``m, n >= rk(P)+1``, a bijection that preserves taut counts exactly;
-* ``collapse`` / ``middle_graph`` / ``enumerate_matchings`` / ``expand``:
-  the (rk+1)-to-1 surgery between decompositions of ``P x chain(rk+1)``
-  and ``P x chain(rk)``, parameterized by edge matchings of the middle
-  graph;
+* ``collapse`` / ``middle_graph`` / ``expand``: the (rk+1)-to-1 surgery
+  between decompositions of ``P x chain(rk+1)`` and ``P x chain(rk)``,
+  parameterized by the index of the unmatched path vertex;
 * ``repair``: reroute the maximal chain of a taut-free decomposition of
   ``P x chain(rk+1)`` so that collapsing it cannot create a taut chain;
 * ``generate``: the full pipeline producing a taut-free decomposition of
@@ -217,11 +216,11 @@ def _restretch(scd: SCD, m: int, coords) -> list[tuple]:
     chains = []
     for ch, p in zip(scd.chains, coords):
         r0 = rank_in(ch[0])
-        out = ch[:max(rk - r0, 0)]
+        out = ch[:rk - r0]
         if m > rk:  # the run over p climbs from total rank rk to m - 1
             h = rank_p(p)
             out += tuple([(p, c) for c in range(rk - h, m - h)])
-        out += tuple([(q, c + lift) for q, c in ch[max(n - r0, 0):]])
+        out += tuple([(q, c + lift) for q, c in ch[n - r0:]])
         if out:
             chains.append(out)
     return chains
@@ -301,19 +300,6 @@ class MiddleGraph(NamedTuple):
     edges: tuple[tuple[Element, Element], ...]
     path: tuple[Element, ...]
 
-    @property
-    def loop_vertices(self) -> frozenset:
-        return frozenset(self.base.elements) - frozenset(self.path)
-
-
-class EdgeMatching(NamedTuple):
-    """Injective assignment of every edge of a middle graph to one of its
-    endpoints, missing exactly one vertex; loops are always self-matched."""
-
-    edges: tuple[tuple[Element, Element], ...]
-    assignment: tuple[Element, ...]
-    unmatched_vertex: Element
-
 
 def middle_graph(scd: SCD) -> MiddleGraph:
     """Project a decomposition of ``P x chain(rk)`` onto its middle graph."""
@@ -333,36 +319,29 @@ def middle_graph(scd: SCD) -> MiddleGraph:
     return MiddleGraph(base, tuple(edges), tuple(path))
 
 
-def enumerate_matchings(graph: MiddleGraph) -> tuple[EdgeMatching, ...]:
-    """All rk(P)+1 edge matchings, indexed by the rank of the vertex left
-    unmatched (which is always on the maximal path)."""
-    rank = graph.base.rank_of
-    out = []
-    for j in range(len(graph.path)):
-        unmatched = graph.path[j]
-        assignment = tuple(
-            p if p == q or rank(q) <= j else q for p, q in graph.edges
-        )
-        out.append(EdgeMatching(graph.edges, assignment, unmatched))
-    return tuple(out)
+def expand(scd: SCD, j: int) -> SCD:
+    """Inverse surgery to :func:`collapse`, one output per matching index
+    ``j`` in 0..rk(P): the edge matching of the middle graph that leaves
+    its path vertex of rank ``j`` unmatched.
 
-
-def expand(scd: SCD, matching: EdgeMatching) -> SCD:
-    """Inverse surgery to :func:`collapse`, one output per matching.
-
-    The restretch to height rk+1 over the vertices the matching names:
-    chain i keeps its first block, gains that central element and has its
-    last block raised one level; the unmatched vertex becomes the new
-    singleton chain.  ``collapse(expand(scd, f)) == scd`` for every ``f``.
+    The restretch to height rk+1 over the matched vertices: chain i keeps
+    its first block, gains the central element over its edge's source
+    (loops, and climbing edges that end at rank ``j`` or below) or its
+    target (the rest), and has its last block raised one level; the
+    unmatched vertex becomes the new singleton chain.
+    ``collapse(expand(scd, j)) == scd`` for every ``j``.
     """
     base = _surgery_base(scd, "expand", above=False)
     graph = middle_graph(scd)
-    if matching.edges != graph.edges:
-        raise ConstructionError("matching does not belong to this decomposition's middle graph")
     rk = base.rk
-    v = matching.unmatched_vertex
-    chains = _restretch(scd, rk + 1, matching.assignment)
-    chains.append(((v, rk - base.rank_of(v)),))
+    if not 0 <= j <= rk:
+        raise ConstructionError(
+            f"expand needs a matching index in 0..{rk} (unmatched-vertex rank order), got {j}"
+        )
+    rank = base.rank_of
+    coords = [p if p == q or rank(q) <= j else q for p, q in graph.edges]
+    chains = _restretch(scd, rk + 1, coords)
+    chains.append(((graph.path[j], rk - j),))  # the unmatched vertex has rank j
     return _checked(poset_times_chain(base, rk + 1), chains, scd.notes, what="expand")
 
 
@@ -419,11 +398,10 @@ def _taut_free_p56() -> SCD:
     (matchings tried in unmatched-vertex rank order).  ``repair`` checks
     its result taut-free itself."""
     t3 = builtin_table("P55")
-    graph = middle_graph(t3)
-    for idx, f in enumerate(enumerate_matchings(graph)):
-        lifted = expand(t3, f)
+    for j in range(t3.host.chain_factor[0].rk + 1):
+        lifted = expand(t3, j)
         if not lifted.report.taut_count:
-            return repair(lifted).with_notes(f"matching: {idx}")
+            return repair(lifted).with_notes(f"matching: {j}")
     raise ConstructionError("no matching yields a taut-free lift of P(5,5)")
 
 

@@ -358,3 +358,10 @@ def test_is_cover_runs_only_on_the_chains_that_fail_the_saturation_test(monkeypa
         asked.clear()
         assert validate_scd(scd.host, mutant) == report and not report.valid
         assert asked == [step for i in broken for step in zip(mutant[i], mutant[i][1:])]
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_table("P53"), lambda: build_cuboid(2, 3)],
+                         ids=["SCD", "GradedPoset"])
+def test_a_value_of_another_type_is_unequal(make):
+    value = make()
+    assert value != 1 and not value == 1

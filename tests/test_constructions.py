@@ -11,7 +11,6 @@ from scdkit.constructions import (
     _check,
     _taut_free_p56,
     collapse,
-    enumerate_matchings,
     expand,
     extend_dimension,
     generate,
@@ -24,6 +23,7 @@ from scdkit.constructions import (
 )
 from scdkit.data_io import builtin_table, serialize_scd
 from scdkit.posets import (
+    GradedPoset,
     build_chain_poset,
     build_cuboid,
     build_hypercube,
@@ -174,6 +174,30 @@ def test_gate_requires_the_exact_taut_count():
             _check(scd, "input", taut_count=wrong)
 
 
+def _two_chains_times_2():
+    # P = two disjoint 2-chains: rank 1, but no unique minimum or maximum.
+    p = GradedPoset(["a0", "a1", "b0", "b1"], [("a0", "a1"), ("b0", "b1")],
+                    {"a0": 0, "a1": 1, "b0": 0, "b1": 1})
+    chains = [c for x in "ab" for c in (((x + "0", 0), (x + "0", 1), (x + "1", 1)),
+                                        ((x + "1", 0),))]
+    return SCD(poset_times_chain(p, 2), tuple(chains))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: shift(hypercube_scd(3), 5), r"needs a host of the form P x chain\(n\)"),
+    (lambda: extend_dimension(grid_scd(2, 3), 6), "needs a cuboid host"),
+    (lambda: collapse(SCD(poset_times_chain(build_chain_poset(1), 2), (((0, 0), (0, 1)),))),
+     r"needs rk\(P\) >= 1"),
+    (lambda: collapse(_two_chains_times_2()), "unique minimum and maximum"),
+    (lambda: grid_scd(0, 2), "grid sides must be positive"),
+    (lambda: hypercube_scd(-1), "must be nonnegative"),
+], ids=["shift-no-chain-factor", "extend-no-cuboid", "collapse-rank-0", "collapse-no-bounds",
+        "grid-empty-side", "hypercube-negative"])
+def test_construction_preconditions_are_refused(call, message):
+    with pytest.raises(ConstructionError, match=message):
+        call()
+
+
 # -- shift ----------------------------------------------------------------------
 
 
@@ -258,7 +282,7 @@ def test_middle_graph_of_segment():
     graph = middle_graph(scd)
     assert graph.edges == ((0, 1),)
     assert graph.path == (0, 1)
-    assert not graph.loop_vertices
+    assert set(graph.base.elements) == set(graph.path)  # no loop vertices
 
 
 def test_middle_graph_of_squares():
@@ -266,7 +290,7 @@ def test_middle_graph_of_squares():
         graph = middle_graph(s)
         assert graph.path[0] == 0 and graph.path[-1] == 3
         assert graph.path[1] in (1, 2)
-        assert len(graph.loop_vertices) == 1
+        assert len(set(graph.base.elements) - set(graph.path)) == 1  # one loop vertex
         assert len(graph.edges) == 3
 
 
@@ -278,28 +302,29 @@ def test_middle_graph_single_maximal_path():
         assert len(nonloops) == graph.base.rk
 
 
-def test_enumerate_matchings_counts():
+def test_middle_graph_path_counts_the_matchings():
+    # One matching per path vertex: rk(P)+1 of them.
     q1 = enumerate_scds(build_cuboid(1, 1)).found[0]
-    assert len(enumerate_matchings(middle_graph(q1))) == 2
+    assert len(middle_graph(q1).path) == 2
     q2 = enumerate_scds(build_cuboid(2, 2)).found[0]
-    assert len(enumerate_matchings(middle_graph(q2))) == 3
+    assert len(middle_graph(q2).path) == 3
     t3 = builtin_table("P55")
-    assert len(enumerate_matchings(middle_graph(t3))) == 6
+    assert len(middle_graph(t3).path) == 6
 
 
 def test_expand_segment_gives_both_squares():
     base = enumerate_scds(build_cuboid(1, 1)).found[0]
     squares = {s.chain_set for s in enumerate_scds(build_cuboid(1, 2)).found}
     lifted = {
-        expand(base, f).chain_set for f in enumerate_matchings(middle_graph(base))
+        expand(base, j).chain_set for j in range(len(middle_graph(base).path))
     }
     assert lifted == squares
 
 
 def test_expand_outputs_are_pairwise_distinct():
     for s in enumerate_scds(build_cuboid(2, 2)).found:
-        matchings = enumerate_matchings(middle_graph(s))
-        lifts = [expand(s, f) for f in matchings]
+        matchings = range(len(middle_graph(s).path))
+        lifts = [expand(s, j) for j in matchings]
         assert len({l.chain_set for l in lifts}) == len(matchings)
         for lift in lifts:
             assert collapse(lift) == s
@@ -309,10 +334,10 @@ def test_expand_outputs_are_pairwise_distinct():
 @given(perm=st.permutations(range(5)))
 def test_collapse_undoes_expand_on_the_bit_permuted_p55_table(perm):
     s = permute_scd(builtin_table("P55"), perm)
-    matchings = enumerate_matchings(middle_graph(s))
+    matchings = range(len(middle_graph(s).path))
     assert len(matchings) == 6
-    for f in matchings:
-        assert collapse(expand(s, f)) == s
+    for j in matchings:
+        assert collapse(expand(s, j)) == s
 
 
 def test_the_theorem_on_every_decomposition_of_a_product_of_chains():
@@ -334,7 +359,7 @@ def test_the_theorem_on_every_decomposition_of_a_product_of_chains():
     assert len(fibers) == 84
     for image, fiber in fibers.values():
         assert len(fiber) == len(set(fiber)) == 4
-        expanded = {expand(image, f).chain_set for f in enumerate_matchings(middle_graph(image))}
+        expanded = {expand(image, j).chain_set for j in range(len(middle_graph(image).path))}
         assert expanded == set(fiber)
 
 
@@ -364,8 +389,8 @@ def test_the_surgery_lemmas_hold_on_every_small_decomposition():
 
 def test_expand_table3_with_any_matching():
     t3 = builtin_table("P55")
-    for f in enumerate_matchings(middle_graph(t3)):
-        out = expand(t3, f)
+    for j in range(len(middle_graph(t3).path)):
+        out = expand(t3, j)
         report = validate_scd(out.host, out)
         assert report.valid
         assert out.host == build_cuboid(5, 6)
@@ -395,22 +420,25 @@ def _digest(scd):
 
 def test_restretch_maps_keep_their_bytes():
     t3 = builtin_table("P55")
-    matchings = enumerate_matchings(middle_graph(t3))
+    matchings = range(len(middle_graph(t3).path))
     assert len(matchings) == len(EXPAND_P55_DIGESTS)
-    for f, expected in zip(matchings, EXPAND_P55_DIGESTS):
-        up = expand(t3, f)
+    for j, expected in zip(matchings, EXPAND_P55_DIGESTS):
+        up = expand(t3, j)
         assert _digest(up) == expected
         assert _digest(collapse(up)) == COLLAPSE_P56_DIGEST
     for m, expected in SHIFT_P56_DIGESTS.items():
         assert _digest(shift(generate(5, 6), m)) == expected
 
 
-def test_expand_rejects_foreign_matching():
-    scds = enumerate_scds(build_cuboid(2, 2)).found
-    f_other = enumerate_matchings(middle_graph(scds[1]))[0]
-    if f_other.edges != middle_graph(scds[0]).edges:
-        with pytest.raises(ConstructionError):
-            expand(scds[0], f_other)
+def test_expand_rejects_out_of_range_index():
+    t3 = builtin_table("P55")
+    for j in (-1, 6):
+        with pytest.raises(ConstructionError, match=rf"index in 0\.\.5 .*, got {j}$"):
+            expand(t3, j)
+    # The input gate comes first: an invalid document reports its findings.
+    broken = SCD(t3.host, t3.chains[:-1])
+    with pytest.raises(ConstructionError, match="is not a valid decomposition"):
+        expand(broken, 6)
 
 
 # -- repair -----------------------------------------------------------------------
@@ -422,8 +450,8 @@ def grid23_host():
 
 def test_repair_noop_on_safe_input():
     t3 = builtin_table("P55")
-    for f in enumerate_matchings(middle_graph(t3)):
-        lifted = expand(t3, f)
+    for j in range(len(middle_graph(t3).path)):
+        lifted = expand(t3, j)
         assert repair(lifted) is lifted  # these lifts are already safe
 
 
@@ -519,3 +547,20 @@ def test_generated_middle_block_is_vertical(n):
     for ch in scd.chains:
         mid = {p for (p, c) in ch if rk <= scd.host.rank[(p, c)] <= n - 1}
         assert len(mid) == 1
+
+
+def test_the_surgery_from_searched_anchors():
+    # The searched taut-free P(5,3) and P(5,5), not the bundled tables,
+    # through every lift, repair, collapse, shift and widening.
+    cfg = SearchConfig(forbid_taut=True, limit=1)
+    w53 = enumerate_scds(build_cuboid(5, 3), cfg).found[0]
+    w55 = enumerate_scds(build_cuboid(5, 5), cfg).found[0]
+    outputs = []
+    for j in range(6):
+        lifted = expand(w55, j)
+        fixed = repair(lifted)
+        outputs += [lifted, fixed, collapse(fixed), shift(fixed, 7), shift(fixed, 12)]
+    outputs += [extend_dimension(w53, 6), extend_dimension(w53, 8)]
+    for out in outputs:
+        report = validate_scd(out.host, out)
+        assert report.valid and report.taut_count == 0

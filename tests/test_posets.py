@@ -101,6 +101,7 @@ def test_cuboid_sizes():
     q11 = build_cuboid(1, 1)
     assert q11.rk == 1 and len(q11) == 2
     assert len(build_cuboid(13, 4)) == 1 << 15  # within the host size limit
+    assert repr(build_cuboid(2, 3)) == "GradedPoset(P(2,3), 12 elements, rank 4)"
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -340,6 +341,20 @@ def test_is_rank_symmetric():
         "abc", [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1}, label="vee"
     )
     assert not is_rank_symmetric(vee)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GradedPoset([], [], {}), "must be nonempty"),
+    (lambda: GradedPoset([0], [], {}), "has no rank"),
+    (lambda: build_cuboid(-1, 3), "k >= 0"),
+    (lambda: build_cuboid(2, 0), "n >= 1"),
+    (lambda: build_hypercube(-1), "must be nonnegative"),
+    (lambda: packet_grid(build_hypercube(2), 0), "must be positive"),
+], ids=["no-elements", "no-rank", "cuboid-negative-k", "cuboid-empty-chain",
+        "hypercube-negative", "packet-grid-empty-chain"])
+def test_poset_preconditions_are_refused(call, message):
+    with pytest.raises(PosetError, match=message):
+        call()
 
 
 def test_construction_rejects_bad_rank_jump():
