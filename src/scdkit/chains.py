@@ -133,24 +133,12 @@ def _same_elements(a: GradedPoset, b: GradedPoset) -> bool:
 def is_taut(chain: Sequence, n: int) -> bool:
     """True iff the chain contains a full vertical run (p,0) .. (p,n-1).
 
-    Elements must be ``(base, level)`` pairs.  Single scan keeping the
-    length of the current level-increment run that started at level 0;
-    a run of n such elements is a full column (the n elements are
-    necessarily consecutive because their ranks are).
+    Elements must be ``(base, level)`` pairs.  The n elements of a full
+    column are consecutive in a chain, because their ranks are.
     """
-    run = 0
-    prev = None
-    for p, c in chain:
-        if c == 0:
-            run = 1
-        elif prev is not None and p == prev[0] and c == prev[1] + 1 and run > 0:
-            run += 1
-        else:
-            run = 0
-        if run == n:
-            return True
-        prev = (p, c)
-    return False
+    pairs = [(p, c) for p, c in chain]
+    return any(pairs[z:z + n] == [(p, c) for c in range(n)]
+               for z, (p, level) in enumerate(pairs) if level == 0)
 
 
 class ValidationReport(NamedTuple):

@@ -133,7 +133,10 @@ def _cmd_search(args) -> int:
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Building the parser costs far more than parsing with it, and parse_args
+# keeps no state between calls: each returns a new Namespace.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scdkit",
         description="Symmetric chain decompositions of cuboids Q_k x n, "
@@ -206,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Building the parser costs far more than parsing with it, and
-    # parse_args keeps no state between calls: each returns a new Namespace.
-    return build_parser()
 
 
 def run(argv: list[str] | None = None) -> int:

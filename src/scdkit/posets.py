@@ -13,13 +13,15 @@ of them, and ``up``/``down`` of a foreign element raise ``PosetError``.
 
 Implicit hosts hold no per-element table: their size, membership
 (``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
-host of 2^15 elements costs a few hundred bytes.  The tables ``rank``,
+host of 2^15 elements costs a few hundred bytes.  The tables
 ``elements`` and ``by_rank`` are built on first use, for the consumers
 that enumerate elements (the surgery on small bases, structural
-equality, the search of a generic host).  ``rank_of`` is the
+equality, the search of a generic host).  ``rank_of`` is the one
 per-element rank read: a dict lookup on generic posets,
 ``bits.bit_count() + level`` on cuboids, which the saturation test of
 ``validate_scd`` computes inline from the chain ends it unpacks.
+``covers`` is the one listing of the cover pairs.  Every host, and the
+packet grid, passes one size guard: ``MAX_HOST_ELEMENTS`` elements.
 
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``
 pairs with ``bits`` an integer whose binary digits, most significant
@@ -57,11 +59,12 @@ class GradedPoset:
     coordinate (tautness, block surgery) require it.
 
     ``up`` is the one cover relation: a table here, bit arithmetic in the
-    implicit hosts; ``is_cover`` reads it for every host.
+    implicit hosts; ``is_cover`` and ``covers`` read it for every host.
     ``validate_scd`` asks ``is_cover`` per chain step only to explain a
-    chain that fails its one saturation test.  ``rank``, ``elements`` and
-    ``by_rank`` are built here for a generic poset, and on first use for
-    an implicit host.
+    chain that fails its one saturation test.  ``rank_of`` is the one rank
+    read.  ``elements`` and ``by_rank`` are built here for a generic
+    poset, and on first use for an implicit host.  Two posets are equal
+    when their elements and covers are: the covers fix the ranks.
     """
 
     __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_tables")
@@ -112,8 +115,8 @@ class GradedPoset:
     # -- the element tables -------------------------------------------------
 
     def _fill(self, rank: dict[Element, int]) -> None:
-        """Build ``rank``, ``elements`` and ``by_rank`` from ``rank``, whose
-        keys are in canonical order."""
+        """Build the rank dict, ``elements`` and ``by_rank`` from ``rank``,
+        whose keys are in canonical order."""
         by_rank: list[list[Element]] = [[] for _ in range(self.rk + 1)]
         for e, r in rank.items():
             by_rank[r].append(e)
@@ -125,11 +128,6 @@ class GradedPoset:
         if self._tables is None:
             self._fill(self._rank_table())
         return self._tables
-
-    @property
-    def rank(self) -> dict[Element, int]:
-        """Element -> rank, keys in canonical order."""
-        return self._get_tables()[0]
 
     @property
     def elements(self) -> tuple[Element, ...]:
@@ -166,11 +164,7 @@ class GradedPoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoset):
             return NotImplemented
-        return (
-            self.elements == other.elements
-            and self.cover_set == other.cover_set
-            and self.rank == other.rank
-        )
+        return self.elements == other.elements and self.covers == other.covers
 
     __hash__ = None  # structural equality, not hashable
 
@@ -194,10 +188,6 @@ class GradedPoset:
     def covers(self) -> tuple[tuple[Element, Element], ...]:
         """Every cover pair, in canonical order."""
         return tuple((x, y) for x in self.elements for y in self.up(x))
-
-    @property
-    def cover_set(self) -> frozenset:
-        return frozenset(self.covers)
 
     @property
     def bottom(self) -> Element | None:
@@ -292,10 +282,7 @@ def build_chain_poset(s: int) -> GradedPoset:
     """The total order 0 < 1 < ... < s-1 with rank(i) = i."""
     if s < 1:
         raise PosetError(f"chain poset needs at least one element, got s={s}")
-    if s > MAX_HOST_ELEMENTS:
-        raise PosetError(
-            f"chain({s}) would have {s} elements, over the limit of {MAX_HOST_ELEMENTS}"
-        )
+    _require_size(0, s, f"chain({s})")
     return GradedPoset(
         range(s),
         [(i, i + 1) for i in range(s - 1)],
@@ -316,12 +303,11 @@ def build_hypercube(k: int) -> GradedPoset:
 
 
 def _require_size(k: int, n: int, label: str) -> None:
-    """Refuse a host of ``n * 2^k`` elements over ``MAX_HOST_ELEMENTS``."""
+    """Refuse a host, or packet grid, of ``n * 2^k`` elements over
+    ``MAX_HOST_ELEMENTS``."""
     # k is tested first, so a huge k never reaches the shift.
     if k >= MAX_HOST_ELEMENTS.bit_length() or n << k > MAX_HOST_ELEMENTS:
-        raise PosetError(
-            f"{label} would have {n}*2^{k} elements, over the limit of {MAX_HOST_ELEMENTS}"
-        )
+        raise PosetError(f"{label} is over the limit of {MAX_HOST_ELEMENTS} elements")
 
 
 def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
@@ -331,11 +317,7 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     so that chain-coordinate operations apply to it.  Refuses products of
     more than ``MAX_HOST_ELEMENTS`` elements.
     """
-    if len(p) * len(q) > MAX_HOST_ELEMENTS:
-        raise PosetError(
-            f"{p.label}x{q.label} would have {len(p)}*{len(q)} elements, "
-            f"over the limit of {MAX_HOST_ELEMENTS}"
-        )
+    _require_size(0, len(p) * len(q), f"{p.label}x{q.label}")
     elements = [(a, b) for a in p.elements for b in q.elements]
     covers = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q.elements]
     covers += [((a, b), (a, b2)) for a in p.elements for (b, b2) in q.covers]
@@ -397,11 +379,7 @@ def packet_grid(p: GradedPoset, n: int) -> dict[tuple[int, int], int]:
     """
     if n < 1:
         raise PosetError(f"chain length must be positive, got n={n}")
-    if (p.rk + 1) * n > MAX_HOST_ELEMENTS:
-        raise PosetError(
-            f"the packet grid of {p.label} x chain({n}) would have {p.rk + 1}*{n} cells, "
-            f"over the limit of {MAX_HOST_ELEMENTS}"
-        )
+    _require_size(0, (p.rk + 1) * n, f"the packet grid of {p.label} x chain({n})")
     counts: dict[tuple[int, int], int] = {}
     for x, size in enumerate(p.rank_vector):
         for y in range(x, x + n):

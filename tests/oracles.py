@@ -5,12 +5,13 @@ enumerate decompositions by exact cover over the explicit list of all
 saturated symmetric chains, so agreement with the library is a real
 cross-check rather than the same algorithm twice.  Likewise
 ``diagnose_by_elements`` validates a decomposition element by element,
-with none of the shortcuts of ``validate_scd``.
+with none of the shortcuts of ``validate_scd``, and its own tautness
+test, a run scan independent of ``chains.is_taut``.
 """
 
 from itertools import product as iproduct
 
-from scdkit.chains import SCD, ValidationReport, is_taut
+from scdkit.chains import SCD, ValidationReport
 from scdkit.posets import cuboid_shape
 
 
@@ -34,7 +35,7 @@ def product_rank_vector(vec_a, vec_b):
 def middle_rank_size(host):
     """Elements at rank rk // 2, counted one by one: every chain of a
     decomposition of a rank-symmetric host crosses that rank once."""
-    return sum(1 for e in host.elements if host.rank[e] == host.rk // 2)
+    return sum(1 for e in host.elements if host.rank_of(e) == host.rk // 2)
 
 
 def middle_rank_bound_holds(rank_vector):
@@ -53,7 +54,7 @@ def all_symmetric_chains(host):
 
     def grow(chain, end_rank):
         top = chain[-1]
-        if host.rank[top] == end_rank:
+        if host.rank_of(top) == end_rank:
             chains.append(tuple(chain))
             return
         for nxt in host.up(top):
@@ -106,11 +107,34 @@ def has_full_column(chain, n):
     return any(all((p, c) in members for c in range(n)) for p, _ in chain)
 
 
+def is_taut_by_runs(chain, n):
+    """True iff the chain contains a full vertical run (p,0) .. (p,n-1).
+
+    Elements must be ``(base, level)`` pairs.  Single scan keeping the
+    length of the current level-increment run that started at level 0;
+    a run of n such elements is a full column (the n elements are
+    necessarily consecutive because their ranks are).
+    """
+    run = 0
+    prev = None
+    for p, c in chain:
+        if c == 0:
+            run = 1
+        elif prev is not None and p == prev[0] and c == prev[1] + 1 and run > 0:
+            run += 1
+        else:
+            run = 0
+        if run == n:
+            return True
+        prev = (p, c)
+    return False
+
+
 def diagnose_by_elements(host, chains):
     """The report ``validate_scd`` owes ``chains``, from checks element by
     element alone: membership, ``is_cover`` per step, rank symmetry, a
-    dict of used elements, and ``is_taut`` on every nonempty chain with no
-    foreign element.  No saturation test and no shortcut for any host."""
+    dict of used elements, and ``is_taut_by_runs`` on every nonempty chain
+    with no foreign element.  No saturation test and no shortcut for any host."""
     chains = tuple(tuple(ch) for ch in chains)
     messages = []
     is_partition = all_symmetric = True
@@ -147,7 +171,8 @@ def diagnose_by_elements(host, chains):
     taut = ()
     if host.chain_factor is not None:
         n = host.chain_factor[1]
-        taut = tuple(i for i, ch in enumerate(chains) if ch and i not in alien and is_taut(ch, n))
+        taut = tuple(i for i, ch in enumerate(chains)
+                     if ch and i not in alien and is_taut_by_runs(ch, n))
     return ValidationReport(
         is_partition=is_partition,
         all_symmetric=all_symmetric,

@@ -194,7 +194,7 @@ def test_criterion_8_structural_invariants():
             scd = generate(k, n)
             rk = scd.host.chain_factor[0].rk
             for ch in scd.chains:
-                mid = {p for (p, c) in ch if rk <= scd.host.rank[(p, c)] <= n - 1}
+                mid = {p for (p, c) in ch if rk <= scd.host.rank_of((p, c)) <= n - 1}
                 ok &= len(mid) == 1
             vertical_checks += 1
     _report(

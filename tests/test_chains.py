@@ -14,7 +14,10 @@ from scdkit.posets import (
 )
 from scdkit.search import SearchConfig, enumerate_scds
 
-from oracles import diagnose_by_elements, middle_rank_bound_holds, middle_rank_size, permute_scd
+from oracles import (
+    diagnose_by_elements, is_taut_by_runs, middle_rank_bound_holds, middle_rank_size,
+    permute_scd,
+)
 
 
 def _chain_findings(host, chain):
@@ -26,7 +29,7 @@ def test_validate_chain_maximal_row():
     t1 = builtin_table("P53")
     row6 = next(ch for ch in t1.chains if ch[0] == (0, 0))
     assert _chain_findings(t1.host, row6) == []
-    assert [t1.host.rank[e] for e in row6] == list(range(8))
+    assert [t1.host.rank_of(e) for e in row6] == list(range(8))
 
 
 def test_validate_chain_singleton_not_symmetric():
@@ -39,7 +42,7 @@ def test_validate_chain_middle_pair():
     host = build_cuboid(5, 3)
     ch = ((0b11010, 0), (0b11010, 1))
     assert _chain_findings(host, ch) == []
-    assert [host.rank[e] for e in ch] == [3, 4]
+    assert [host.rank_of(e) for e in ch] == [3, 4]
 
 
 def test_validate_chain_rejects_foreign():
@@ -74,6 +77,20 @@ def test_is_taut_needs_run_from_level_zero():
     # levels 1..2 at a fixed coordinate is not a full column for n = 3
     assert not is_taut(((1, 0), (1, 1), (1, 2)), 4)
     assert not is_taut(((0, 1), (0, 2)), 3)
+
+
+_pair = st.tuples(st.integers(0, 2), st.integers(0, 4))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(head=st.lists(_pair, max_size=4), run=st.tuples(st.integers(0, 2), st.integers(0, 5)),
+       tail=st.lists(_pair, max_size=4), n=st.integers(1, 5))
+def test_is_taut_agrees_with_the_run_scan(head, run, tail, n):
+    # A planted run (p,0) .. (p,len-1) between random pairs: full for
+    # len >= n, one short or cut off by the tail otherwise.
+    p, length = run
+    chain = head + [(p, c) for c in range(length)] + tail
+    assert is_taut(chain, n) == is_taut_by_runs(chain, n)
 
 
 def test_validate_scd_tables():

@@ -469,7 +469,7 @@ def test_repair_surgery_over_nontaut_grid_lifts():
         surgeries += fixed != s
         report = validate_scd(fixed.host, fixed)
         assert report.valid and report.taut_count == 0
-        cmax = next(ch for ch in fixed.chains if fixed.host.rank[ch[0]] == 0)
+        cmax = next(ch for ch in fixed.chains if fixed.host.rank_of(ch[0]) == 0)
         assert (lo, rk - 1) not in cmax and (hi, 1) not in cmax
         down = collapse(fixed)
         down_report = validate_scd(down.host, down)
@@ -545,7 +545,7 @@ def test_generated_middle_block_is_vertical(n):
     scd = generate(5, n)
     rk = scd.host.chain_factor[0].rk
     for ch in scd.chains:
-        mid = {p for (p, c) in ch if rk <= scd.host.rank[(p, c)] <= n - 1}
+        mid = {p for (p, c) in ch if rk <= scd.host.rank_of((p, c)) <= n - 1}
         assert len(mid) == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdkit
-from scdkit import constructions, data_io
+from scdkit import constructions, data_io, posets
 from scdkit.chains import validate_scd
 from scdkit.posets import (
     GradedPoset,
@@ -37,7 +37,7 @@ def test_chain_poset_degenerate():
 def test_chain_poset_small():
     c = build_chain_poset(3)
     assert len(c) == 3 and len(c.covers) == 2 and c.rk == 2
-    assert c.cover_set == {(0, 1), (1, 2)}
+    assert c.covers == ((0, 1), (1, 2))
 
 
 def test_chain_poset_rank_vector():
@@ -110,8 +110,8 @@ def test_cuboid_matches_generic_product(k, n):
     fast = build_cuboid(k, n)
     slow = product(build_hypercube(k), build_chain_poset(n))
     assert fast.elements == slow.elements
-    assert fast.cover_set == slow.cover_set
-    assert fast.rank == slow.rank
+    assert fast.covers == slow.covers
+    assert all(fast.rank_of(e) == slow.rank_of(e) for e in slow.elements)
     assert fast.by_rank == slow.by_rank
     assert (fast.bottom, fast.top) == (slow.bottom, slow.top)
     for e in slow.elements:
@@ -130,8 +130,8 @@ def test_implicit_sizes_and_ranks_match_the_tables(k, n):
     assert sizes == (len(cube.elements), len(host.elements))
     assert vectors == (tuple(map(len, cube.by_rank)), tuple(map(len, host.by_rank)))
     assert host.rank_vector == product(cube, build_chain_poset(n)).rank_vector
-    assert all(host.rank_of(e) == r for e, r in host.rank.items())
-    assert all(cube.rank_of(x) == r for x, r in cube.rank.items())
+    assert all(host.rank_of(e) == r for r, row in enumerate(host.by_rank) for e in row)
+    assert all(cube.rank_of(x) == r for r, row in enumerate(cube.by_rank) for x in row)
 
 
 class _Pair(tuple):
@@ -165,7 +165,7 @@ def _integral_float(e) -> bool:
 @given(host=st.sampled_from(_small_hosts), e=_hostile)
 def test_membership_is_the_rank_tables(host, e):
     try:
-        in_table = e in host.rank
+        in_table = e in set(host.elements)
     except TypeError:  # unhashable
         in_table = False
     if _integral_float(e):
@@ -374,7 +374,7 @@ def test_construction_rejects_foreign_cover():
 
 def test_rank_of_a_foreign_element_does_not_make_it_a_member():
     p = GradedPoset("ab", [], {"a": 0, "b": 0, "z": 5})
-    assert "z" not in p and p.rank == {"a": 0, "b": 0} and p.rk == 0
+    assert "z" not in p and p.by_rank == (("a", "b"),) and p.rk == 0
     report = validate_scd(p, [("z",)])
     assert report.messages[0] == "chain 0: foreign elements ['z']"
 
@@ -392,6 +392,13 @@ def test_up_and_down_reject_foreign_elements(host, foreign):
         host.down(foreign)
 
 
+def test_equality_reads_the_covers_as_well_as_the_elements():
+    ranks = {"a": 0, "b": 0, "c": 1, "d": 1}
+    straight = GradedPoset("abcd", [("a", "c"), ("b", "d")], ranks)
+    assert straight == GradedPoset("abcd", [("b", "d"), ("a", "c")], ranks)
+    assert straight != GradedPoset("abcd", [("a", "d"), ("b", "c")], ranks)
+
+
 def test_poset_times_chain_matches_cuboid_for_hypercubes():
     assert poset_times_chain(build_hypercube(2), 3) == build_cuboid(2, 3)
 
@@ -399,7 +406,7 @@ def test_poset_times_chain_matches_cuboid_for_hypercubes():
 def test_every_cover_raises_rank_by_one():
     for poset in [build_cuboid(3, 2), build_hypercube(4), build_chain_poset(5)]:
         for x, y in poset.covers:
-            assert poset.rank[y] == poset.rank[x] + 1
+            assert poset.rank_of(y) == poset.rank_of(x) + 1
         for e in poset.by_rank[0]:
             assert not poset.down(e)
 
@@ -433,6 +440,24 @@ def test_oversized_posets_are_refused_before_allocation(call):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr
+
+
+@pytest.mark.parametrize("call, fits", [
+    (lambda: build_hypercube(20), True),
+    (lambda: build_cuboid(17, 8), True),
+    (lambda: build_hypercube(21), False),
+    (lambda: build_cuboid(17, 9), False),
+    (lambda: build_cuboid(20, 2), False),
+    (lambda: product(build_hypercube(10), build_chain_poset(1025)), False),
+    (lambda: packet_grid(build_hypercube(3), 2**18 + 1), False),
+], ids=["Q20", "P(17,8)", "Q21", "P(17,9)", "P(20,2)", "Q10xchain(1025)", "packet-grid"])
+def test_one_size_guard_admits_the_limit_and_nothing_over_it(call, fits):
+    # Every host and the packet grid pass the same inclusive guard.
+    if fits:
+        assert len(call()) == posets.MAX_HOST_ELEMENTS
+    else:
+        with pytest.raises(PosetError, match="over the limit"):
+            call()
 
 
 def test_the_module_caches_are_bounded():
