@@ -134,11 +134,19 @@ def is_taut(chain: Sequence, n: int) -> bool:
     """True iff the chain contains a full vertical run (p,0) .. (p,n-1).
 
     Elements must be ``(base, level)`` pairs.  The n elements of a full
-    column are consecutive in a chain, because their ranks are.
+    column are consecutive, as their ranks are, so one scan counts runs.
     """
-    pairs = [(p, c) for p, c in chain]
-    return any(pairs[z:z + n] == [(p, c) for c in range(n)]
-               for z, (p, level) in enumerate(pairs) if level == 0)
+    run, base = 0, None
+    for p, c in chain:
+        if c == 0:
+            run, base = 1, p
+        elif run and (p, c) == (base, run):
+            run += 1
+        else:
+            run = 0
+        if run == n:
+            return True
+    return False
 
 
 class ValidationReport(NamedTuple):

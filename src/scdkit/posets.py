@@ -13,13 +13,13 @@ of them, and ``up``/``down`` of a foreign element raise ``PosetError``.
 
 Implicit hosts hold no per-element table: their size, membership
 (``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
-host of 2^15 elements costs a few hundred bytes.  The tables
-``elements`` and ``by_rank`` are built on first use, for the consumers
-that enumerate elements (the surgery on small bases, structural
-equality, the search of a generic host).  ``rank_of`` is the one
-per-element rank read: a dict lookup on generic posets,
-``bits.bit_count() + level`` on cuboids, which the saturation test of
-``validate_scd`` computes inline from the chain ends it unpacks.
+host of 2^15 elements costs a few hundred bytes.  ``elements``,
+``by_rank`` and the rank dict they come from are built, and kept, on
+first use, for the consumers that enumerate elements (the surgery on
+small bases, structural equality, the search of a generic host).
+``rank_of`` is the one per-element rank read: a dict lookup on generic
+posets, ``bits.bit_count() + level`` on cuboids, which the saturation
+test of ``validate_scd`` computes inline from the chain ends it unpacks.
 ``covers`` is the one listing of the cover pairs.  Every host, and the
 packet grid, passes one size guard: ``MAX_HOST_ELEMENTS`` elements.
 
@@ -62,9 +62,9 @@ class GradedPoset:
     implicit hosts; ``is_cover`` and ``covers`` read it for every host.
     ``validate_scd`` asks ``is_cover`` per chain step only to explain a
     chain that fails its one saturation test.  ``rank_of`` is the one rank
-    read.  ``elements`` and ``by_rank`` are built here for a generic
-    poset, and on first use for an implicit host.  Two posets are equal
-    when their elements and covers are: the covers fix the ranks.
+    read.  ``elements``, ``by_rank`` and the rank dict are built here for a
+    generic poset, and on first use for an implicit host.  Two posets are
+    equal when their elements and covers are: the covers fix the ranks.
     """
 
     __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_tables")

@@ -6,7 +6,7 @@ saturated symmetric chains, so agreement with the library is a real
 cross-check rather than the same algorithm twice.  Likewise
 ``diagnose_by_elements`` validates a decomposition element by element,
 with none of the shortcuts of ``validate_scd``, and its own tautness
-test, a run scan independent of ``chains.is_taut``.
+test, read off the definition and independent of ``chains.is_taut``.
 """
 
 from itertools import product as iproduct
@@ -107,33 +107,19 @@ def has_full_column(chain, n):
     return any(all((p, c) in members for c in range(n)) for p, _ in chain)
 
 
-def is_taut_by_runs(chain, n):
-    """True iff the chain contains a full vertical run (p,0) .. (p,n-1).
-
-    Elements must be ``(base, level)`` pairs.  Single scan keeping the
-    length of the current level-increment run that started at level 0;
-    a run of n such elements is a full column (the n elements are
-    necessarily consecutive because their ranks are).
-    """
-    run = 0
-    prev = None
-    for p, c in chain:
-        if c == 0:
-            run = 1
-        elif prev is not None and p == prev[0] and c == prev[1] + 1 and run > 0:
-            run += 1
-        else:
-            run = 0
-        if run == n:
-            return True
-        prev = (p, c)
-    return False
+def is_taut_by_definition(chain, n):
+    """True iff n consecutive elements of the chain are (p,0) .. (p,n-1),
+    compared slice by slice: the definition of a taut chain, independent
+    of the linear scan of ``chains.is_taut`` and meant for small hosts."""
+    pairs = [(p, c) for p, c in chain]
+    return any(pairs[z:z + n] == [(p, c) for c in range(n)]
+               for z, (p, level) in enumerate(pairs) if level == 0)
 
 
 def diagnose_by_elements(host, chains):
     """The report ``validate_scd`` owes ``chains``, from checks element by
     element alone: membership, ``is_cover`` per step, rank symmetry, a
-    dict of used elements, and ``is_taut_by_runs`` on every nonempty chain
+    dict of used elements, and ``is_taut_by_definition`` on every nonempty chain
     with no foreign element.  No saturation test and no shortcut for any host."""
     chains = tuple(tuple(ch) for ch in chains)
     messages = []
@@ -172,7 +158,7 @@ def diagnose_by_elements(host, chains):
     if host.chain_factor is not None:
         n = host.chain_factor[1]
         taut = tuple(i for i, ch in enumerate(chains)
-                     if ch and i not in alien and is_taut_by_runs(ch, n))
+                     if ch and i not in alien and is_taut_by_definition(ch, n))
     return ValidationReport(
         is_partition=is_partition,
         all_symmetric=all_symmetric,

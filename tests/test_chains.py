@@ -15,7 +15,7 @@ from scdkit.posets import (
 from scdkit.search import SearchConfig, enumerate_scds
 
 from oracles import (
-    diagnose_by_elements, is_taut_by_runs, middle_rank_bound_holds, middle_rank_size,
+    diagnose_by_elements, is_taut_by_definition, middle_rank_bound_holds, middle_rank_size,
     permute_scd,
 )
 
@@ -85,12 +85,12 @@ _pair = st.tuples(st.integers(0, 2), st.integers(0, 4))
 @settings(max_examples=500, deadline=None, database=None)
 @given(head=st.lists(_pair, max_size=4), run=st.tuples(st.integers(0, 2), st.integers(0, 5)),
        tail=st.lists(_pair, max_size=4), n=st.integers(1, 5))
-def test_is_taut_agrees_with_the_run_scan(head, run, tail, n):
+def test_is_taut_agrees_with_the_definition(head, run, tail, n):
     # A planted run (p,0) .. (p,len-1) between random pairs: full for
     # len >= n, one short or cut off by the tail otherwise.
     p, length = run
     chain = head + [(p, c) for c in range(length)] + tail
-    assert is_taut(chain, n) == is_taut_by_runs(chain, n)
+    assert is_taut(chain, n) == is_taut_by_definition(chain, n)
 
 
 def test_validate_scd_tables():

@@ -275,11 +275,11 @@ sys.exit(run(sys.argv[1:]))
 """
 
 
-def run_limited(limit, argv):
+def run_limited(limit, argv, timeout=60):
     src = str(Path(scdkit.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-c", LIMITED_CLI, str(limit), *argv],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -311,6 +311,19 @@ def test_a_short_document_of_the_largest_host_is_validated_within_memory(tmp_pat
     assert proc.stderr == ""
     assert proc.stdout.startswith("1 chains, 0 taut\n")
     assert proc.stdout.endswith("finding: 1048574 elements of P(17,8) uncovered\n")
+
+
+def test_a_long_chain_of_repeats_on_a_tall_host_is_validated_in_linear_time(tmp_path):
+    # P(0, 2^20) is one column of 2^20 elements.  A chain of 3000 copies of
+    # (0,0) fails the saturation test, so its tautness is read element by
+    # element; a test that spelled out the column at each level-0 element
+    # would build 3000 * 2^20 pairs and miss the timeout by minutes.
+    doc = tmp_path / "repeats.scd"
+    doc.write_text("0 1048576\n" + " ".join([";0"] * 3000) + "\n")
+    proc = run_limited(1 << 28, ["validate", str(doc)], timeout=20)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("1 chains, 0 taut\n")
+    assert proc.stdout.endswith("finding: 1048575 elements of P(0,1048576) uncovered\n")
 
 
 # The largest admitted host: a search must stop at its budget, or at the
