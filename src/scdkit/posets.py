@@ -11,12 +11,12 @@ ranks only for its own elements.  Hypercubes and cuboids are implicit:
 (``down``, ``covers``, ``top``, ``bottom``) is derived from ``up`` for all
 of them, and ``up``/``down`` of a foreign element raise ``PosetError``.
 
-Implicit hosts hold no per-element table: their size, membership
+Implicit hosts keep nothing but their shape: their size, membership
 (``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
-host of 2^15 elements costs a few hundred bytes.  ``elements``,
-``by_rank`` and the rank dict they come from are built, and kept, on
-first use, for the consumers that enumerate elements (the surgery on
-small bases, structural equality, the search of a generic host).
+host of 2^15 elements costs a few hundred bytes.  A generic poset keeps
+its rank dict and its covers.  ``elements`` and ``by_rank`` are derived
+on each call and never kept, for the consumers that enumerate elements
+(the surgery on small bases, structural equality, a generic search).
 ``rank_of`` is the one per-element rank read: a dict lookup on generic
 posets, ``bits.bit_count() + level`` on cuboids, which the saturation
 test of ``validate_scd`` computes inline from the chain ends it unpacks.
@@ -62,12 +62,12 @@ class GradedPoset:
     implicit hosts; ``is_cover`` and ``covers`` read it for every host.
     ``validate_scd`` asks ``is_cover`` per chain step only to explain a
     chain that fails its one saturation test.  ``rank_of`` is the one rank
-    read.  ``elements``, ``by_rank`` and the rank dict are built here for a
-    generic poset, and on first use for an implicit host.  Two posets are
-    equal when their elements and covers are: the covers fix the ranks.
+    read.  A generic poset keeps its rank dict and covers, an implicit host
+    its shape; ``elements`` and ``by_rank`` are derived on each call.  Two
+    posets are equal when their elements and covers are (covers fix ranks).
     """
 
-    __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_tables")
+    __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_rank")
 
     def __init__(
         self,
@@ -105,43 +105,30 @@ class GradedPoset:
 
         # Only the elements' own ranks are kept: a rank given for anything
         # else must not make it a member.
-        own = {e: rank[e] for e in elements}
-        self.label, self.rk = label, max(own.values())
-        self._fill(own)
+        self._rank = {e: rank[e] for e in elements}
+        self.label, self.rk = label, max(self._rank.values())
         self.rank_vector = tuple(map(len, self.by_rank))
         self._up = {e: tuple(sorted(up[e])) for e in elements}
         self.chain_factor = chain_factor
 
-    # -- the element tables -------------------------------------------------
-
-    def _fill(self, rank: dict[Element, int]) -> None:
-        """Build the rank dict, ``elements`` and ``by_rank`` from ``rank``,
-        whose keys are in canonical order."""
-        by_rank: list[list[Element]] = [[] for _ in range(self.rk + 1)]
-        for e, r in rank.items():
-            by_rank[r].append(e)
-        self._tables = rank, tuple(rank), tuple(map(tuple, by_rank))
-
-    def _get_tables(self) -> tuple[dict, tuple, tuple]:
-        # A generic poset fills its tables in __init__; an implicit host
-        # here, from its ``_rank_table()``, on first use.
-        if self._tables is None:
-            self._fill(self._rank_table())
-        return self._tables
+    # -- the element tables, derived on each call ----------------------------
 
     @property
     def elements(self) -> tuple[Element, ...]:
         """Every element, in canonical order."""
-        return self._get_tables()[1]
+        return tuple(self._rank)
 
     @property
     def by_rank(self) -> tuple[tuple[Element, ...], ...]:
         """The elements of each rank, in canonical order."""
-        return self._get_tables()[2]
+        rows: list[list[Element]] = [[] for _ in range(self.rk + 1)]
+        for e in self.elements:
+            rows[self.rank_of(e)].append(e)
+        return tuple(map(tuple, rows))
 
     def rank_of(self, e: Element) -> int:
         """The rank of the element ``e``; undefined for a foreign ``e``."""
-        return self._tables[0][e]
+        return self._rank[e]
 
     def _require(self, e: Element) -> None:
         if e not in self:
@@ -150,11 +137,11 @@ class GradedPoset:
     # -- basic queries ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._tables[1])
+        return len(self._rank)
 
     def __contains__(self, e: object) -> bool:
         try:
-            return e in self._tables[0]
+            return e in self._rank
         except TypeError:  # unhashable, so no element
             return False
 
@@ -192,7 +179,8 @@ class GradedPoset:
     @property
     def bottom(self) -> Element | None:
         """The unique minimal element, or None if there are several."""
-        return self.by_rank[0][0] if len(self.by_rank[0]) == 1 else None
+        minima = self.by_rank[0]
+        return minima[0] if len(minima) == 1 else None
 
     @property
     def top(self) -> Element | None:
@@ -203,8 +191,9 @@ class GradedPoset:
     @property
     def is_chain_poset(self) -> bool:
         """True for the posets produced by :func:`build_chain_poset`."""
-        return self.elements == tuple(range(len(self))) and all(
-            self.rank_of(i) == i for i in self.elements
+        elements = self.elements
+        return elements == tuple(range(len(self))) and all(
+            self.rank_of(i) == i for i in elements
         )
 
 
@@ -217,10 +206,10 @@ class _Hypercube(GradedPoset):
         self.label, self.rk = f"Q{k}", k
         self.rank_vector = tuple(comb(k, r) for r in range(k + 1))
         self.chain_factor = None
-        self._tables = None
 
-    def _rank_table(self) -> dict[int, int]:
-        return {x: x.bit_count() for x in range(1 << self.rk)}
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(range(1 << self.rk))
 
     def rank_of(self, x: int) -> int:
         return x.bit_count()
@@ -250,10 +239,10 @@ class _Cuboid(GradedPoset):
         self.rank_vector = tuple(sum(row[max(r - n + 1, 0):r + 1]) for r in range(k + n))
         self._k, self._n = k, n
         self.chain_factor = (base, n)
-        self._tables = None
 
-    def _rank_table(self) -> dict[tuple[int, int], int]:
-        return {(b, c): b.bit_count() + c for b in range(1 << self._k) for c in range(self._n)}
+    @property
+    def elements(self) -> tuple[tuple[int, int], ...]:
+        return tuple((b, c) for b in range(1 << self._k) for c in range(self._n))
 
     def rank_of(self, e: tuple[int, int]) -> int:
         return e[0].bit_count() + e[1]
@@ -318,9 +307,10 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     more than ``MAX_HOST_ELEMENTS`` elements.
     """
     _require_size(0, len(p) * len(q), f"{p.label}x{q.label}")
-    elements = [(a, b) for a in p.elements for b in q.elements]
-    covers = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q.elements]
-    covers += [((a, b), (a, b2)) for a in p.elements for (b, b2) in q.covers]
+    p_elements, q_elements = p.elements, q.elements
+    elements = [(a, b) for a in p_elements for b in q_elements]
+    covers = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q_elements]
+    covers += [((a, b), (a, b2)) for a in p_elements for (b, b2) in q.covers]
     rank = {(a, b): p.rank_of(a) + q.rank_of(b) for (a, b) in elements}
     factor = (p, len(q)) if q.is_chain_poset else None
     return GradedPoset(

@@ -9,8 +9,8 @@ from scdkit.chains import SCD, is_taut, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import builtin_table
 from scdkit.posets import (
-    GradedPoset, _Cuboid, build_chain_poset, build_cuboid, build_hypercube, cuboid_shape,
-    product,
+    GradedPoset, _Cuboid, _Hypercube, build_chain_poset, build_cuboid, build_hypercube,
+    cuboid_shape, product,
 )
 from scdkit.search import SearchConfig, enumerate_scds
 
@@ -183,10 +183,12 @@ def test_decompositions_of_equal_cuboids_compare_without_tables(monkeypatch):
     generic = SCD(product(build_hypercube(6), build_chain_poset(3)), tuple(reversed(b.chains)))
     other = generate(6, 4)
 
-    def refuse(host, rank):
-        raise AssertionError(f"{host.label} built an element table")
+    def refuse(host):
+        raise AssertionError(f"{host.label} read an element table")
 
-    monkeypatch.setattr(GradedPoset, "_fill", refuse)
+    for cls in (_Hypercube, _Cuboid):
+        monkeypatch.setattr(cls, "elements", property(refuse))
+        monkeypatch.setattr(cls, "by_rank", property(refuse))
     assert a is not b and a == b
     assert a == fresh == generic and fresh.host is not a.host
     assert a != SCD(a.host, a.chains[1:]) and a != other

@@ -363,17 +363,20 @@ def test_searches_past_the_frame_limit_stop_with_a_status_line(argv, code, statu
 
 
 # Runs CLI requests, given as a JSON list of argv lists, in a fresh process
-# in which building an element table (rank, elements, by_rank) raises, and
-# prints their exit codes as the last line.
+# in which every read of ``elements`` or ``by_rank`` of a hypercube or a
+# cuboid raises, and prints their exit codes as the last line.  Implicit
+# hosts keep no table; these two are derived on each call, so each read
+# would cost a pass over every element.
 TABLE_FREE_CLI = """
 import json, sys
 from scdkit import posets
 from scdkit.cli import run
 
-def refuse(host, rank):
-    raise AssertionError(f"{host.label} built an element table")
+def refuse(host):
+    raise AssertionError(f"{host.label} read an element table")
 
-posets.GradedPoset._fill = refuse
+for cls in (posets._Hypercube, posets._Cuboid):
+    cls.elements = cls.by_rank = property(refuse)
 print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 """
 
@@ -416,6 +419,8 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
         # P(18,4) has 2^20 elements: a table of them alone would take
         # about a second and 140 MB.
         ["search", "--k", "18", "--n", "4", "--budget", "1", "--limit", "2"],
+        ["search", "--k", "3", "--n", "4"],
+        ["search", "--k", "5", "--n", "3", "--forbid-taut", "--limit", "1"],
     ]
     src = str(Path(scdkit.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -427,7 +432,9 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
     assert lines == [
         "found 1, stopped (limit), nodes 3808",
         "found 0, stopped (node-budget), nodes 2",
-        "[0, 2]",
+        "found 5952, exhausted, nodes 818",
+        "found 1, stopped (limit), nodes 3808",
+        "[0, 2, 0, 0]",
     ]
     scd = parse_scd(witness.read_text(encoding="ascii"))
     assert scd.report.valid and scd.report.taut_count == 0

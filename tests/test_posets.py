@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -122,16 +123,28 @@ def test_cuboid_matches_generic_product(k, n):
 @pytest.mark.parametrize("k", range(7))
 @pytest.mark.parametrize("n", range(1, 7))
 def test_implicit_sizes_and_ranks_match_the_tables(k, n):
-    # Fresh hosts, so that the arithmetic answers come before any table.
     cube, host = _Hypercube(k), _Cuboid(k, n)
     sizes = (len(cube), len(host))
     vectors = (cube.rank_vector, host.rank_vector)
-    assert cube._tables is None and host._tables is None
     assert sizes == (len(cube.elements), len(host.elements))
     assert vectors == (tuple(map(len, cube.by_rank)), tuple(map(len, host.by_rank)))
     assert host.rank_vector == product(cube, build_chain_poset(n)).rank_vector
     assert all(host.rank_of(e) == r for r, row in enumerate(host.by_rank) for e in row)
     assert all(cube.rank_of(x) == r for r, row in enumerate(cube.by_rank) for x in row)
+
+
+def test_reading_the_element_tables_of_an_implicit_host_keeps_nothing():
+    # P(12,4) and Q14 have 2^14 elements each; a kept rank dict and tables
+    # of them take over a megabyte.  What stays is CPython's tuple free list.
+    hosts = [_Cuboid(12, 4), _Hypercube(14)]
+    tracemalloc.start()
+    try:
+        for host in hosts:
+            assert len(host.elements) == sum(map(len, host.by_rank)) == len(host)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 256 << 10
 
 
 class _Pair(tuple):
