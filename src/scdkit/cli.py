@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Thin wrappers over the library: every subcommand reads/writes the text
-document format from :mod:`scdkit.data_io` through files or stdio, so
-commands compose in shell pipelines.  Exit codes: 0 success, 1 invalid
-input or out-of-region request, 2 search stopped by budget before
-reaching a conclusion.
+Thin wrappers over the library that compose in shell pipelines: a path
+of ``-`` reads stdin, and ``--out -`` or no ``--out`` writes stdout.
+``validate`` prints a report, ``show`` a packet grid, and ``search`` a
+summary, on stderr when its document goes to stdout.  Every other command
+names its one library call as ``build`` in the parser; ``_cmd_write``
+writes what that returns as a document.  Exit codes: 0 success, 1
+invalid input or out-of-region request, 2 search stopped by budget
+before reaching a conclusion.
 """
 
 from __future__ import annotations
@@ -27,17 +30,14 @@ class CliError(Exception):
     """One-line user-facing failure; maps to exit code 1."""
 
 
-def _read_text(path: str) -> str:
+def _read_scd(path: str):
     if path == "-":
-        return sys.stdin.read()
+        return data_io.parse_scd(sys.stdin.read())
     try:
-        return Path(path).read_text(encoding="ascii")
+        text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_scd(path: str):
-    return data_io.parse_scd(_read_text(path))
+    return data_io.parse_scd(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -68,45 +68,15 @@ def _cmd_show(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tables(args) -> int:
-    _emit(data_io.serialize_scd(data_io.builtin_table(args.id)), args.out)
+def _cmd_write(args) -> int:
+    _emit(data_io.serialize_scd(args.build(args)), args.out)
     return EXIT_OK
 
 
-def _cmd_generate(args) -> int:
-    _emit(data_io.serialize_scd(constructions.generate(args.k, args.n)), args.out)
-    return EXIT_OK
-
-
-def _cmd_shift(args) -> int:
-    _emit(data_io.serialize_scd(constructions.shift(_read_scd(args.file), args.to)), args.out)
-    return EXIT_OK
-
-
-def _cmd_collapse(args) -> int:
-    _emit(data_io.serialize_scd(constructions.collapse(_read_scd(args.file))), args.out)
-    return EXIT_OK
-
-
-def _cmd_expand(args) -> int:
-    scd = constructions.expand(_read_scd(args.file), args.matching)
-    _emit(data_io.serialize_scd(scd), args.out)
-    return EXIT_OK
-
-
-def _cmd_repair(args) -> int:
-    _emit(data_io.serialize_scd(constructions.repair(_read_scd(args.file))), args.out)
-    return EXIT_OK
-
-
-def _cmd_lift(args) -> int:
+def _lift(args):
     scd = _read_scd(args.file)
     k, _ = cuboid_shape(scd.host)
-    _emit(
-        data_io.serialize_scd(constructions.extend_dimension(scd, k + args.with_hypercube)),
-        args.out,
-    )
-    return EXIT_OK
+    return constructions.extend_dimension(scd, k + args.with_hypercube)
 
 
 def _cmd_search(args) -> int:
@@ -126,7 +96,8 @@ def _cmd_search(args) -> int:
         outcome = search.enumerate_scds(host, cfg)
         found = len(outcome.found)
     status = "exhausted" if outcome.exhausted else f"stopped ({outcome.stop_reason})"
-    print(f"found {found}, {status}, nodes {outcome.nodes_visited}")
+    summary_out = sys.stderr if args.out == "-" else sys.stdout
+    print(f"found {found}, {status}, nodes {outcome.nodes_visited}", file=summary_out)
     if args.out and outcome.found:
         _emit(data_io.serialize_scd(outcome.found[0]), args.out)
     conclusive = outcome.exhausted or outcome.stop_reason == "limit"
@@ -158,43 +129,44 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="emit a bundled certificate decomposition")
     p.add_argument("--id", required=True, choices=sorted(data_io.BUILTIN_TABLES))
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_tables)
+    p.set_defaults(fn=_cmd_write, build=lambda a: data_io.builtin_table(a.id))
 
     p = sub.add_parser("generate", help="generate a taut-free decomposition of P(k,n)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_generate)
+    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.generate(a.k, a.n))
 
     p = sub.add_parser("shift", help="restretch the middle block to a new chain length")
     p.add_argument("--file", required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_shift)
+    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.shift(_read_scd(a.file), a.to))
 
     p = sub.add_parser("collapse", help="project P x (rk+1) down to P x rk")
     p.add_argument("--file", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_collapse)
+    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.collapse(_read_scd(a.file)))
 
     p = sub.add_parser("expand", help="lift P x rk up to P x (rk+1) via a matching")
     p.add_argument("--file", required=True)
     p.add_argument("--matching", type=int, required=True,
                    help="0-based index in unmatched-vertex rank order")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_expand)
+    p.set_defaults(fn=_cmd_write,
+                   build=lambda a: constructions.expand(_read_scd(a.file), a.matching))
 
     p = sub.add_parser("repair", help="reroute the maximal chain so collapse stays taut-free")
     p.add_argument("--file", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_repair)
+    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.repair(_read_scd(a.file)))
 
     p = sub.add_parser("lift", help="widen the hypercube factor by extra dimensions")
     p.add_argument("--file", required=True)
     p.add_argument("--with-hypercube", type=int, required=True, metavar="J",
                    help="number of extra hypercube dimensions")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_lift)
+    p.set_defaults(fn=_cmd_write, build=_lift)
 
     p = sub.add_parser("search", help="enumerate decompositions of Q_k x n")
     p.add_argument("--k", type=int, required=True)

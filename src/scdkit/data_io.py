@@ -3,7 +3,8 @@
 Document layout:
 
 * comment lines start with ``#`` (the serializer records the host and
-  any provenance notes there);
+  any provenance notes there, each note on one ``# note:`` line, so a
+  note is one line);
 * the first non-comment line is the header ``k n``;
 * every following line is one chain, elements space-separated in
   ascending rank order.
@@ -181,7 +182,9 @@ def serialize_scd(scd: SCD) -> str:
     concatenation.  Only members of the host are spelled: a decomposition
     whose report already found it valid holds nothing else, and any other
     is checked element by element first, so a foreign element, which
-    could index a table from its end, raises ParseError instead.
+    could index a table from its end, raises ParseError instead.  So does
+    a note that ``str.splitlines`` would split: its document would not
+    parse back, or would lose the note's later lines.
     """
     host = scd.host
     shape = cuboid_shape(host)
@@ -191,6 +194,9 @@ def serialize_scd(scd: SCD) -> str:
         foreign = [e for ch in scd.chains for e in ch if e not in host]
         if foreign:
             raise ParseError(f"{host.label} has no element {foreign[0]!r}; only members serialize")
+    split = [note for note in scd.notes if "".join(note.splitlines()) != note]
+    if split:
+        raise ParseError(f"note {split[0]!r} spans lines; a note is one line")
     k, n = shape
     bases, levels = _spellings(k, n)
     out = [f"# {host.label}", f"# chains: {scd.chain_count}"]

@@ -9,9 +9,9 @@ import pytest
 import scdkit
 from scdkit import chains
 from scdkit.cli import run
-from scdkit.constructions import generate, shift
-from scdkit.data_io import builtin_table, parse_scd, serialize_scd
-from scdkit.posets import cuboid_shape
+from scdkit.constructions import collapse, expand, extend_dimension, generate, repair, shift
+from scdkit.data_io import builtin_table, parse_scd, render_pictorial, serialize_scd
+from scdkit.posets import build_hypercube, cuboid_shape
 
 
 def invoke(capsys, *argv):
@@ -174,6 +174,20 @@ def test_search_writes_witness(tmp_path, capsys):
     assert parse_scd(doc.read_text()).chain_count == 3
 
 
+def test_search_out_dash_writes_a_pipeable_document(tmp_path, capsys):
+    # The document alone goes to stdout; the summary line goes to stderr.
+    argv = ("search", "--k", "5", "--n", "3", "--forbid-taut", "--limit", "1")
+    code, out, err = invoke(capsys, *argv, "--out", "-")
+    assert code == 0 and err == "found 1, stopped (limit), nodes 3808\n"
+    scd = parse_scd(out)
+    assert scd.report.valid and scd.report.taut_count == 0
+    # With a file, or no --out, the summary stays on stdout.
+    doc = tmp_path / "witness.scd"
+    assert invoke(capsys, *argv, "--out", str(doc)) == (0, err, "")
+    assert doc.read_text(encoding="ascii") == out
+    assert invoke(capsys, *argv) == (0, err, "")
+
+
 def test_use_symmetry_is_accepted_with_limit_1_only(capsys):
     # The flag changes nothing: an existence query already runs on the
     # quotient by bit permutations.
@@ -221,10 +235,55 @@ def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys
     code, out, _ = invoke(capsys, "validate", str(doc))
     assert code == 0 and out == "25 chains, 0 taut\n"
 
-    out_file = tmp_path / "p53-generated.scd"
-    assert invoke(capsys, "generate", "--k", "5", "--n", "3", "--out", str(out_file))[0] == 0
-    code, out, _ = invoke(capsys, "generate", "--k", "5", "--n", "3")
-    assert code == 0 and out == out_file.read_text(encoding="ascii")
+
+# The inputs of the write commands: P(5,6) is shiftable and collapsible,
+# P(5,5) expandable, and its expansion repairable.
+@pytest.fixture(scope="module")
+def write_inputs(tmp_path_factory):
+    inputs = {
+        "p53": builtin_table("P53"),
+        "p55": builtin_table("P55"),
+        "p56": generate(5, 6),
+        "p56x": expand(builtin_table("P55"), 0),
+    }
+    base = tmp_path_factory.mktemp("inputs")
+    files = {name: base / f"{name}.scd" for name in inputs}
+    for name, scd in inputs.items():
+        files[name].write_text(serialize_scd(scd), encoding="ascii")
+    return inputs, files
+
+
+# Each command that writes, with the library call whose text it writes.
+WRITE_COMMANDS = {
+    "show": (["show", "--k", "4", "--n", "6"],
+             lambda d: render_pictorial(build_hypercube(4), 6)),
+    "tables": (["tables", "--id", "P54"], lambda d: serialize_scd(builtin_table("P54"))),
+    "generate": (["generate", "--k", "5", "--n", "7"], lambda d: serialize_scd(generate(5, 7))),
+    "shift": (["shift", "--file", "{p56}", "--to", "9"],
+              lambda d: serialize_scd(shift(d["p56"], 9))),
+    "collapse": (["collapse", "--file", "{p56}"], lambda d: serialize_scd(collapse(d["p56"]))),
+    "expand": (["expand", "--file", "{p55}", "--matching", "2"],
+               lambda d: serialize_scd(expand(d["p55"], 2))),
+    "repair": (["repair", "--file", "{p56x}"], lambda d: serialize_scd(repair(d["p56x"]))),
+    "lift": (["lift", "--file", "{p53}", "--with-hypercube", "1"],
+             lambda d: serialize_scd(extend_dimension(d["p53"], 6))),
+}
+
+
+@pytest.mark.parametrize("command", WRITE_COMMANDS)
+def test_every_write_command_writes_the_same_bytes_wherever_it_writes(
+    tmp_path, capsys, write_inputs, command
+):
+    inputs, files = write_inputs
+    argv, build = WRITE_COMMANDS[command]
+    argv = [arg.format(**files) for arg in argv]
+    expected = build(inputs)
+    # A file first, so that a later request carrying its --out would show.
+    out_file = tmp_path / "out.txt"
+    assert invoke(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == expected.encode("ascii")
+    assert invoke(capsys, *argv) == (0, expected, "")
+    assert invoke(capsys, *argv, "--out", "-") == (0, expected, "")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 from functools import lru_cache
 
 import pytest
@@ -244,6 +245,15 @@ def test_notes_survive_serialization_as_comments():
     scd = builtin_table("P53").with_notes("extra: check")
     doc = serialize_scd(scd)
     assert "# note: extra: check" in doc.splitlines()
+
+
+# Each would be written over two lines: the second line is then taken for
+# the header or a chain, or dropped as a comment, or left empty.
+@pytest.mark.parametrize("note", ["x\nzz", "x\n# y", "x\r\n", "x\ry", "x\x0bzz", "x\u2028zz"])
+def test_a_note_that_spans_lines_is_refused(note):
+    scd = builtin_table("P53").with_notes("ok", note)
+    with pytest.raises(ParseError, match=re.escape(f"note {note!r} spans lines")):
+        serialize_scd(scd)
 
 
 # -- the per-host spelling table --------------------------------------------
