@@ -4,7 +4,8 @@ Document layout:
 
 * comment lines start with ``#`` (the serializer records the host and
   any provenance notes there, each note on one ``# note:`` line, so a
-  note is one line);
+  note is one line of ASCII text with no leading or trailing blanks,
+  which is what parsing gives back);
 * the first non-comment line is the header ``k n``;
 * every following line is one chain, elements space-separated in
   ascending rank order.
@@ -14,8 +15,9 @@ is k binary digits followed by a single decimal level digit, e.g.
 ``110102``.  The general form is comma-separated binary digits, a
 semicolon, then a decimal level: ``1,1,0,1,0;12``.  Bit 1 is always the
 leftmost digit.  Bits and levels are ASCII digits, and a header number
-or level has at most ``MAX_DIGITS`` significant digits.  Output is 7-bit
-text with bare newlines, so identical inputs serialize to identical bytes.
+or level has at most ``MAX_DIGITS`` significant digits.  A document is
+ASCII text, its comments included, read or written; output has bare
+newlines, so identical inputs serialize to identical bytes.
 
 Serializing and parsing share one table per host ``(k, n)`` of the
 canonical spelling of every base and every level (``_spellings``).  A
@@ -121,8 +123,9 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     are, a matching header line is skipped when present.  Chains written
     top-down are flipped to the canonical bottom-up order, and any
     ``# note:`` comment lines are recovered as the decomposition's notes
-    so that documents survive tool pipelines byte-for-byte.  Repeated
-    elements are left for the validator.
+    so that documents survive tool pipelines byte-for-byte.  A document
+    with any character that is not ASCII is refused, in a comment or a
+    blank as in a token.  Repeated elements are left for the validator.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     notes = tuple(
@@ -162,6 +165,11 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
                 table.get(t) or (_parse_general if ";" in t else _parse_compact)(t, k, n)
                 for t in tokens
             ]))
+    # A token that is not ASCII was refused above, by name; what is left
+    # is a comment or a blank.
+    if not text.isascii():
+        bad = next(ch for ch in text if not ch.isascii())
+        raise ParseError(f"document holds {bad!r}; a document is ASCII text")
     # Top-down iff the ranks never rise; only then can the first rank be
     # at least the last.  Reversing a one-element chain changes nothing.
     first, last = itemgetter(0), itemgetter(-1)
@@ -183,8 +191,10 @@ def serialize_scd(scd: SCD) -> str:
     whose report already found it valid holds nothing else, and any other
     is checked element by element first, so a foreign element, which
     could index a table from its end, raises ParseError instead.  So does
-    a note that ``str.splitlines`` would split: its document would not
-    parse back, or would lose the note's later lines.
+    a note that would not parse back as itself: one that
+    ``str.splitlines`` would split (its document would not parse back, or
+    would lose the note's later lines), one with leading or trailing
+    blanks (parsing strips them) and one that is not ASCII.
     """
     host = scd.host
     shape = cuboid_shape(host)
@@ -194,9 +204,13 @@ def serialize_scd(scd: SCD) -> str:
         foreign = [e for ch in scd.chains for e in ch if e not in host]
         if foreign:
             raise ParseError(f"{host.label} has no element {foreign[0]!r}; only members serialize")
-    split = [note for note in scd.notes if "".join(note.splitlines()) != note]
-    if split:
-        raise ParseError(f"note {split[0]!r} spans lines; a note is one line")
+    for note in scd.notes:
+        if "".join(note.splitlines()) != note:
+            raise ParseError(f"note {note!r} spans lines; a note is one line")
+        if note != note.strip():
+            raise ParseError(f"note {note!r} has leading or trailing blanks, which parsing strips")
+        if not note.isascii():
+            raise ParseError(f"note {note!r} is not ASCII; a document is ASCII text")
     k, n = shape
     bases, levels = _spellings(k, n)
     out = [f"# {host.label}", f"# chains: {scd.chain_count}"]

@@ -6,9 +6,14 @@ rows are the saturated symmetric chains (the taut-free ones, for a
 elements, numbered by position in canonical order.  On a cuboid, a host
 whose base is a hypercube, that position is ``b * n + c`` and the rows
 start from elements generated from the bits, so a search of a cuboid
-builds no element table (see ``_numbering``).  A node branches on the
-uncovered element with the fewest live rows; picking a row clears every
-row that shares an element with it, through ``live &= ~rows_of[e]``.
+builds no element table (see ``_numbering``).  A row is the bitmask of
+its elements' positions, and ``rows_of[e]`` the bitmask of the rows
+through element e.  A node branches on the uncovered element with the
+fewest live rows, the first such in position order, found by walking
+the ``rows_of`` of the uncovered elements alone.  Picking row i leaves
+``uncovered ^ rows[i]`` uncovered and clears its conflict mask from the
+live rows: the OR of ``rows_of[e]`` over its elements, every row that
+shares an element with it, computed on its first pick and then cached.
 One node is one branch point or one generated row; both count against
 the node budget.  Rows are grown and picked on explicit stacks, so no
 search recurses, however long or many its chains.
@@ -38,7 +43,10 @@ nothing it did not finish, so the memo never drops a solution nor
 reorders a run.  It lives on the ``_Cover``, shared by its runs, and
 with the row table holds at most ``MAX_COVER_BITS`` bits.  Once full it
 records no more: a search prunes less, and a count recounts each set it
-could not record, within the node budget.
+could not record, within the node budget.  The conflict cache has an
+allowance of its own, ``MAX_COVER_BITS`` bits at one bit per row for
+each mask; past it a mask is computed on every pick and not stored,
+which costs time but no node.
 
 First-solution times are heavy-tailed, so an existence query
 (``limit == 1``) restarts on Luby's universal cutoffs, on the quotient
@@ -65,11 +73,12 @@ n >= 5 query proves P(4, 5), and the rest reuse the proof.
 
 from __future__ import annotations
 
-import itertools
 import random
 from bisect import bisect_left
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
+from itertools import compress, count
 from math import factorial
+from operator import or_
 from typing import NamedTuple
 
 from .chains import SCD, canonical_chain_order
@@ -81,7 +90,8 @@ DEFAULT_NODE_BUDGET = 10**8
 RESTART_NODES = 1000
 # The cover's tables hold one bit per element for each row and each memo
 # entry; a host with more rows than fit stops the search ("row-limit")
-# instead of exhausting memory, and a full memo records no more.
+# instead of exhausting memory, and a full memo records no more.  The
+# conflict cache holds as many bits again, one per row for each mask.
 MAX_COVER_BITS = 1 << 26
 
 
@@ -146,13 +156,14 @@ def _word_weight(chain: list) -> int:
 class _Cover:
     """Exact cover over ``host``: its rows, then runs of Algorithm X.
 
-    A row is a tuple of element positions, bottom up; rows come in
+    A row is the bitmask of its element positions; rows come in
     canonical order (start rank, start element, covers in ``up`` order),
     and ``weights[i]`` is row i's weight in a count.  Rows are taut-free
-    under ``cfg.forbid_taut``.  ``quotient`` takes effect on cuboids only.
-    ``nodes`` counts those a cover used before in the same search, against
-    the same budget.  Nothing is allocated per element before the first
-    row is ticked.
+    under ``cfg.forbid_taut``.  ``conflicts[i]`` is row i's conflict mask
+    once it was picked, for at most ``max_conflicts`` rows.  ``quotient``
+    takes effect on cuboids only.  ``nodes`` counts those a cover used
+    before in the same search, against the same budget.  No table with an
+    entry per element is built before the first row is ticked.
     """
 
     def __init__(self, host: GradedPoset, cfg: SearchConfig, quotient: bool = True,
@@ -165,30 +176,35 @@ class _Cover:
         self.host, self.found = host, []
         self.position, self.element, self.of_rank = _numbering(host)
         self.max_rows = MAX_COVER_BITS // len(host)
-        self.rows: list[tuple[int, ...]] = []
+        self.rows: list[int] = []
         self.weights: list[int] = []
-        self._grow_rows(cfg.forbid_taut)
+        grown = self._grow_rows(cfg.forbid_taut)
         marks = [bytearray(len(self.rows) // 8 + 1) for _ in range(len(host))]
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(grown):
             for e in row:
                 marks[e][i >> 3] |= 1 << (i & 7)
         self.rows_of = [int.from_bytes(m, "little") for m in marks]
         # The memo: weighted completions of uncovered sets, for all runs.
         self.memo: dict[int, int] = {}
         self.max_memo = self.max_rows - len(self.rows)
+        # Conflict masks of picked rows, for all runs, within their own bits.
+        self.conflicts: dict[int, int] = {}
+        self.max_conflicts = MAX_COVER_BITS // max(len(self.rows), 1)
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _StopSearch("node-budget", self.nodes)
 
-    def _grow_rows(self, taut_free: bool) -> None:
-        """Every row, depth first from each start along ``host.up``."""
+    def _grow_rows(self, taut_free: bool) -> list[tuple[int, ...]]:
+        """Every row, depth first from each start along ``host.up``; returns
+        each row's positions, bottom up, for the column table."""
         host, rows, weights, position = self.host, self.rows, self.weights, self.position
+        grown = []
         # With taut_free, the steps of a full column (p, 0) .. (p, n-1).
         span = host.chain_factor[1] - 1 if taut_free else None
         if span == 0:
-            return  # n = 1: every element is a full column
+            return grown  # n = 1: every element is a full column
 
         @cache  # each up-set is looked up once, on first use
         def up(e):
@@ -205,13 +221,15 @@ class _Cover:
             length = host.rk - 2 * r + 1
             maximal = self.quotient and r == 0  # rank 0 of a cuboid is its bottom
             ups = bit_order_up if maximal else up
-            chain, row, stack = [], [], [((e, position(e)) for e in self.of_rank(r))]
+            chain, row, mask = [], [], 0
+            stack = [((e, position(e)) for e in self.of_rank(r))]
             while stack:
                 for e, i in stack[-1]:
                     if span and e[1] == span and len(chain) >= span and chain[-span] == (e[0], 0):
                         continue  # this step completes a forbidden column
                     chain.append(e)
                     row.append(i)
+                    mask |= 1 << i
                     if len(chain) < length:
                         stack.append(iter(ups(e)))
                         break
@@ -220,15 +238,17 @@ class _Cover:
                         self.tick()
                         if len(rows) == self.max_rows:
                             raise _StopSearch("row-limit", self.nodes)
-                        rows.append(tuple(row))
+                        rows.append(mask)
                         weights.append(weight)
+                        grown.append(tuple(row))
                     chain.pop()
-                    row.pop()
+                    mask ^= 1 << row.pop()
                 else:
                     stack.pop()
                     if chain:
                         chain.pop()
-                        row.pop()
+                        mask ^= 1 << row.pop()
+        return grown
 
     def solve(self, seed: int | None = None, cutoff: int | None = None,
               limit: int | None = 1) -> list[tuple[int, ...]] | None:
@@ -244,7 +264,7 @@ class _Cover:
             random.Random(seed).shuffle(order)
         stop_at = None if cutoff is None else self.nodes + cutoff
         self.found = found = []
-        rows, rows_of, memo = self.rows, self.rows_of, self.memo
+        rows, memo, conflicts, conflict = self.rows, self.memo, self.conflicts, self._conflict
         # One frame per open node: its uncovered set, live rows, the rows
         # left to try and the solutions found before it; picked holds the
         # row that led to each frame but the root, and then to a leaf.
@@ -267,13 +287,10 @@ class _Cover:
             while stack:  # on to the next child not known dead
                 uncovered, live, tried, before = stack[-1]
                 for i in tried:
-                    left, rest = uncovered, live
-                    for e in rows[i]:
-                        left ^= 1 << e
-                        rest &= ~rows_of[e]
+                    left = uncovered ^ rows[i]
                     if memo.get(left) != 0:
                         picked.append(i)
-                        uncovered, live = left, rest
+                        uncovered, live = left, live & ~(conflicts.get(i) or conflict(i))
                         break
                 else:
                     # Only a finished node gets here; a cut-off run
@@ -290,29 +307,29 @@ class _Cover:
 
     def _branch(self, uncovered: int, live: int) -> list[int]:
         """The live rows through the uncovered element with the fewest."""
-        rows_of = self.rows_of
-        fewest, col = len(self.rows) + 1, 0
-        u = uncovered
-        while u:
-            low = u & -u
-            e = low.bit_length() - 1
-            count = (rows_of[e] & live).bit_count()
-            if count < fewest:
-                fewest, col = count, e
-                if not count:
+        fewest = len(self.rows) + 1
+        for column in compress(self.rows_of, _bits(uncovered)):
+            through = (column & live).bit_count()
+            if through < fewest:
+                fewest, best = through, column
+                if not through:
                     break  # no live row covers this element
-            u ^= low
-        choices = rows_of[col] & live
-        tried = []
-        while choices:
-            low = choices & -choices
-            tried.append(low.bit_length() - 1)
-            choices ^= low
-        return tried
+        return _ones(best & live)
+
+    def _conflict(self, i: int) -> int:
+        """The rows that share an element with row i, stored in
+        ``conflicts`` while it holds fewer than ``max_conflicts`` masks.
+        Never 0, as row i is among them, so callers read the cache with
+        ``conflicts.get(i) or``."""
+        mask = reduce(or_, compress(self.rows_of, _bits(self.rows[i])))
+        if len(self.conflicts) < self.max_conflicts:
+            self.conflicts[i] = mask
+        return mask
 
     def count(self) -> int:
         """The number of decompositions: ``scale`` times the weighted solutions."""
-        rows, rows_of, memo, weights = self.rows, self.rows_of, self.memo, self.weights
+        rows, memo, weights = self.rows, self.memo, self.weights
+        conflicts, conflict = self.conflicts, self._conflict
         uncovered, live = (1 << len(self.host)) - 1, (1 << len(rows)) - 1
         # One frame per set being counted: the set, its live rows, the rows
         # left to try, its total so far and the weight of the row that led
@@ -323,13 +340,11 @@ class _Cover:
             frame = stack[-1]
             uncovered, live, tried = frame[0], frame[1], frame[2]
             for i in tried:
-                left, rest = uncovered, live
-                for e in rows[i]:
-                    left ^= 1 << e
-                    rest &= ~rows_of[e]
+                left = uncovered ^ rows[i]
                 sub = memo.get(left) if left else 1
                 if sub is None:  # a set not counted yet
                     self.tick()
+                    rest = live & ~(conflicts.get(i) or conflict(i))
                     stack.append([left, rest, iter(self._branch(left, rest)), 0, weights[i]])
                     break
                 frame[3] += weights[i] * sub
@@ -345,16 +360,35 @@ class _Cover:
         """A decomposition by the restart schedule, or None once a run
         finishes without one."""
         unit = max(RESTART_NODES, 2 * max(self.host.rank_vector))
-        for seed in itertools.count(1):
+        for seed in count(1):
             found = self.solve(seed, unit * _luby(seed))
             if found is not None:
                 return self.decode(found[0]) if found else None
 
     def decode(self, solution: tuple[int, ...]) -> SCD:
         """The decomposition of a solution, chains in canonical order."""
-        element = self.element
-        chains = [tuple(map(element, self.rows[i])) for i in solution]
+        element, rank_of = self.element, self.host.rank_of
+        chains = [tuple(sorted(map(element, _ones(self.rows[i])), key=rank_of))
+                  for i in solution]
         return SCD(self.host, canonical_chain_order(self.host, chains))
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest first: 1 where it is set."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _ones(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    ones = []
+    while mask:
+        low = mask & -mask
+        ones.append(low.bit_length() - 1)
+        mask ^= low
+    return ones
 
 
 def _numbering(host: GradedPoset):

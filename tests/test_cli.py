@@ -158,6 +158,25 @@ def test_search_budget_inconclusive_exit_code(capsys):
     assert "stopped (node-budget)" in out
 
 
+# The summary line of each count in the benchmark's search_prove list: a
+# search with neither --limit nor --out counts, and every node is pinned.
+PINNED_COUNTS = [
+    (["--k", "3", "--n", "3"], "found 1488, exhausted, nodes 296"),
+    (["--k", "2", "--n", "6"], "found 18, exhausted, nodes 100"),
+    (["--k", "3", "--n", "4", "--forbid-taut"], "found 0, exhausted, nodes 209"),
+    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 411"),
+    (["--k", "4", "--n", "3", "--forbid-taut", "--budget", "400000"],
+     "found 0, exhausted, nodes 7840"),
+]
+
+
+@pytest.mark.parametrize("args, summary", PINNED_COUNTS,
+                         ids=["P(3,3)", "P(2,6)", "P(3,4)-forbid-taut", "P(3,5)-forbid-taut",
+                              "P(4,3)-forbid-taut"])
+def test_pinned_counts(capsys, args, summary):
+    assert invoke(capsys, "search", *args) == (0, summary + "\n", "")
+
+
 @pytest.mark.parametrize("option", [("--limit", "0"), ("--limit", "-3"), ("--budget", "-1")])
 def test_search_rejects_nonpositive_limit_and_negative_budget(capsys, option):
     code, out, err = invoke(capsys, "search", "--k", "2", "--n", "2", *option)
@@ -221,6 +240,22 @@ def test_stdin_validate(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, _ = invoke(capsys, "validate", "-", "--require-nontaut")
     assert code == 0 and out.splitlines()[0] == "30 chains, 0 taut"
+
+
+def test_a_document_that_is_not_ascii_exits_1_wherever_it_is_read_or_written(
+    tmp_path, capsys, monkeypatch
+):
+    import io
+
+    doc = serialize_scd(generate(5, 6)).replace("\n5 6\n", "\n# note: caf\xe9\n5 6\n")
+    source = tmp_path / "p56.scd"
+    source.write_text(doc, encoding="utf-8")
+    out = tmp_path / "p59.scd"
+    for argv in (["--file", "-"], ["--file", "-", "--out", str(out)], ["--file", str(source)]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, stdout, err = invoke(capsys, "shift", *argv, "--to", "9")
+        assert (code, stdout) == (1, "") and err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys):

@@ -256,6 +256,36 @@ def test_a_note_that_spans_lines_is_refused(note):
         serialize_scd(scd)
 
 
+@pytest.mark.parametrize("notes", [("extra: check",), ("a  b", "", "x\ty"), ()],
+                         ids=["one", "inner-blanks-and-empty", "none"])
+def test_notes_round_trip(notes):
+    scd = builtin_table("P53").with_notes(*notes)
+    assert parse_scd(serialize_scd(scd)).notes == ("builtin: P53", *notes)
+
+
+# Parsing strips a note, so a note with blanks at either end would come back
+# as another note.
+@pytest.mark.parametrize("note", ["  x ", "x ", " x", "x\t", "\tx"])
+def test_a_note_with_leading_or_trailing_blanks_is_refused(note):
+    scd = builtin_table("P53").with_notes("ok", note)
+    with pytest.raises(ParseError, match=re.escape(f"note {note!r} has leading or trailing")):
+        serialize_scd(scd)
+
+
+def test_a_note_that_is_not_ascii_is_refused():
+    scd = builtin_table("P53").with_notes("caf\xe9")
+    with pytest.raises(ParseError, match="is not ASCII"):
+        serialize_scd(scd)
+
+
+@pytest.mark.parametrize("line", ["# note: caf\xe9", "# \u2603", "\u00a0"],
+                         ids=["note", "comment", "blank-line"])
+def test_a_document_that_is_not_ascii_is_refused(line):
+    doc = serialize_scd(builtin_table("P53"))
+    with pytest.raises(ParseError, match="a document is ASCII text"):
+        parse_scd(f"{line}\n{doc}")
+
+
 # -- the per-host spelling table --------------------------------------------
 
 

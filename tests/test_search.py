@@ -327,6 +327,16 @@ def test_pinned_walks(make, config, summary, digest):
     assert _digest(out.found) == digest
 
 
+def test_a_chain_is_decoded_in_rank_order_not_position_order():
+    # The columns are numbered in sorted order, a, b, c, which here runs
+    # against the ranks: the one decomposition's chain must come out
+    # bottom up, by rank.
+    host = GradedPoset(["c", "b", "a"], [("c", "b"), ("b", "a")], {"c": 0, "b": 1, "a": 2})
+    out = enumerate_scds(host)
+    assert out.exhausted and [s.chains for s in out.found] == [(("c", "b", "a"),)]
+    assert validate_scd(host, out.found[0]).valid
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda k=k, n=n: build_cuboid(k, n) for k in range(3) for n in range(1, 5)]
@@ -454,6 +464,12 @@ def test_the_count_of_q5_is_pinned():
     assert count_scds(build_cuboid(4, 2)) == 235_200
 
 
+def test_the_taut_free_count_of_p44_is_pinned():
+    # The count path's longest pinned walk: its verdict and every node.
+    out = count_search(build_cuboid(4, 4), SearchConfig(forbid_taut=True))
+    assert out == search.CountOutcome(0, True, 75858, None)
+
+
 def test_a_count_builds_no_decomposition(monkeypatch):
     def refuse(*args):
         raise AssertionError("a count built a decomposition")
@@ -481,8 +497,8 @@ def test_a_count_takes_no_limit_and_checks_its_config(config):
 
 
 def test_a_count_stops_at_its_budgets(monkeypatch):
-    # P(3,3) has 72 rows without the taut test: the budget stops the count
-    # in the row table or past it.
+    # P(3,3) has 84 quotient rows without the taut test: the budget stops
+    # the count in the row table or past it.
     for budget in (10, 100):
         out = count_search(build_cuboid(3, 3), SearchConfig(node_budget=budget))
         assert out == search.CountOutcome(0, False, budget + 1, "node-budget")
@@ -508,8 +524,12 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
     monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(unbounded.rows) + 5))
     cover = _Cover(host, SearchConfig())
     assert cover.count() == 1488
-    assert len(cover.memo) == 5 and cover.nodes > unbounded.nodes
+    assert len(cover.memo) == 5 and (cover.nodes, unbounded.nodes) == (440, 296)
     assert count_search(host) == search.CountOutcome(1488, True, cover.nodes)
+    # The conflict cache has an allowance of its own, one bit per row for
+    # each mask: 25 masks of P(3,3)'s 84 rows, which this count fills.
+    assert len(cover.rows) == 84
+    assert len(cover.conflicts) == cover.max_conflicts == search.MAX_COVER_BITS // 84 == 25
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
