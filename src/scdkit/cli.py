@@ -5,7 +5,11 @@ of ``-`` reads stdin, and ``--out -`` or no ``--out`` writes stdout.
 ``validate`` prints a report, ``show`` a packet grid, and ``search`` a
 summary, on stderr when its document goes to stdout.  Every other command
 names its one library call as ``build`` in the parser; ``_cmd_write``
-writes what that returns as a document.  Exit codes: 0 success, 1
+writes what that returns as a document.  Every document is written by
+``_emit`` block by block, as ``data_io.write_scd`` yields it, and never
+held whole; ``data_io.serialize_scd``, the join of those blocks, is for
+library callers.  An ``--out`` file is opened only once the first block
+exists, so a refused document leaves none.  Exit codes: 0 success, 1
 invalid input or out-of-region request, 2 search stopped by budget
 before reaching a conclusion.
 """
@@ -16,6 +20,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import constructions, data_io, search
 from .posets import build_cuboid, build_hypercube, cuboid_shape
@@ -33,21 +38,34 @@ class CliError(Exception):
 def _read_scd(path: str):
     if path == "-":
         return data_io.parse_scd(sys.stdin.read())
+    # Decoded as UTF-8, as stdin usually is, so that parse_scd and not the
+    # codec names the first character that is not ASCII, with the message
+    # stdin gets; a byte that is no UTF-8 reaches it as U+FFFD.
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     return data_io.parse_scd(text)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(blocks: Iterable[str], out: str | None) -> None:
+    """Write ``blocks`` one at a time to stdout, or to the file ``out``.
+
+    The file is opened only once the first block exists, so a document
+    refused by its writer leaves no file.
+    """
+    blocks = iter(blocks)
+    first = next(blocks)
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text, encoding="ascii")
-        except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc}") from exc
+        sys.stdout.write(first)
+        sys.stdout.writelines(blocks)  # one write call per block
+        return
+    try:
+        with open(out, "w", encoding="ascii", newline="") as stream:
+            stream.write(first)
+            stream.writelines(blocks)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _cmd_validate(args) -> int:
@@ -64,12 +82,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    _emit(data_io.render_pictorial(build_hypercube(args.k), args.n), args.out)
+    _emit([data_io.render_pictorial(build_hypercube(args.k), args.n)], args.out)
     return EXIT_OK
 
 
 def _cmd_write(args) -> int:
-    _emit(data_io.serialize_scd(args.build(args)), args.out)
+    _emit(data_io.write_scd(args.build(args)), args.out)
     return EXIT_OK
 
 
@@ -99,7 +117,7 @@ def _cmd_search(args) -> int:
     summary_out = sys.stderr if args.out == "-" else sys.stdout
     print(f"found {found}, {status}, nodes {outcome.nodes_visited}", file=summary_out)
     if args.out and outcome.found:
-        _emit(data_io.serialize_scd(outcome.found[0]), args.out)
+        _emit(data_io.write_scd(outcome.found[0]), args.out)
     conclusive = outcome.exhausted or outcome.stop_reason == "limit"
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 

@@ -194,7 +194,11 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     host = build_cuboid(k_prime, n)
     # The Q_j chains go unchecked: the output gate rejects any defect in
     # them, and canonical ordering makes the output independent of theirs.
-    chains = _cross(scd.chains, _hypercube_chains(j), lambda e, d: ((e[0] << j) | d, e[1]))
+    # The n elements over one base share one int for its bits, not one
+    # new int each.
+    bits = list(range(1 << k_prime))
+    chains = _cross(scd.chains, _hypercube_chains(j),
+                    lambda e, d: (bits[(e[0] << j) | d], e[1]))
     return _checked(host, chains, scd.notes, what="extend_dimension", taut_count=0)
 
 

@@ -27,6 +27,12 @@ canonical spellings (``_elements_by_spelling``).  Any other token, and
 every token of a shorter document, takes the token parser, so a short
 document of a huge host allocates nothing per element.  The table never
 changes, so a document parses the same whatever was parsed before it.
+
+``write_scd`` is the one writer.  It makes every refusal check first,
+then yields the document in blocks of at most ``BLOCK_LINES`` chain
+lines, so whoever writes the blocks out holds the decomposition and one
+block of text, never the whole document.  ``serialize_scd`` is the join
+of its blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
+from typing import Iterator
 
 from .chains import SCD
 from .posets import MAX_HOST_ELEMENTS, GradedPoset, build_cuboid, cuboid_shape, packet_grid
@@ -48,6 +55,10 @@ COMPACT_LEVEL_LIMIT = 10  # single level digit; larger n needs the general form
 # No admissible host has a dimension, chain length or level of more
 # significant digits: each is below MAX_HOST_ELEMENTS.
 MAX_DIGITS = len(str(MAX_HOST_ELEMENTS))
+# Chain lines per block of write_scd: a writer holds one block of text at
+# a time, and a block is long enough that writing it costs nothing
+# measurable per line.
+BLOCK_LINES = 1024
 
 
 def _decimal(digits: str, what: str) -> int:
@@ -181,13 +192,13 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     return SCD(host, tuple(chains), notes)
 
 
-def serialize_scd(scd: SCD) -> str:
-    """Render an SCD over a cuboid host as a document (see module doc).
+def write_scd(scd: SCD) -> Iterator[str]:
+    """Render an SCD over a cuboid host as a document (see module doc),
+    in blocks: the comment and header lines, then one block per run of
+    at most ``BLOCK_LINES`` chain lines.
 
-    The spelling of every base (its bits, and in the general form the
-    commas and the semicolon) and of every level is tabled once per host
-    (``_spellings``), so an element costs two lookups and one
-    concatenation.  Only members of the host are spelled: a decomposition
+    Every refusal comes before the first block.  Only cuboid hosts
+    serialize, and only members of the host are spelled: a decomposition
     whose report already found it valid holds nothing else, and any other
     is checked element by element first, so a foreign element, which
     could index a table from its end, raises ParseError instead.  So does
@@ -195,6 +206,11 @@ def serialize_scd(scd: SCD) -> str:
     ``str.splitlines`` would split (its document would not parse back, or
     would lose the note's later lines), one with leading or trailing
     blanks (parsing strips them) and one that is not ASCII.
+
+    The spelling of every base (its bits, and in the general form the
+    commas and the semicolon) and of every level is tabled once per host
+    (``_spellings``), so an element costs two lookups and one
+    concatenation.
     """
     host = scd.host
     shape = cuboid_shape(host)
@@ -213,11 +229,21 @@ def serialize_scd(scd: SCD) -> str:
             raise ParseError(f"note {note!r} is not ASCII; a document is ASCII text")
     k, n = shape
     bases, levels = _spellings(k, n)
-    out = [f"# {host.label}", f"# chains: {scd.chain_count}"]
-    out += [f"# note: {note}" for note in scd.notes]
-    out.append(f"{k} {n}")
-    out += [" ".join([bases[b] + levels[c] for b, c in ch]) for ch in scd.chains]
-    return "\n".join(out) + "\n"
+    head = [f"# {host.label}", f"# chains: {scd.chain_count}"]
+    head += [f"# note: {note}" for note in scd.notes]
+    head.append(f"{k} {n}")
+    yield "\n".join(head) + "\n"
+    chains = scd.chains
+    for start in range(0, len(chains), BLOCK_LINES):
+        yield "\n".join([
+            " ".join([bases[b] + levels[c] for b, c in ch])
+            for ch in chains[start:start + BLOCK_LINES]
+        ]) + "\n"
+
+
+def serialize_scd(scd: SCD) -> str:
+    """The whole document of :func:`write_scd` as one string."""
+    return "".join(write_scd(scd))
 
 
 @lru_cache(maxsize=None)

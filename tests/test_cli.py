@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import scdkit
-from scdkit import chains
+from scdkit import chains, data_io
 from scdkit.cli import run
 from scdkit.constructions import collapse, expand, extend_dimension, generate, repair, shift
 from scdkit.data_io import builtin_table, parse_scd, render_pictorial, serialize_scd
@@ -234,8 +236,6 @@ def test_unreadable_file(capsys):
 
 
 def test_stdin_validate(capsys, monkeypatch):
-    import io
-
     doc = serialize_scd(builtin_table("P54"))
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, _ = invoke(capsys, "validate", "-", "--require-nontaut")
@@ -245,17 +245,65 @@ def test_stdin_validate(capsys, monkeypatch):
 def test_a_document_that_is_not_ascii_exits_1_wherever_it_is_read_or_written(
     tmp_path, capsys, monkeypatch
 ):
-    import io
-
     doc = serialize_scd(generate(5, 6)).replace("\n5 6\n", "\n# note: caf\xe9\n5 6\n")
     source = tmp_path / "p56.scd"
     source.write_text(doc, encoding="utf-8")
     out = tmp_path / "p59.scd"
+    errs = []
     for argv in (["--file", "-"], ["--file", "-", "--out", str(out)], ["--file", str(source)]):
         monkeypatch.setattr("sys.stdin", io.StringIO(doc))
         code, stdout, err = invoke(capsys, "shift", *argv, "--to", "9")
         assert (code, stdout) == (1, "") and err.startswith("error: ")
         assert not out.exists()
+        errs.append(err)
+    # A file is read as stdin is: parse_scd names the character either way.
+    assert errs == ["error: document holds '\xe9'; a document is ASCII text\n"] * 3
+
+
+def test_a_document_the_writer_refuses_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # Parsing gives back only notes the writer takes, so the note that
+    # spans lines is added after the parse.
+    source, out = tmp_path / "p56.scd", tmp_path / "p59.scd"
+    source.write_text(serialize_scd(generate(5, 6)), encoding="ascii")
+    parse = data_io.parse_scd
+    monkeypatch.setattr(data_io, "parse_scd", lambda text: parse(text).with_notes("x\ny"))
+    code, stdout, err = invoke(capsys, "shift", "--file", str(source), "--to", "9", "--out", str(out))
+    assert (code, stdout) == (1, "") and "spans lines" in err
+    assert not out.exists()
+
+
+def test_a_refused_generate_leaves_an_existing_file_as_it_was(tmp_path, capsys):
+    out = tmp_path / "p43.scd"
+    out.write_bytes(b"kept\r\n")
+    code, stdout, err = invoke(capsys, "generate", "--k", "4", "--n", "3", "--out", str(out))
+    assert (code, stdout) == (1, "") and "no taut-free decomposition" in err
+    assert out.read_bytes() == b"kept\r\n"
+
+
+class RecordingStream(io.StringIO):
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+# P(12,4) has 3,003 chains in the compact form, P(11,11) 2,047 in the
+# general form: more than one block each.
+@pytest.mark.parametrize("k, n", [(12, 4), (11, 11)])
+def test_a_document_is_written_one_block_at_a_time(capsys, monkeypatch, k, n):
+    stream = RecordingStream()
+    monkeypatch.setattr("sys.stdout", stream)
+    assert run(["generate", "--k", str(k), "--n", str(n)]) == 0
+    scd = generate(k, n)
+    blocks = -(-scd.chain_count // data_io.BLOCK_LINES)
+    assert blocks > 1 and len(stream.writes) == 1 + blocks  # the header lines, then the chains
+    assert all(w.count("\n") <= data_io.BLOCK_LINES for w in stream.writes)
+    assert "".join(stream.writes) == serialize_scd(scd)
 
 
 def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys):
@@ -405,6 +453,19 @@ def test_a_short_document_of_the_largest_host_is_validated_within_memory(tmp_pat
     assert proc.stderr == ""
     assert proc.stdout.startswith("1 chains, 0 taut\n")
     assert proc.stdout.endswith("finding: 1048574 elements of P(17,8) uncovered\n")
+
+
+def test_generate_writes_a_large_document_within_memory(tmp_path):
+    # Under RLIMIT_AS, generate --k 16 --n 4 --out needs 57 MiB with its
+    # document written block by block, and needed 72 MiB when the document
+    # was joined and encoded whole (CPython 3.11, x86-64 Linux); 64 MiB
+    # sits between the two.
+    out = tmp_path / "p16_4.scd"
+    proc = run_limited(1 << 26, ["generate", "--k", "16", "--n", "4", "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b9492e839cb9343b231cbdf748b0d76df27026ae456353ded2747d4b6de8532c"
+    )
 
 
 def test_a_long_chain_of_repeats_on_a_tall_host_is_validated_in_linear_time(tmp_path):

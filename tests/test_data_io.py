@@ -11,6 +11,7 @@ from scdkit import cli, data_io, posets
 from scdkit.chains import SCD, validate_scd
 from scdkit.constructions import generate
 from scdkit.data_io import (
+    BLOCK_LINES,
     COMPACT_LEVEL_LIMIT,
     ParseError,
     _elements_by_spelling,
@@ -19,6 +20,7 @@ from scdkit.data_io import (
     parse_scd,
     render_pictorial,
     serialize_scd,
+    write_scd,
 )
 from scdkit.posets import build_cuboid, build_hypercube
 from scdkit.search import SearchConfig, enumerate_scds
@@ -276,6 +278,29 @@ def test_a_note_that_is_not_ascii_is_refused():
     scd = builtin_table("P53").with_notes("caf\xe9")
     with pytest.raises(ParseError, match="is not ASCII"):
         serialize_scd(scd)
+
+
+def test_the_writer_refuses_before_its_first_block():
+    from scdkit.constructions import grid_scd
+
+    p53 = builtin_table("P53")
+    refused = [
+        grid_scd(2, 3),
+        SCD(p53.host, p53.chains + (((1 << 5, 0),),)),
+        p53.with_notes("x\ny"),
+        p53.with_notes(" x"),
+        p53.with_notes("caf\xe9"),
+    ]
+    for scd in refused:
+        with pytest.raises(ParseError):
+            next(write_scd(scd))
+
+
+def test_the_writer_yields_the_header_then_blocks_of_chain_lines():
+    scd = generate(11, 4)  # 1,584 chains, two notes
+    blocks = list(write_scd(builtin_table("P53"))) + list(write_scd(scd))
+    assert [b.count("\n") for b in blocks] == [4, 25, 5, BLOCK_LINES, 1584 - BLOCK_LINES]
+    assert "".join(blocks[2:]) == serialize_scd(scd)
 
 
 @pytest.mark.parametrize("line", ["# note: caf\xe9", "# \u2603", "\u00a0"],
