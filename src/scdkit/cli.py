@@ -9,15 +9,17 @@ writes what that returns as a document.  Every document is written by
 ``_emit`` block by block, as ``data_io.write_scd`` yields it, and never
 held whole; ``data_io.serialize_scd``, the join of those blocks, is for
 library callers.  An ``--out`` file is opened only once the first block
-exists, so a refused document leaves none.  Exit codes: 0 success, 1
-invalid input or out-of-region request, 2 search stopped by budget
-before reaching a conclusion.
+exists, so a refused document leaves none.  Stdin and files are decoded
+alike, as UTF-8 with an undecodable byte read as U+FFFD.  Exit codes: 0
+success, 1 invalid input, out-of-region request or output that cannot
+be written, 2 search stopped by budget before reaching a conclusion.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -36,16 +38,14 @@ class CliError(Exception):
 
 
 def _read_scd(path: str):
-    if path == "-":
-        return data_io.parse_scd(sys.stdin.read())
-    # Decoded as UTF-8, as stdin usually is, so that parse_scd and not the
-    # codec names the first character that is not ASCII, with the message
-    # stdin gets; a byte that is no UTF-8 reaches it as U+FFFD.
+    # Stdin and files alike: bytes decoded once as UTF-8, a byte that is no
+    # UTF-8 read as U+FFFD, so parse_scd and not the codec names the first
+    # character that is not ASCII, with one message wherever it was read.
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    return data_io.parse_scd(text)
+    return data_io.parse_scd(data.decode("utf-8", "replace"))
 
 
 def _emit(blocks: Iterable[str], out: str | None) -> None:
@@ -216,7 +216,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): what is left in its
+        # buffer goes to devnull, so the interpreter's last flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INVALID
+    sys.exit(code)
 
 
 if __name__ == "__main__":

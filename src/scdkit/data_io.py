@@ -6,7 +6,8 @@ Document layout:
   any provenance notes there, each note on one ``# note:`` line, so a
   note is one line of ASCII text with no leading or trailing blanks,
   which is what parsing gives back);
-* the first non-comment line is the header ``k n``;
+* the first non-comment line is the header ``k n``, the only source of
+  the host ``P(k, n)``;
 * every following line is one chain, elements space-separated in
   ascending rank order.
 
@@ -24,9 +25,10 @@ canonical spelling of every base and every level (``_spellings``).  A
 document at least ``len(host) * (k + 2)`` characters long, enough to
 spell every element, maps each line's tokens through the host's table of
 canonical spellings (``_elements_by_spelling``).  Any other token, and
-every token of a shorter document, takes the token parser, so a short
-document of a huge host allocates nothing per element.  The table never
-changes, so a document parses the same whatever was parsed before it.
+every token of a shorter document, takes ``_parse_token``, the one token
+parser of both spellings, so a short document of a huge host allocates
+nothing per element.  The table never changes, so a document parses the
+same whatever was parsed before it.
 
 ``write_scd`` is the one writer.  It makes every refusal check first,
 then yields the document in blocks of at most ``BLOCK_LINES`` chain
@@ -74,36 +76,28 @@ def _decimal(digits: str, what: str) -> int:
     return int(digits)
 
 
-def _parse_compact(token: str, k: int, n: int) -> tuple[int, int]:
-    if n > COMPACT_LEVEL_LIMIT:
+def _parse_token(token: str, k: int, n: int) -> tuple[int, int]:
+    """The element of P(k, n) a token names, in either spelling: a token
+    holding ``;`` is in the general form, any other in the compact one."""
+    head, sep, level = token.partition(";")
+    if sep:
+        bits, form = head[::2], f"'b1,...,bk;level' with {k} binary digits"
+        spelled = ",".join(bits) == head  # each bit one character, commas between
+    elif n > COMPACT_LEVEL_LIMIT:
         raise ParseError(
             f"token {token!r}: compact form is ambiguous for n={n} > "
             f"{COMPACT_LEVEL_LIMIT}; use the general form 'b1,...,bk;level'"
         )
-    if len(token) != k + 1:
-        raise ParseError(f"token {token!r}: expected {k} bits plus one level digit")
-    bits, level = token[:k], token[k:]
-    if bits.strip("01") != "":
-        raise ParseError(f"token {token!r}: bits must be 0/1")
-    if not (level.isascii() and level.isdigit()):
-        raise ParseError(f"token {token!r}: level must be a decimal digit")
-    c = int(level)
-    if c >= n:
-        raise ParseError(f"token {token!r}: level {c} outside chain of length {n}")
-    return (int(bits, 2) if k else 0, c)
-
-
-def _parse_general(token: str, k: int, n: int) -> tuple[int, int]:
-    head, sep, level = token.partition(";")
-    if not (sep and level.isascii() and level.isdigit()):
-        raise ParseError(f"token {token!r}: expected 'b1,...,bk;level'")
-    digits = head.split(",") if head else []
-    if len(digits) != k or any(d not in ("0", "1") for d in digits):
-        raise ParseError(f"token {token!r}: expected {k} binary digits")
+    else:
+        bits, level, form = token[:-1], token[-1:], f"{k} bits plus one level digit"
+        spelled = True
+    if not (spelled and len(bits) == k and not bits.strip("01")
+            and level.isascii() and level.isdigit()):
+        raise ParseError(f"token {token!r}: expected {form}")
     c = _decimal(level, f"token {token!r}: level")
     if c >= n:
         raise ParseError(f"token {token!r}: level {c} outside chain of length {n}")
-    return (int("".join(digits), 2) if k else 0, c)
+    return (int(bits, 2) if k else 0, c)
 
 
 @lru_cache(maxsize=16)
@@ -127,37 +121,32 @@ def _elements_by_spelling(k: int, n: int) -> dict[str, tuple[int, int]]:
             for b, base in enumerate(bases) for c, level in enumerate(levels)}
 
 
-def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
-    """Parse a decomposition document into an SCD over ``build_cuboid(k, n)``.
+def parse_scd(text: str) -> SCD:
+    """Parse a decomposition document into an SCD over ``build_cuboid(k, n)``,
+    where ``k n`` is the document's header, its only source of the host.
 
-    If ``k``/``n`` are not supplied the header line is mandatory; if they
-    are, a matching header line is skipped when present.  Chains written
-    top-down are flipped to the canonical bottom-up order, and any
-    ``# note:`` comment lines are recovered as the decomposition's notes
-    so that documents survive tool pipelines byte-for-byte.  A document
-    with any character that is not ASCII is refused, in a comment or a
-    blank as in a token.  Repeated elements are left for the validator.
+    Chains written top-down are flipped to the canonical bottom-up order,
+    and any ``# note:`` comment lines are recovered as the decomposition's
+    notes so that documents survive tool pipelines byte-for-byte.  A
+    document with any character that is not ASCII is refused, in a comment
+    or a blank as in a token.  Repeated elements are left for the validator.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     notes = tuple(
         ln[len("# note:"):].strip() for ln in lines if ln.startswith("# note:")
     )
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if k is None or n is None:
-        if not lines:
-            raise ParseError("empty document")
-        parts = lines[0].split()
-        # Canonical decimals only: a compact chain line like "000000 000001"
-        # must not pass for a header.
-        if len(parts) != 2 or not all(
-            p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts
-        ):
-            raise ParseError(f"expected header 'k n', got {lines[0]!r}")
-        k, n = (_decimal(p, "header number") for p in parts)
-        lines = lines[1:]
-    elif lines and lines[0] == f"{k} {n}":
-        lines = lines[1:]
-    if n < 1 or k < 0:
+    if not lines:
+        raise ParseError("empty document")
+    parts = lines[0].split()
+    # Canonical decimals only: a compact chain line like "000000 000001"
+    # must not pass for a header.
+    if len(parts) != 2 or not all(
+        p.isascii() and p.isdigit() and (p == "0" or p[0] != "0") for p in parts
+    ):
+        raise ParseError(f"expected header 'k n', got {lines[0]!r}")
+    k, n = (_decimal(p, "header number") for p in parts)
+    if n < 1:
         raise ParseError(f"bad dimensions k={k}, n={n}")
 
     host = build_cuboid(k, n)
@@ -167,15 +156,12 @@ def parse_scd(text: str, k: int | None = None, n: int | None = None) -> SCD:
     table = _elements_by_spelling(k, n) if len(text) >= len(host) * (k + 2) else {}
     get = table.__getitem__
     chains = []
-    for line in lines:
+    for line in lines[1:]:
         tokens = line.split()
         try:
             chains.append(tuple([*map(get, tokens)]))
         except KeyError:
-            chains.append(tuple([
-                table.get(t) or (_parse_general if ";" in t else _parse_compact)(t, k, n)
-                for t in tokens
-            ]))
+            chains.append(tuple([table.get(t) or _parse_token(t, k, n) for t in tokens]))
     # A token that is not ASCII was refused above, by name; what is left
     # is a comment or a blank.
     if not text.isascii():
@@ -250,15 +236,15 @@ def serialize_scd(scd: SCD) -> str:
 def builtin_table(table_id: str) -> SCD:
     """One of the bundled decompositions, by id P53 | P54 | P55.
 
-    Chain order is preserved exactly as shipped (it is meaningful data,
-    not a canonical ordering).  The result is validated once per process.
+    Each ships as a complete document, parsed like any other.  Chain
+    order is preserved exactly as shipped (it is meaningful data, not a
+    canonical ordering).  The result is validated once per process.
     """
     if table_id not in BUILTIN_TABLES:
         raise ParseError(
             f"unknown table id {table_id!r}; expected one of {sorted(BUILTIN_TABLES)}"
         )
-    k, n, raw = BUILTIN_TABLES[table_id]
-    scd = parse_scd(raw, k, n).with_notes(f"builtin: {table_id}")
+    scd = parse_scd(BUILTIN_TABLES[table_id]).with_notes(f"builtin: {table_id}")
     if not scd.report.valid or scd.report.taut_count:
         raise ParseError(f"builtin table {table_id} failed validation: {scd.report.messages}")
     return scd

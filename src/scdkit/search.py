@@ -67,8 +67,8 @@ construction, and every other pair by one taut-free existence query on
 P(k, m), ``m = min(n, max(k+1, 3))``: the ``shift`` bijection between the
 decompositions of ``P x m`` and ``P x n`` for m, n >= rk(P)+1 preserves
 taut chains, so one search of at most P(4, 5) settles every n.  Each
-such query runs once per process and is kept, so the first k = 4,
-n >= 5 query proves P(4, 5), and the rest reuse the proof.
+such query runs once per process and node budget and is kept, so the
+first k = 4, n >= 5 query proves P(4, 5), and the rest reuse the proof.
 """
 
 from __future__ import annotations
@@ -508,20 +508,22 @@ class ExistenceResult(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _taut_free_search(k: int, m: int, cfg: SearchConfig) -> SearchOutcome:
-    """``enumerate_scds`` on P(k, m), once per process for each config."""
+def _taut_free_search(k: int, m: int, node_budget: int | None) -> SearchOutcome:
+    """The taut-free existence query on P(k, m), once per process per budget."""
+    cfg = SearchConfig(forbid_taut=True, limit=1, node_budget=node_budget)
     return enumerate_scds(build_cuboid(k, m), cfg)
 
 
-def exists_nontaut_scd(k: int, n: int, config: SearchConfig | None = None) -> ExistenceResult:
+def exists_nontaut_scd(k: int, n: int, node_budget: int | None = None) -> ExistenceResult:
     """Decide whether P(k, n) has a taut-free symmetric chain decomposition.
 
     n <= 2 is rejected outright (n = 1 makes every chain a column; for
     n = 2 the maximal chain is one), and for k >= 5 the witness is
     constructed and validated.  Every other pair is decided by a
-    taut-free existence search of P(k, m) with ``m = min(n, max(k+1, 3))``,
-    under the node budget of ``config``: at most 8 hosts, up to P(4, 5),
-    each searched once per process (see :class:`ExistenceResult`).
+    taut-free existence search of P(k, m) with ``m = min(n, max(k+1, 3))``
+    within ``node_budget`` nodes (by default the cap of
+    :class:`SearchConfig`): at most 8 hosts, up to P(4, 5), each searched
+    once per process and budget (see :class:`ExistenceResult`).
     """
     if k < 0 or n < 1:
         raise SearchError(f"need k >= 0 and n >= 1, got k={k}, n={n}")
@@ -533,8 +535,7 @@ def exists_nontaut_scd(k: int, n: int, config: SearchConfig | None = None) -> Ex
         return ExistenceResult(True, generate(k, n), False, "construction")
 
     m = min(n, max(k + 1, 3))
-    cfg = (config or SearchConfig())._replace(forbid_taut=True, limit=1)
-    outcome = _taut_free_search(k, m, cfg)
+    outcome = _taut_free_search(k, m, node_budget)
     if outcome.exhausted:
         method = "exhaustive" if m == n else "exhaustive+shift"
         return ExistenceResult(False, None, True, method, outcome.nodes_visited)

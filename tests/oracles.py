@@ -7,8 +7,11 @@ cross-check rather than the same algorithm twice.  Likewise
 ``diagnose_by_elements`` validates a decomposition element by element,
 with none of the shortcuts of ``validate_scd``, and its own tautness
 test, read off the definition and independent of ``chains.is_taut``.
+``element_of_token`` reads a token by the definition of its two
+spellings, as regular expressions, with none of the parser's slicing.
 """
 
+import re
 from itertools import product as iproduct
 
 from scdkit.chains import SCD, ValidationReport
@@ -209,3 +212,23 @@ def permute_scd(scd, perm):
     return SCD(scd.host, tuple(
         tuple((permuted_bits(b, k, perm), c) for b, c in ch) for ch in scd.chains
     ))
+
+
+def element_of_token(token, k, n, max_digits):
+    """The element of P(k, n) that ``token`` spells, or None.
+
+    The compact spelling is k bits then one ASCII digit, only for
+    n <= 10; the general one is ``b1,...,bk;`` then ASCII
+    digits.  In both the level is below n and has at most ``max_digits``
+    significant digits.
+    """
+    match = re.fullmatch(",".join(["([01])"] * k) + ";([0-9]+)", token)
+    if match is None and n <= 10:
+        match = re.fullmatch(f"([01]{{{k}}})([0-9])", token)
+    if match is None:
+        return None
+    *bits, level = match.groups()
+    level = level.lstrip("0") or "0"
+    if len(level) > max_digits or int(level) >= n:
+        return None
+    return (int("".join(bits), 2) if k else 0, int(level))

@@ -235,9 +235,14 @@ def test_unreadable_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def stdin_of(data: bytes) -> io.TextIOWrapper:
+    """A stdin that holds ``data``, with the byte buffer a real one has."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 def test_stdin_validate(capsys, monkeypatch):
     doc = serialize_scd(builtin_table("P54"))
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    monkeypatch.setattr("sys.stdin", stdin_of(doc.encode("ascii")))
     code, out, _ = invoke(capsys, "validate", "-", "--require-nontaut")
     assert code == 0 and out.splitlines()[0] == "30 chains, 0 taut"
 
@@ -251,13 +256,28 @@ def test_a_document_that_is_not_ascii_exits_1_wherever_it_is_read_or_written(
     out = tmp_path / "p59.scd"
     errs = []
     for argv in (["--file", "-"], ["--file", "-", "--out", str(out)], ["--file", str(source)]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        monkeypatch.setattr("sys.stdin", stdin_of(doc.encode("utf-8")))
         code, stdout, err = invoke(capsys, "shift", *argv, "--to", "9")
         assert (code, stdout) == (1, "") and err.startswith("error: ")
         assert not out.exists()
         errs.append(err)
     # A file is read as stdin is: parse_scd names the character either way.
     assert errs == ["error: document holds '\xe9'; a document is ASCII text\n"] * 3
+
+
+def test_an_undecodable_byte_gives_one_error_from_a_file_and_from_stdin(
+    tmp_path, capsys, monkeypatch
+):
+    # Both are decoded as UTF-8, the byte 0xff read as U+FFFD, so the
+    # codec never speaks and stdin's own encoding plays no part.
+    data = b"# \xff\n1 2\n00 01 11\n10\n"
+    doc = tmp_path / "ff.scd"
+    doc.write_bytes(data)
+    from_file = invoke(capsys, "validate", str(doc))
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    from_stdin = invoke(capsys, "validate", "-")
+    expected = (1, "", "error: document holds '\ufffd'; a document is ASCII text\n")
+    assert from_file == from_stdin == expected
 
 
 def test_a_document_the_writer_refuses_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -614,3 +634,18 @@ def test_the_cli_loads_every_module_of_the_package_and_no_dataclasses():
     # Nothing is imported lazily: no set-up cost moves into a first request.
     layers = {f"scdkit.{name}" for name in ("posets", "chains", "data_io", "constructions", "search")}
     assert layers <= modules
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_1():
+    # P(12,4)'s document, about 230 kB, is more than a pipe holds, so
+    # scdkit is still writing when its reader stops after 100 bytes.
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-c", "from scdkit.cli import main; main()",
+         "generate", "--k", "12", "--n", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")

@@ -4,7 +4,7 @@ import re
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from scdkit import cli, data_io, posets
@@ -13,6 +13,7 @@ from scdkit.constructions import generate
 from scdkit.data_io import (
     BLOCK_LINES,
     COMPACT_LEVEL_LIMIT,
+    MAX_DIGITS,
     ParseError,
     _elements_by_spelling,
     _spellings,
@@ -26,7 +27,7 @@ from scdkit.posets import build_cuboid, build_hypercube
 from scdkit.search import SearchConfig, enumerate_scds
 from scdkit.tables import BUILTIN_TABLES
 
-from oracles import permute_scd
+from oracles import element_of_token, permute_scd
 
 GOLDEN_GRID_Q4_6 = """\
         1
@@ -74,11 +75,11 @@ def test_serialize_parse_round_trip_tables():
 
 
 def test_serialized_tokens_match_shipped_text():
-    # Chain order and every token survive the SCD round trip unchanged.
-    for tid, (k, n, raw) in BUILTIN_TABLES.items():
+    # Chain order and every token survive the SCD round trip: comments
+    # aside, a serialized table is its shipped document.
+    for tid, raw in BUILTIN_TABLES.items():
         doc = serialize_scd(builtin_table(tid))
-        body = [ln for ln in doc.splitlines() if ln and not ln.startswith("#")][1:]
-        assert [ln.split() for ln in body] == [ln.split() for ln in raw.splitlines()]
+        assert [ln for ln in doc.splitlines() if not ln.startswith("#")] == raw.splitlines()
 
 
 def test_round_trip_general_form():
@@ -89,7 +90,7 @@ def test_round_trip_general_form():
 
 
 def test_parse_single_taut_chain():
-    scd = parse_scd("000000 000001 000002", 5, 3)
+    scd = parse_scd("5 3\n000000 000001 000002")
     assert scd.chain_count == 1
     report = validate_scd(scd.host, scd)
     assert report.taut_chain_indices == (0,)
@@ -98,17 +99,17 @@ def test_parse_single_taut_chain():
 
 def test_parse_rejects_bad_tokens():
     with pytest.raises(ParseError):
-        parse_scd("00000A", 5, 3)
+        parse_scd("5 3\n00000A")
     with pytest.raises(ParseError):
-        parse_scd("0000000", 5, 3)  # too many digits
+        parse_scd("5 3\n0000000")  # too many digits
     with pytest.raises(ParseError):
-        parse_scd("000005", 5, 3)  # level beyond the chain
+        parse_scd("5 3\n000005")  # level beyond the chain
     with pytest.raises(ParseError):
-        parse_scd("1,1;0 1,0;0", 3, 2)  # wrong bit count
+        parse_scd("3 2\n1,1;0 1,0;0")  # wrong bit count
     with pytest.raises(ParseError):
-        parse_scd("000000 000001", 5, 12)  # compact form refused for n > 10
+        parse_scd("5 12\n000000 000001")  # compact form refused for n > 10
     with pytest.raises(ParseError, match="outside chain"):
-        parse_scd("0,0;12", 2, 12)  # general-form level beyond the chain
+        parse_scd("2 12\n0,0;12")  # general-form level beyond the chain
 
 
 @pytest.mark.parametrize("text, token", [
@@ -122,26 +123,54 @@ def test_parse_requires_ascii_digits(text, token):
         parse_scd(text)
 
 
-def test_parse_requires_header_without_dimensions():
+@st.composite
+def near_tokens(draw, k, n):
+    """A spelling, in either form, of k bits (or one more or fewer) and a
+    level up to n + 1 with up to two leading zeros, then as often as not
+    one or two characters inserted, deleted or replaced: tokens of both
+    spellings and their near misses."""
+    size = draw(st.sampled_from([k, k, k - 1, k + 1]))
+    bits = draw(st.text("01", min_size=max(size, 0), max_size=max(size, 0)))
+    level = "0" * draw(st.integers(0, 2)) + str(draw(st.integers(0, n + 1)))
+    token = ",".join(bits) + ";" + level if draw(st.booleans()) else bits + level
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(token)))
+        cut = draw(st.integers(0, 1))
+        token = token[:i] + draw(st.sampled_from(["", *"01,;9a\u00b2"])) + token[i + cut:]
+    return token
+
+
+@settings(max_examples=800, deadline=None, database=None, derandomize=True)
+@given(k=st.integers(0, 6), n=st.integers(1, 13), data=st.data())
+def test_the_parser_accepts_exactly_the_tokens_of_the_two_spellings(k, n, data):
+    token = data.draw(near_tokens(k, n), label="token")
+    assume(token)  # an empty line is no chain
+    element = element_of_token(token, k, n, MAX_DIGITS)
+    if element is None:
+        with pytest.raises(ParseError):
+            parse_scd(f"{k} {n}\n{token}")
+    else:
+        assert parse_scd(f"{k} {n}\n{token}").chains == ((element,),)
+
+
+def test_parse_requires_a_header():
     with pytest.raises(ParseError):
         parse_scd("000000 000001")
-    scd = parse_scd("# comment\n2 2\n000 100 110 111\n".replace("000 100 110 111", "000"))
+    scd = parse_scd("# comment\n2 2\n000\n")
     assert scd.host == build_cuboid(2, 2)
-    # Given dimensions skip a header that matches them.
-    assert parse_scd("2 2\n000", 2, 2) == scd
     with pytest.raises(ParseError, match="bad dimensions"):
         parse_scd("3 0\n")
 
 
 def test_parse_normalizes_descending_chains():
-    up = parse_scd("000 100 110 111", 2, 2)
-    down = parse_scd("111 110 100 000", 2, 2)
+    up = parse_scd("2 2\n000 100 110 111")
+    down = parse_scd("2 2\n111 110 100 000")
     assert up.chains == down.chains
 
 
 def test_parse_flips_only_lines_whose_ranks_never_rise():
     # ranks 1, 1: never rise, so flipped; ranks 2, 0, 1: left as written
-    assert parse_scd("010 100\n110 000 100", 2, 2).chains == (
+    assert parse_scd("2 2\n010 100\n110 000 100").chains == (
         ((0b10, 0), (0b01, 0)),
         ((0b11, 0), (0b00, 0), (0b10, 0)),
     )
@@ -163,13 +192,13 @@ def test_leading_zeros_do_not_count_toward_the_digit_bound():
 
 
 def test_parse_strict_duplicates():
-    text = "000000 100000\n000000 010000"
-    scd = parse_scd(text, 5, 3)  # lax: left for the validator
+    text = "5 3\n000000 100000\n000000 010000"
+    scd = parse_scd(text)  # lax: left for the validator
     assert any("already used" in message for message in scd.report.messages)
 
 
 def test_builtin_table_rejects_repeated_elements(monkeypatch):
-    monkeypatch.setitem(BUILTIN_TABLES, "PDUP", (5, 3, "000000 100000\n000000 010000"))
+    monkeypatch.setitem(BUILTIN_TABLES, "PDUP", "5 3\n000000 100000\n000000 010000")
     with pytest.raises(ParseError, match="failed validation"):
         builtin_table("PDUP")
 
@@ -323,7 +352,6 @@ def test_every_spelling_parses_to_the_canonical_element(k, n, canonical, spellin
     element = (int(canonical[:k] or "0", 2), int(canonical[k:]))
     assert _elements_by_spelling(k, n)[canonical] == element
     for token in [canonical] + spellings:
-        assert parse_scd(token, k, n).chains == ((element,),)
         assert parse_scd(f"{k} {n}\n{token}").chains == ((element,),)
 
 
@@ -336,13 +364,13 @@ def test_every_spelling_parses_to_the_canonical_element(k, n, canonical, spellin
 def test_a_rejected_token_is_never_recorded(token, k, n):
     # Refused alone, as a short document, and again as the last line of a
     # document long enough to take the host's table, in either order.
-    assert parse_scd("000005", 5, 6).chains == (((0, 5),),)
+    assert parse_scd("5 6\n000005").chains == (((0, 5),),)
     bases, levels = _spellings(k, n)
-    long_doc = "\n".join([*(b + c for b in bases for c in levels), token])
+    long_doc = "\n".join([f"{k} {n}", *(b + c for b in bases for c in levels), token])
     assert len(long_doc) >= len(build_cuboid(k, n)) * (k + 2)
-    for doc in [token, long_doc] * 2:
+    for doc in [f"{k} {n}\n{token}", long_doc] * 2:
         with pytest.raises(ParseError):
-            parse_scd(doc, k, n)
+            parse_scd(doc)
 
 
 def test_no_memo_outgrows_its_host():
@@ -354,7 +382,7 @@ def test_no_memo_outgrows_its_host():
             host = build_cuboid(k, n)
             bits = [",".join(format(b, f"0{k}b")) if k else "" for b in range(1 << k)]
             doc = [f"{bits[b]};{'0' * pad}{c}" for pad in range(4) for b, c in host.elements]
-            scd = parse_scd("\n".join(doc), k, n)
+            scd = parse_scd("\n".join([f"{k} {n}", *doc]))
             assert scd.chains == tuple((e,) for e in host.elements) * 4
             assert len(_elements_by_spelling(k, n)) == len(host)
     assert _elements_by_spelling.cache_info().currsize <= 16
@@ -366,10 +394,10 @@ def test_a_short_document_builds_no_table():
     # long as one.
     _elements_by_spelling.cache_clear()
     for k, n, token in [(4, 9, "10117"), (4, 12, "1,0,1,1;07"), (17, 8, "0" * 17 + "7")]:
-        assert parse_scd(token, k, n).chains == (((0b1011 if k == 4 else 0, 7),),)
+        assert parse_scd(f"{k} {n}\n{token}").chains == (((0b1011 if k == 4 else 0, 7),),)
     assert _elements_by_spelling.cache_info().currsize == 0
     host = build_cuboid(1, 2)
-    parse_scd("0;0 1;0\n0;1 1;1", 1, 2)  # 15 characters, over the 12 of P(1,2)
+    parse_scd("1 2\n0;0 1;0\n0;1 1;1")  # 19 characters, over the 12 of P(1,2)
     assert len(_elements_by_spelling(1, 2)) == len(host)
     assert _elements_by_spelling.cache_info().currsize == 1
 
@@ -414,10 +442,11 @@ def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
     # The table path against the token path.  A bit-permuted document,
     # some lines top-down and some tokens in a non-canonical spelling, is
     # long enough to take the host's spelling table, from a cold cache and
-    # from a warm one.  Each of its lines shorter than the gate is a short
-    # document, which takes the token parser.  Both parse alike, in either
+    # from a warm one.  Each of its lines under the header is a document
+    # of its own, and one shorter than the gate takes the token parser.  Both parse alike, in either
     # order.
     k, n = shape
+    header = f"{k} {n}"
     rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
     scd = _differential_source(k, n)
     if k:
@@ -433,10 +462,11 @@ def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
     for ch in chains:
         tokens = [odd(e) if rnd.random() < 0.3 else _spell(e, k, general) for e in ch]
         lines.append(" ".join(tokens[::-1] if rnd.random() < 0.5 else tokens))
-    doc = "\n".join(["# note: differential", f"{k} {n}", *lines]) + "\n"
+    doc = "\n".join(["# note: differential", header, *lines]) + "\n"
     gate = len(scd.host) * (k + 2)
     assert len(doc) >= gate
-    short = [(line, ch) for line, ch in zip(lines, chains) if len(line) < gate]
+    docs = [f"{header}\n{line}" for line in lines]
+    short = [(d, ch) for d, ch in zip(docs, chains) if len(d) < gate]
     if k:
         assert len(short) == len(lines)
 
@@ -449,7 +479,7 @@ def test_the_memo_never_changes_what_a_document_parses_to(shape, data):
         _elements_by_spelling.cache_clear()
         if whole_first:
             assert whole() == expected  # cold
-        assert [parse_scd(line, k, n).chains[0] for line, _ in short] == [ch for _, ch in short]
+        assert [parse_scd(d).chains[0] for d, _ in short] == [ch for _, ch in short]
         assert whole() == expected  # warm, or cold after the short documents
 
 
@@ -457,17 +487,18 @@ def _refuse_the_token_parser(monkeypatch):
     def refuse(*args):
         raise AssertionError("a canonical token took the token parser")
 
-    monkeypatch.setattr(data_io, "_parse_compact", refuse)
-    monkeypatch.setattr(data_io, "_parse_general", refuse)
+    monkeypatch.setattr(data_io, "_parse_token", refuse)
 
 
 def test_the_bundled_tables_are_long_enough_for_the_spelling_table(monkeypatch):
-    # Each shipped body spells every element once, in exactly
-    # len(host) * (k + 2) characters.
+    # Each shipped body, after its header, spells every element once, in
+    # exactly len(host) * (k + 2) characters.
     _refuse_the_token_parser(monkeypatch)
-    for k, n, raw in BUILTIN_TABLES.values():
-        assert len(raw) == len(build_cuboid(k, n)) * (k + 2)
-        assert parse_scd(raw, k, n).chain_count == len(raw.splitlines())
+    for raw in BUILTIN_TABLES.values():
+        header, body = raw.split("\n", 1)
+        k, n = map(int, header.split())
+        assert len(body) == len(build_cuboid(k, n)) * (k + 2)
+        assert parse_scd(raw).chain_count == len(body.splitlines())
 
 
 @pytest.mark.parametrize("k, n", [(5, 4), (5, 12), (0, 4)])

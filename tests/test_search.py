@@ -234,14 +234,14 @@ def test_exists_positive_with_validated_witness():
 
 
 def test_exists_inconclusive_under_tiny_budget():
-    res = exists_nontaut_scd(2, 4, SearchConfig(node_budget=3))
+    res = exists_nontaut_scd(2, 4, node_budget=3)
     assert res.exists is None and res.method == "inconclusive"
     assert res.proof_exhaustive is False
 
 
 def test_each_existence_search_runs_once_per_config(monkeypatch):
     # A budget of its own, so no earlier query has filled these entries;
-    # each query gets an equal config, not the same one.
+    # a query is keyed by its budget, and each search gets its own config.
     searched = []
     real = search.enumerate_scds
 
@@ -252,7 +252,7 @@ def test_each_existence_search_runs_once_per_config(monkeypatch):
     monkeypatch.setattr(search, "enumerate_scds", recording)
     for _ in range(2):
         for n in range(3, 9):
-            assert exists_nontaut_scd(3, n, SearchConfig(node_budget=123_456)).proof_exhaustive
+            assert exists_nontaut_scd(3, n, node_budget=123_456).proof_exhaustive
     taut_free = SearchConfig(forbid_taut=True, limit=1, node_budget=123_456)
     assert searched == [("P(3,3)", taut_free), ("P(3,4)", taut_free)]
 
