@@ -113,13 +113,12 @@ def _cmd_search(args) -> int:
     else:
         outcome = search.enumerate_scds(host, cfg)
         found = len(outcome.found)
-    status = "exhausted" if outcome.exhausted else f"stopped ({outcome.stop_reason})"
+    status = "exhausted" if outcome.stop_reason is None else f"stopped ({outcome.stop_reason})"
     summary_out = sys.stderr if args.out == "-" else sys.stdout
     print(f"found {found}, {status}, nodes {outcome.nodes_visited}", file=summary_out)
     if args.out and outcome.found:
         _emit(data_io.write_scd(outcome.found[0]), args.out)
-    conclusive = outcome.exhausted or outcome.stop_reason == "limit"
-    return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
+    return EXIT_OK if outcome.stop_reason in (None, "limit") else EXIT_INCONCLUSIVE
 
 
 # Building the parser costs far more than parsing with it, and parse_args
@@ -191,7 +190,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--forbid-taut", action="store_true")
     p.add_argument("--limit", type=int)
-    p.add_argument("--budget", type=int, help="node budget (default 10^8)")
+    p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET,
+                   help="node budget (default 10^8)")
     p.add_argument("--use-symmetry", action="store_true",
                    help="accepted with --limit 1, which already searches up to "
                    "bit permutations; changes nothing")

@@ -14,9 +14,9 @@ the ``rows_of`` of the uncovered elements alone.  Picking row i leaves
 ``uncovered ^ rows[i]`` uncovered and clears its conflict mask from the
 live rows: the OR of ``rows_of[e]`` over its elements, every row that
 shares an element with it, computed on its first pick and then cached.
-One node is one branch point or one generated row; both count against
-the node budget.  Rows are grown and picked on explicit stacks, so no
-search recurses, however long or many its chains.
+One node is one branch point or one generated chain, kept as a row or
+not; both count against the node budget.  Rows are grown and picked on
+explicit stacks, so no search recurses, however long or many its chains.
 
 On a cuboid the search can run on a quotient.  Every decomposition has
 one maximal chain, along which every bit flips once, so the chain's
@@ -58,9 +58,9 @@ bound, a run that finishes without a solution is a proof whatever its
 order, and what a run exhausts prunes the later ones.  Any other
 enumeration is one unquotiented run in canonical order; a
 ``forbid_taut`` enumeration of a cuboid asks the quotient for a witness
-first, and is exhausted-empty without one.  A count runs on the quotient
-where there is one.  The node budget is the one bound, so every answer
-is deterministic, and only a finished search says none exists.
+first, and is finished and empty without one.  A count runs on the
+quotient where there is one.  The node budget is the one bound, so every
+answer is deterministic, and only a finished search says none exists.
 
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
 construction, and every other pair by one taut-free existence query on
@@ -105,34 +105,33 @@ class _StopSearch(Exception):
 
 
 class SearchConfig(NamedTuple):
-    """Knobs for :func:`enumerate_scds`.
+    """Knobs for :func:`enumerate_scds` and :func:`count_search`.
 
-    ``node_budget`` is the one bound on a search; without one, a cap of
-    10**8 nodes applies.  ``limit`` must be at least 1 and the budget
+    ``node_budget`` is the one bound on a search, 10**8 nodes by default.
+    ``limit`` must be at least 1 (a count takes none) and the budget
     nonnegative.
     """
 
     forbid_taut: bool = False
     limit: int | None = None
-    node_budget: int | None = None
+    node_budget: int = DEFAULT_NODE_BUDGET
 
 
 class SearchOutcome(NamedTuple):
-    """``exhausted`` is True only when the whole space was explored; any
-    nonexistence conclusion must check it."""
+    """``stop_reason`` is None only when the whole space was explored, so
+    any nonexistence conclusion must check it; otherwise it names what
+    stopped the search: ``"limit"``, ``"node-budget"`` or ``"row-limit"``."""
 
     found: tuple[SCD, ...]
-    exhausted: bool
     nodes_visited: int
     stop_reason: str | None = None
 
 
 class CountOutcome(NamedTuple):
     """Like :class:`SearchOutcome`, with the number of decompositions in
-    place of the decompositions; ``count`` is 0 unless ``exhausted``."""
+    place of the decompositions; ``count`` is 0 unless it finished."""
 
     count: int
-    exhausted: bool
     nodes_visited: int
     stop_reason: str | None = None
 
@@ -168,7 +167,7 @@ class _Cover:
 
     def __init__(self, host: GradedPoset, cfg: SearchConfig, quotient: bool = True,
                  nodes: int = 0):
-        self.node_budget = DEFAULT_NODE_BUDGET if cfg.node_budget is None else cfg.node_budget
+        self.node_budget = cfg.node_budget
         self.nodes = nodes
         shape = cuboid_shape(host)
         self.quotient = quotient and shape is not None
@@ -234,8 +233,8 @@ class _Cover:
                         stack.append(iter(ups(e)))
                         break
                     weight = _word_weight(chain) if maximal else 1
+                    self.tick()
                     if weight:
-                        self.tick()
                         if len(rows) == self.max_rows:
                             raise _StopSearch("row-limit", self.nodes)
                         rows.append(mask)
@@ -415,7 +414,7 @@ def _checked(config: SearchConfig | None, host: GradedPoset) -> SearchConfig:
     cfg = config or SearchConfig()
     if cfg.limit is not None and cfg.limit < 1:
         raise SearchError(f"limit must be at least 1, got {cfg.limit}")
-    if cfg.node_budget is not None and cfg.node_budget < 0:
+    if cfg.node_budget < 0:
         raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
     if cfg.forbid_taut and host.chain_factor is None:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
@@ -429,20 +428,20 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
     existence query (and the first pass of a ``forbid_taut`` enumeration
     of a cuboid) runs a fixed restart schedule, so repeated runs yield the
     same decompositions in the same order.  A non-rank-symmetric host has
-    no decompositions at all and returns empty-but-exhausted immediately.
+    no decompositions at all: its search is finished, and empty, at 0 nodes.
     """
     cfg = _checked(config, host)
     if not is_rank_symmetric(host):
-        return SearchOutcome((), True, 0, "not-rank-symmetric")
+        return SearchOutcome((), 0)
     cover = prover = None
     try:
         if cfg.limit == 1 or cfg.forbid_taut and cuboid_shape(host) is not None:
             prover = _Cover(host, cfg)
             witness = prover.witness()
             if witness is None:
-                return SearchOutcome((), True, prover.nodes)
+                return SearchOutcome((), prover.nodes)
             if cfg.limit == 1:
-                return SearchOutcome((witness,), False, prover.nodes, "limit")
+                return SearchOutcome((witness,), prover.nodes, "limit")
         cover = _Cover(host, cfg, quotient=False, nodes=prover.nodes if prover else 0)
         cover.solve(limit=cfg.limit)
     except _StopSearch as stop:
@@ -451,7 +450,7 @@ def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> Sea
         reason = "limit" if len(cover.found) == cfg.limit else None
         nodes = cover.nodes
     found = tuple(map(cover.decode, cover.found)) if cover else ()
-    return SearchOutcome(found, reason is None, nodes, reason)
+    return SearchOutcome(found, nodes, reason)
 
 
 def count_search(host: GradedPoset, config: SearchConfig | None = None) -> CountOutcome:
@@ -462,19 +461,19 @@ def count_search(host: GradedPoset, config: SearchConfig | None = None) -> Count
     if cfg.limit is not None:
         raise SearchError("a count takes no limit")
     if not is_rank_symmetric(host):
-        return CountOutcome(0, True, 0, "not-rank-symmetric")
+        return CountOutcome(0, 0)
     try:
         cover = _Cover(host, cfg)
-        return CountOutcome(cover.count(), True, cover.nodes)
+        return CountOutcome(cover.count(), cover.nodes)
     except _StopSearch as stop:
-        return CountOutcome(0, False, stop.nodes, stop.reason)
+        return CountOutcome(0, stop.nodes, stop.reason)
 
 
 def count_scds(host: GradedPoset) -> int:
     """Exact number of symmetric chain decompositions of ``host``, by
     :func:`count_search`; refuses to answer from an interrupted count."""
     outcome = count_search(host)
-    if not outcome.exhausted:
+    if outcome.stop_reason is not None:
         raise SearchError(f"count interrupted by {outcome.stop_reason}; no exact count")
     return outcome.count
 
@@ -487,57 +486,56 @@ class ExistenceResult(NamedTuple):
     * ``n-rule``: n <= 2, where every maximal chain is taut;
     * ``construction``: k >= 5, a witness built and validated by
       :func:`~scdkit.constructions.generate`;
-    * ``exhaustive``: a finished taut-free search of P(k, n) itself;
-    * ``exhaustive+shift``: a finished taut-free search of P(k, m) for the
-      smaller ``m = max(k+1, 3)``, carried over to P(k, n) by the
+    * ``exhaustive``: a "no" backed by a finished taut-free search of
+      P(k, n) itself;
+    * ``exhaustive+shift``: a "no" backed by a finished taut-free search
+      of P(k, m), ``m = max(k+1, 3)``, carried over to P(k, n) by the
       ``shift`` bijection, which preserves taut chains for m, n >= k+1;
     * ``inconclusive``: the search stopped at the node budget, so
       ``exists`` is None -- never a nonexistence claim.
 
-    ``proof_exhaustive`` is True only when a finished search backs a
-    "no".  Searches run for k <= 4 only, and each is made once per
-    process, so the first k = 4, n >= 5 query proves P(4, 5) (about
+    Searches run for k <= 4 only, and each is made once per process and
+    budget, so the first k = 4, n >= 5 query proves P(4, 5) (about
     275,000 nodes, a few seconds) and later ones reuse that proof.
     """
 
     exists: bool | None
     witness: SCD | None
-    proof_exhaustive: bool
     method: str
     nodes_visited: int = 0
 
 
 @lru_cache(maxsize=16)
-def _taut_free_search(k: int, m: int, node_budget: int | None) -> SearchOutcome:
+def _taut_free_search(k: int, m: int, node_budget: int) -> SearchOutcome:
     """The taut-free existence query on P(k, m), once per process per budget."""
     cfg = SearchConfig(forbid_taut=True, limit=1, node_budget=node_budget)
     return enumerate_scds(build_cuboid(k, m), cfg)
 
 
-def exists_nontaut_scd(k: int, n: int, node_budget: int | None = None) -> ExistenceResult:
+def exists_nontaut_scd(k: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> ExistenceResult:
     """Decide whether P(k, n) has a taut-free symmetric chain decomposition.
 
     n <= 2 is rejected outright (n = 1 makes every chain a column; for
     n = 2 the maximal chain is one), and for k >= 5 the witness is
     constructed and validated.  Every other pair is decided by a
     taut-free existence search of P(k, m) with ``m = min(n, max(k+1, 3))``
-    within ``node_budget`` nodes (by default the cap of
-    :class:`SearchConfig`): at most 8 hosts, up to P(4, 5), each searched
-    once per process and budget (see :class:`ExistenceResult`).
+    within ``node_budget`` nodes (10**8 by default): at most 8 hosts, up
+    to P(4, 5), each searched once per process and budget (see
+    :class:`ExistenceResult`).
     """
     if k < 0 or n < 1:
         raise SearchError(f"need k >= 0 and n >= 1, got k={k}, n={n}")
     if n <= 2:
-        return ExistenceResult(False, None, False, "n-rule")
+        return ExistenceResult(False, None, "n-rule")
     if k >= 5:
         # Every step of the pipeline checks its output taut-free where it
         # is built.
-        return ExistenceResult(True, generate(k, n), False, "construction")
+        return ExistenceResult(True, generate(k, n), "construction")
 
     m = min(n, max(k + 1, 3))
     outcome = _taut_free_search(k, m, node_budget)
-    if outcome.exhausted:
+    if outcome.stop_reason is None:
         method = "exhaustive" if m == n else "exhaustive+shift"
-        return ExistenceResult(False, None, True, method, outcome.nodes_visited)
+        return ExistenceResult(False, None, method, outcome.nodes_visited)
     # The node budget stopped it: no P(k, n) with k <= 4 has a witness to find.
-    return ExistenceResult(None, None, False, "inconclusive", outcome.nodes_visited)
+    return ExistenceResult(None, None, "inconclusive", outcome.nodes_visited)

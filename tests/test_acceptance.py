@@ -60,7 +60,7 @@ def test_criterion_2_negative_side_at_desk_scale():
         for n in range(3, 13):
             res = exists_nontaut_scd(k, n)
             method = "exhaustive" if n <= max(k + 1, 3) else "exhaustive+shift"
-            ok &= res.exists is False and res.proof_exhaustive and res.method == method
+            ok &= res.exists is False and res.method == method
     details.append("(0..4,3..12):search-false")
 
     for k in range(9):

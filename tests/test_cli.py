@@ -160,15 +160,22 @@ def test_search_budget_inconclusive_exit_code(capsys):
     assert "stopped (node-budget)" in out
 
 
+def test_the_budget_stops_a_search_while_it_grows_its_rows(capsys):
+    # P(15,32) has over a million elements, and its quotient discards most
+    # maximal chains it generates: every one is a node against the budget.
+    code, out, _ = invoke(capsys, "search", "--k", "15", "--n", "32", "--budget", "10")
+    assert (code, out) == (2, "found 0, stopped (node-budget), nodes 11\n")
+
+
 # The summary line of each count in the benchmark's search_prove list: a
 # search with neither --limit nor --out counts, and every node is pinned.
 PINNED_COUNTS = [
-    (["--k", "3", "--n", "3"], "found 1488, exhausted, nodes 296"),
-    (["--k", "2", "--n", "6"], "found 18, exhausted, nodes 100"),
-    (["--k", "3", "--n", "4", "--forbid-taut"], "found 0, exhausted, nodes 209"),
-    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 411"),
+    (["--k", "3", "--n", "3"], "found 1488, exhausted, nodes 300"),
+    (["--k", "2", "--n", "6"], "found 18, exhausted, nodes 109"),
+    (["--k", "3", "--n", "4", "--forbid-taut"], "found 0, exhausted, nodes 217"),
+    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 425"),
     (["--k", "4", "--n", "3", "--forbid-taut", "--budget", "400000"],
-     "found 0, exhausted, nodes 7840"),
+     "found 0, exhausted, nodes 7844"),
 ]
 
 
@@ -199,7 +206,7 @@ def test_search_out_dash_writes_a_pipeable_document(tmp_path, capsys):
     # The document alone goes to stdout; the summary line goes to stderr.
     argv = ("search", "--k", "5", "--n", "3", "--forbid-taut", "--limit", "1")
     code, out, err = invoke(capsys, *argv, "--out", "-")
-    assert code == 0 and err == "found 1, stopped (limit), nodes 3808\n"
+    assert code == 0 and err == "found 1, stopped (limit), nodes 3814\n"
     scd = parse_scd(out)
     assert scd.report.valid and scd.report.taut_count == 0
     # With a file, or no --out, the summary stays on stdout.
@@ -605,10 +612,10 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
     assert lines == [
-        "found 1, stopped (limit), nodes 3808",
+        "found 1, stopped (limit), nodes 3814",
         "found 0, stopped (node-budget), nodes 2",
-        "found 5952, exhausted, nodes 818",
-        "found 1, stopped (limit), nodes 3808",
+        "found 5952, exhausted, nodes 828",
+        "found 1, stopped (limit), nodes 3814",
         "[0, 2, 0, 0]",
     ]
     scd = parse_scd(witness.read_text(encoding="ascii"))

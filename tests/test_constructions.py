@@ -348,7 +348,7 @@ def test_the_theorem_on_every_decomposition_of_a_product_of_chains():
     # expansions of it.
     p = product(build_chain_poset(2), build_chain_poset(3))
     out = enumerate_scds(poset_times_chain(p, 4))
-    assert out.exhausted and len(out.found) == 336
+    assert out.stop_reason is None and len(out.found) == 336
     fibers = {}
     for s in out.found:
         shifted = shift(s, 6)
@@ -370,14 +370,14 @@ def test_the_surgery_lemmas_hold_on_every_small_decomposition():
     p23 = product(build_chain_poset(2), build_chain_poset(3))
     for base, count in [(build_hypercube(2), 6), (build_hypercube(3), 1488), (p23, 84)]:
         out = enumerate_scds(poset_times_chain(base, base.rk))
-        assert out.exhausted and len(out.found) == count
+        assert out.stop_reason is None and len(out.found) == count
         for s in out.found:
             graph = middle_graph(s)
             assert (graph.edges, graph.path) == middle_graph_by_ranks(s)
     for base, count in [(build_hypercube(2), 18), (build_hypercube(3), 5952), (p23, 336)]:
         rk = base.rk
         out = enumerate_scds(poset_times_chain(base, rk + 1))
-        assert out.exhausted and len(out.found) == count
+        assert out.stop_reason is None and len(out.found) == count
         rank = out.found[0].host.rank_of
         for s in out.found:
             singletons = [ch for ch in s.chains if len(ch) == 1]

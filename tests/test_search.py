@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -29,6 +30,10 @@ from scdkit.search import (
 from oracles import brute_force_scds, has_full_column, middle_rank_bound_holds
 
 
+# The methods of an existence answer that a finished search backs.
+PROOFS = ("exhaustive", "exhaustive+shift")
+
+
 def generic_host(a=2, b=3, n=4):
     """(chain(a) x chain(b)) x chain(n): a chain-factor host that is no cuboid."""
     return poset_times_chain(product(build_chain_poset(a), build_chain_poset(b)), n)
@@ -36,18 +41,18 @@ def generic_host(a=2, b=3, n=4):
 
 def test_square_has_two_scds():
     out = enumerate_scds(build_cuboid(1, 2))
-    assert len(out.found) == 2 and out.exhausted
+    assert len(out.found) == 2 and out.stop_reason is None
 
 
 def test_chain_poset_has_one_scd():
     for s in (1, 4, 7):
         out = enumerate_scds(build_chain_poset(s))
-        assert len(out.found) == 1 and out.exhausted
+        assert len(out.found) == 1 and out.stop_reason is None
 
 
 def test_q2_has_two_scds():
     out = enumerate_scds(build_hypercube(2))
-    assert len(out.found) == 2 and out.exhausted
+    assert len(out.found) == 2 and out.stop_reason is None
 
 
 @pytest.mark.parametrize(
@@ -64,7 +69,7 @@ def test_counts_agree_with_exact_cover_oracle(make):
     host = make()
     out = enumerate_scds(host)
     oracle = brute_force_scds(host)
-    assert out.exhausted
+    assert out.stop_reason is None
     assert len(out.found) == len(oracle)
     assert {s.chain_set for s in out.found} == set(oracle)
 
@@ -93,7 +98,7 @@ def test_hosts_without_a_chain_factor_agree_with_the_oracle(make):
     host = make()
     oracle = _oracle(host)
     out = enumerate_scds(host)
-    assert out.exhausted and {s.chain_set for s in out.found} == oracle
+    assert out.stop_reason is None and {s.chain_set for s in out.found} == oracle
     assert len(out.found) == count_search(host).count == count_scds(host)
     first = enumerate_scds(host, SearchConfig(limit=1))
     assert first.stop_reason == "limit" and first.found[0].chain_set in oracle
@@ -104,9 +109,9 @@ def test_a_wide_antichain_is_searched_without_recursion():
     # own stack: no search runs into Python's frame limit.
     host = antichain(1500)
     out = enumerate_scds(host)
-    assert (len(out.found), out.exhausted, out.stop_reason) == (1, True, None)
+    assert (len(out.found), out.stop_reason) == (1, None)
     assert {s.chain_set for s in out.found} == _oracle(host)
-    assert count_search(host) == search.CountOutcome(1, True, 3000)
+    assert count_search(host) == search.CountOutcome(1, 3000)
 
 
 def test_every_emitted_scd_validates():
@@ -123,7 +128,7 @@ def test_enumeration_is_deterministic_bitwise():
 
 def test_forbid_taut_filters_everything_for_low_k():
     out = enumerate_scds(build_cuboid(2, 3), SearchConfig(forbid_taut=True))
-    assert out.exhausted and not out.found
+    assert out.stop_reason is None and not out.found
 
 
 def test_forbid_taut_outputs_have_no_taut_chains():
@@ -131,7 +136,7 @@ def test_forbid_taut_outputs_have_no_taut_chains():
 
     host = poset_times_chain(product(build_chain_poset(2), build_chain_poset(3)), 4)
     out = enumerate_scds(host, SearchConfig(forbid_taut=True))
-    assert out.exhausted
+    assert out.stop_reason is None
     assert out.found
     for s in out.found:
         assert validate_scd(host, s).taut_count == 0
@@ -145,7 +150,7 @@ def test_forbid_taut_needs_chain_coordinate():
 def test_limit_stops_early():
     out = enumerate_scds(build_cuboid(2, 3), SearchConfig(limit=5))
     assert len(out.found) == 5
-    assert not out.exhausted and out.stop_reason == "limit"
+    assert out.stop_reason == "limit"
 
 
 @pytest.mark.parametrize("config", [
@@ -160,8 +165,38 @@ def test_rejects_nonpositive_limit_and_negative_budgets(config):
 
 def test_node_budget_reported_distinctly():
     out = enumerate_scds(build_cuboid(2, 3), SearchConfig(node_budget=10))
-    assert not out.exhausted and out.stop_reason == "node-budget"
+    assert out.stop_reason == "node-budget"
     assert out.nodes_visited <= 11
+
+
+def test_the_node_budget_bounds_the_chains_a_quotient_discards(monkeypatch):
+    # Most of P(7,20)'s maximal chains in bit order are not their orbit's
+    # representative and are discarded; each one generated is a node.
+    weighed = []
+    weight = search._word_weight
+    monkeypatch.setattr(search, "_word_weight", lambda c: weighed.append(c) or weight(c))
+    cfg = SearchConfig(forbid_taut=True, limit=1, node_budget=10)
+    out = enumerate_scds(build_cuboid(7, 20), cfg)
+    assert out.stop_reason == "node-budget"
+    assert len(weighed) <= out.nodes_visited == 11
+
+
+def test_the_default_budget_has_one_spelling(monkeypatch):
+    # The default and the same budget spelled out are one existence query:
+    # a fresh cache, so no earlier query has filled it.
+    searched = []
+    real = search.enumerate_scds
+
+    def recording(host, config):
+        searched.append(host.label)
+        return real(host, config)
+
+    monkeypatch.setattr(search, "enumerate_scds", recording)
+    monkeypatch.setattr(search, "_taut_free_search",
+                        lru_cache(maxsize=16)(search._taut_free_search.__wrapped__))
+    first = exists_nontaut_scd(3, 4)
+    assert exists_nontaut_scd(3, 4, node_budget=search.DEFAULT_NODE_BUDGET) == first
+    assert searched == ["P(3,4)"]
 
 
 def test_the_node_budget_is_the_only_bound():
@@ -170,13 +205,14 @@ def test_the_node_budget_is_the_only_bound():
 
 
 def test_non_rank_symmetric_host_is_empty_exhausted():
+    # No decomposition at all: a finished search, with nothing found.
     vee = GradedPoset("abc", [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1})
     out = enumerate_scds(vee)
-    assert out.exhausted and not out.found and out.stop_reason == "not-rank-symmetric"
-    assert count_search(vee) == search.CountOutcome(0, True, 0, "not-rank-symmetric")
+    assert (out.found, out.nodes_visited, out.stop_reason) == ((), 0, None)
+    assert count_search(vee) == search.CountOutcome(0, 0, None)
 
 
-def test_use_symmetry_witness_validates_on_original_host():
+def test_an_existence_witness_validates_on_the_original_host():
     # An existence query searches the quotient by bit permutations and
     # duality; its witness is a decomposition of the host itself.
     host = build_cuboid(2, 3)
@@ -205,7 +241,7 @@ def test_exists_desk_scale_negatives_are_search_proofs():
                          (2, 3, "exhaustive"), (2, 4, "exhaustive+shift")]:
         res = exists_nontaut_scd(k, n)
         assert res.exists is False
-        assert res.proof_exhaustive is True
+        assert res.method in PROOFS
         assert res.method == method
         assert res.nodes_visited == exists_nontaut_scd(k, 3).nodes_visited > 0
 
@@ -216,7 +252,7 @@ def test_exists_fast_paths():
     for k in (3, 4):
         for n in (3, 5, 9):
             res = exists_nontaut_scd(k, n)
-            assert res.exists is False and res.proof_exhaustive
+            assert res.exists is False and res.method in PROOFS
             assert res.method == ("exhaustive" if n <= k + 1 else "exhaustive+shift")
     for k in range(9):
         res = exists_nontaut_scd(k, 2)
@@ -236,7 +272,7 @@ def test_exists_positive_with_validated_witness():
 def test_exists_inconclusive_under_tiny_budget():
     res = exists_nontaut_scd(2, 4, node_budget=3)
     assert res.exists is None and res.method == "inconclusive"
-    assert res.proof_exhaustive is False
+    assert res.method not in PROOFS
 
 
 def test_each_existence_search_runs_once_per_config(monkeypatch):
@@ -252,7 +288,7 @@ def test_each_existence_search_runs_once_per_config(monkeypatch):
     monkeypatch.setattr(search, "enumerate_scds", recording)
     for _ in range(2):
         for n in range(3, 9):
-            assert exists_nontaut_scd(3, n, node_budget=123_456).proof_exhaustive
+            assert exists_nontaut_scd(3, n, node_budget=123_456).method in PROOFS
     taut_free = SearchConfig(forbid_taut=True, limit=1, node_budget=123_456)
     assert searched == [("P(3,3)", taut_free), ("P(3,4)", taut_free)]
 
@@ -260,14 +296,14 @@ def test_each_existence_search_runs_once_per_config(monkeypatch):
 def test_outcomes_read_as_before():
     assert repr(enumerate_scds(build_cuboid(1, 2))) == (
         "SearchOutcome(found=(SCD(P(1,2), 2 chains), SCD(P(1,2), 2 chains)), "
-        "exhausted=True, nodes_visited=9, stop_reason=None)"
+        "nodes_visited=9, stop_reason=None)"
     )
     assert repr(count_search(build_cuboid(1, 3))) == (
-        "CountOutcome(count=2, exhausted=True, nodes_visited=7, stop_reason=None)"
+        "CountOutcome(count=2, nodes_visited=8, stop_reason=None)"
     )
     assert repr(exists_nontaut_scd(1, 4)) == (
-        "ExistenceResult(exists=False, witness=None, proof_exhaustive=True, "
-        "method='exhaustive+shift', nodes_visited=6)"
+        "ExistenceResult(exists=False, witness=None, method='exhaustive+shift', "
+        "nodes_visited=6)"
     )
 
 
@@ -286,32 +322,32 @@ def _digest(found) -> str:
     return hashlib.sha256("".join(docs).encode()).hexdigest()
 
 
-# (found, exhausted, nodes_visited, stop_reason) and the digest of the
+# (found, nodes_visited, stop_reason) and the digest of the
 # found decompositions of fixed searches: each must visit the same nodes in
 # the same order and find the same decompositions.  Existence queries and
 # forbid-taut cuboid searches run on the quotient, by bit permutations and
 # duality (the ids' "-symmetry"); the others enumerate unquotiented.
 PINNED_WALKS = [
-    (lambda: build_cuboid(3, 3), SearchConfig(), (1488, True, 5182, None),
+    (lambda: build_cuboid(3, 3), SearchConfig(), (1488, 5182, None),
      "796718d61d3c908f083c5855621a5f5663598ed02a35c979e1f4c2133f4ffa4d"),
-    (lambda: build_cuboid(2, 6), SearchConfig(), (18, True, 173, None),
+    (lambda: build_cuboid(2, 6), SearchConfig(), (18, 173, None),
      "429609513b987c7e66a1a4d5f5ab7b3aa9284b56650d9c1f166232f0bfff5f22"),
-    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, True, 209, None),
+    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, 217, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (lambda: build_cuboid(2, 3), SearchConfig(limit=1), (1, False, 25, "limit"),
+    (lambda: build_cuboid(2, 3), SearchConfig(limit=1), (1, 27, "limit"),
      "473cc98297717c9da63d00621ad38dabcf0c8b6c555aacb8aa2f3eeb20822a96"),
-    (lambda: build_cuboid(3, 3), SearchConfig(limit=1), (1, False, 92, "limit"),
+    (lambda: build_cuboid(3, 3), SearchConfig(limit=1), (1, 96, "limit"),
      "a59abbb69936c586413e0b3e21d6aa278c419aa2f03979dd42d722df94d213ca"),
-    (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1), (0, True, 93, None),
+    (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1), (0, 95, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, False, 4, "node-budget"),
+    (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, 4, "node-budget"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (generic_host, SearchConfig(forbid_taut=True), (48, True, 347, None),
+    (generic_host, SearchConfig(forbid_taut=True), (48, 347, None),
      "77d3e6ff96542203b49d15b91a1afce8b36ff3b7dfa8b6cde55d0c8b3f352e05"),
-    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, True, 7888, None),
+    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, 7892, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (lambda: build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=1),
-     (1, False, 3808, "limit"),
+     (1, 3814, "limit"),
      "4d5fbb9810c72bd68a2a18a1c7b1610994acc345a3878d50646ae7934af463d5"),
 ]
 
@@ -323,7 +359,7 @@ PINNED_WALKS = [
 ])
 def test_pinned_walks(make, config, summary, digest):
     out = enumerate_scds(make(), config)
-    assert (len(out.found), out.exhausted, out.nodes_visited, out.stop_reason) == summary
+    assert (len(out.found), out.nodes_visited, out.stop_reason) == summary
     assert _digest(out.found) == digest
 
 
@@ -333,7 +369,7 @@ def test_a_chain_is_decoded_in_rank_order_not_position_order():
     # bottom up, by rank.
     host = GradedPoset(["c", "b", "a"], [("c", "b"), ("b", "a")], {"c": 0, "b": 1, "a": 2})
     out = enumerate_scds(host)
-    assert out.exhausted and [s.chains for s in out.found] == [(("c", "b", "a"),)]
+    assert out.stop_reason is None and [s.chains for s in out.found] == [(("c", "b", "a"),)]
     assert validate_scd(host, out.found[0]).valid
 
 
@@ -351,14 +387,14 @@ def test_forbid_taut_agrees_with_filtered_oracle(make):
     taut_free = {
         s for s in brute_force_scds(host) if not any(has_full_column(ch, n) for ch in s)
     }
-    assert out.exhausted
+    assert out.stop_reason is None
     assert len(out.found) == len(taut_free)
     assert {s.chain_set for s in out.found} == taut_free
     first = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
     if taut_free:
         assert first.found[0].chain_set in taut_free
     else:
-        assert first.exhausted and not first.found
+        assert first.stop_reason is None and not first.found
 
 
 def _maximal_word(scd):
@@ -396,7 +432,7 @@ def _base(p):
 def _count(p, m, **config):
     """The count of ``_base(p) x chain(m)``: of P(p, m) for an integer p."""
     out = count_search(poset_times_chain(_base(p), m), SearchConfig(**config))
-    assert out.exhausted and out.stop_reason is None
+    assert out.stop_reason is None
     return out.count
 
 
@@ -415,7 +451,7 @@ def test_the_count_matches_the_walker(k, n, forbid_taut):
     host = build_cuboid(k, n)
     cfg = SearchConfig(forbid_taut=forbid_taut)
     enumerated = enumerate_scds(host, cfg)
-    assert enumerated.exhausted
+    assert enumerated.stop_reason is None
     assert _count(k, n, forbid_taut=forbid_taut) == len(enumerated.found)
 
 
@@ -467,7 +503,7 @@ def test_the_count_of_q5_is_pinned():
 def test_the_taut_free_count_of_p44_is_pinned():
     # The count path's longest pinned walk: its verdict and every node.
     out = count_search(build_cuboid(4, 4), SearchConfig(forbid_taut=True))
-    assert out == search.CountOutcome(0, True, 75858, None)
+    assert out == search.CountOutcome(0, 75872, None)
 
 
 def test_a_count_builds_no_decomposition(monkeypatch):
@@ -483,7 +519,7 @@ def test_counts_on_other_hosts_are_walked():
     assert count_search(generic_host(), SearchConfig(forbid_taut=True)).count == 48
     assert count_search(build_hypercube(3)).count == 6
     out = count_search(generic_host(), SearchConfig(forbid_taut=True, node_budget=10))
-    assert out == search.CountOutcome(0, False, 11, "node-budget")
+    assert out == search.CountOutcome(0, 11, "node-budget")
 
 
 @pytest.mark.parametrize("config", [
@@ -501,17 +537,18 @@ def test_a_count_stops_at_its_budgets(monkeypatch):
     # the count in the row table or past it.
     for budget in (10, 100):
         out = count_search(build_cuboid(3, 3), SearchConfig(node_budget=budget))
-        assert out == search.CountOutcome(0, False, budget + 1, "node-budget")
-    # count_scds refuses to answer from a count its default budget stopped.
-    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 10)
-    with pytest.raises(SearchError, match="count interrupted by node-budget"):
+        assert out == search.CountOutcome(0, budget + 1, "node-budget")
+    # count_scds refuses to answer from a stopped count: here the row table
+    # has room for 50 of P(3,3)'s 84 rows.
+    monkeypatch.setattr(search, "MAX_COVER_BITS", 27 * 50)
+    with pytest.raises(SearchError, match="count interrupted by row-limit"):
         count_scds(build_cuboid(3, 3))
 
 
 def test_a_count_stops_at_the_row_limit(monkeypatch):
     monkeypatch.setattr(search, "MAX_COVER_BITS", 32 * 100)
     out = count_search(build_cuboid(3, 4), SearchConfig(forbid_taut=True))
-    assert out == search.CountOutcome(0, False, 101, "row-limit")
+    assert out == search.CountOutcome(0, 109, "row-limit")
 
 
 def test_a_full_memo_only_counts_slower(monkeypatch):
@@ -524,8 +561,8 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
     monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(unbounded.rows) + 5))
     cover = _Cover(host, SearchConfig())
     assert cover.count() == 1488
-    assert len(cover.memo) == 5 and (cover.nodes, unbounded.nodes) == (440, 296)
-    assert count_search(host) == search.CountOutcome(1488, True, cover.nodes)
+    assert len(cover.memo) == 5 and (cover.nodes, unbounded.nodes) == (444, 300)
+    assert count_search(host) == search.CountOutcome(1488, cover.nodes)
     # The conflict cache has an allowance of its own, one bit per row for
     # each mask: 25 masks of P(3,3)'s 84 rows, which this count fills.
     assert len(cover.rows) == 84
@@ -547,15 +584,15 @@ def test_prover_agrees_with_the_middle_rank_bound(k, n):
     # search agrees, and exists_nontaut_scd reports that search.
     assert not middle_rank_bound_holds(build_hypercube(k).rank_vector)
     out = enumerate_scds(build_cuboid(k, n), SearchConfig(forbid_taut=True, limit=1))
-    assert out.exhausted and not out.found
+    assert out.stop_reason is None and not out.found
     res = exists_nontaut_scd(k, n)
-    assert (res.exists, res.proof_exhaustive, res.method) == (False, True, "exhaustive")
+    assert (res.exists, res.method) == (False, "exhaustive")
     assert res.nodes_visited == out.nodes_visited
 
 
 def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
     # P(5,3) has a taut-free decomposition, so an enumeration goes on in an
-    # unquotiented cover after the quotient's 3808 nodes, on the same budget.
+    # unquotiented cover after the quotient's 3814 nodes, on the same budget.
     starts = []
     init = _Cover.__init__
 
@@ -565,8 +602,8 @@ def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
 
     monkeypatch.setattr(_Cover, "__init__", recording_init)
     out = enumerate_scds(build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=2, node_budget=5000))
-    assert starts == [(True, 0), (False, 3808)]
-    assert not out.exhausted and out.stop_reason == "node-budget"
+    assert starts == [(True, 0), (False, 3814)]
+    assert out.stop_reason == "node-budget"
     assert out.nodes_visited == 5001
 
 
@@ -574,15 +611,17 @@ def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
 def test_prover_decides_n2_at_its_first_node(k):
     # Every maximal chain of P(k, 2) is taut, so no row covers the bottom.
     out = enumerate_scds(build_cuboid(k, 2), SearchConfig(forbid_taut=True))
-    assert (out.found, out.exhausted, out.nodes_visited) == ((), True, 1)
+    assert (out.found, out.nodes_visited, out.stop_reason) == ((), 1, None)
 
 
 def test_prover_stops_at_its_row_limit(monkeypatch):
     host = build_cuboid(3, 4)  # 32 elements, 166 taut-free rows
     monkeypatch.setattr(search, "MAX_COVER_BITS", 32 * 100)
     out = enumerate_scds(host, SearchConfig(forbid_taut=True))
-    assert (out.found, out.exhausted, out.stop_reason) == ((), False, "row-limit")
-    assert out.nodes_visited == 101  # the 101st row is generated, then refused
+    assert (out.found, out.stop_reason) == ((), "row-limit")
+    # 100 rows and 8 discarded maximal chains are generated, then the
+    # 101st row, which is refused.
+    assert out.nodes_visited == 109
 
 
 # The memo: sets of uncovered elements that a finished part of a run
@@ -629,8 +668,8 @@ def test_a_full_memo_only_prunes_less(monkeypatch, make, config, summary, digest
     cover.witness()
     assert list(cover.memo.values()) == [0, 0, 0]
     out = enumerate_scds(host, config)
-    found, exhausted, nodes, reason = summary
-    assert (len(out.found), out.exhausted, out.stop_reason) == (found, exhausted, reason)
+    found, nodes, reason = summary
+    assert (len(out.found), out.stop_reason) == (found, reason)
     assert out.nodes_visited >= nodes and _digest(out.found) == digest
 
 
@@ -669,7 +708,7 @@ def test_a_witness_search_runs_on_the_luby_schedule(monkeypatch, k, n, restart_n
     assert runs == [(i, unit * search._luby(i), i < len(runs)) for i in range(1, len(runs) + 1)]
     assert len(runs) == LUBY_RUNS[k, n, restart_nodes]
     if k == 4:
-        assert out.exhausted and not out.found
+        assert out.stop_reason is None and not out.found
     else:
         report = validate_scd(host, out.found[0])
         assert out.stop_reason == "limit" and report.valid and report.taut_count == 0
@@ -701,5 +740,5 @@ def test_cut_off_runs_keep_existence_answers_exact(monkeypatch, k, n):
         if wanted:
             assert out.stop_reason == "limit" and out.found[0].chain_set in wanted
         else:
-            assert out.exhausted and not out.found
+            assert out.stop_reason is None and not out.found
 
