@@ -48,7 +48,6 @@ from .posets import (
 from .search import (
     CountOutcome,
     ExistenceResult,
-    SearchConfig,
     SearchError,
     SearchOutcome,
     count_scds,
@@ -69,7 +68,6 @@ __all__ = [
     "ParseError",
     "PosetError",
     "RegionError",
-    "SearchConfig",
     "SearchError",
     "SearchOutcome",
     "ValidationReport",

@@ -26,7 +26,6 @@ from typing import Iterable
 
 from . import constructions, data_io, search
 from .posets import build_cuboid, build_hypercube, cuboid_shape
-from .search import SearchConfig
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -100,18 +99,16 @@ def _lift(args):
 def _cmd_search(args) -> int:
     if args.use_symmetry and args.limit != 1:
         raise CliError("--use-symmetry is only sound for existence queries (--limit 1)")
-    cfg = SearchConfig(
-        forbid_taut=args.forbid_taut,
-        limit=args.limit,
-        node_budget=args.budget,
-    )
     host = build_cuboid(args.k, args.n)
     if args.limit is None and not args.out:
         # Only the number is printed, so count without building decompositions.
-        outcome = search.count_search(host, cfg)
+        outcome = search.count_search(host, forbid_taut=args.forbid_taut, node_budget=args.budget)
         found = outcome.count
     else:
-        outcome = search.enumerate_scds(host, cfg)
+        # Only the first decomposition is written, so --out alone searches for one.
+        limit = 1 if args.limit is None else args.limit
+        outcome = search.enumerate_scds(host, forbid_taut=args.forbid_taut, limit=limit,
+                                        node_budget=args.budget)
         found = len(outcome.found)
     status = "exhausted" if outcome.stop_reason is None else f"stopped ({outcome.stop_reason})"
     summary_out = sys.stderr if args.out == "-" else sys.stdout

@@ -61,6 +61,9 @@ enumeration is one unquotiented run in canonical order; a
 first, and is finished and empty without one.  A count runs on the
 quotient where there is one.  The node budget is the one bound, so every
 answer is deterministic, and only a finished search says none exists.
+``enumerate_scds`` and ``count_search`` take the settings as keywords:
+``forbid_taut``, ``node_budget`` (``DEFAULT_NODE_BUDGET``) and, for an
+enumeration alone, ``limit``.
 
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
 construction, and every other pair by one taut-free existence query on
@@ -104,19 +107,6 @@ class _StopSearch(Exception):
         self.reason, self.nodes = reason, nodes
 
 
-class SearchConfig(NamedTuple):
-    """Knobs for :func:`enumerate_scds` and :func:`count_search`.
-
-    ``node_budget`` is the one bound on a search, 10**8 nodes by default.
-    ``limit`` must be at least 1 (a count takes none) and the budget
-    nonnegative.
-    """
-
-    forbid_taut: bool = False
-    limit: int | None = None
-    node_budget: int = DEFAULT_NODE_BUDGET
-
-
 class SearchOutcome(NamedTuple):
     """``stop_reason`` is None only when the whole space was explored, so
     any nonexistence conclusion must check it; otherwise it names what
@@ -158,16 +148,16 @@ class _Cover:
     A row is the bitmask of its element positions; rows come in
     canonical order (start rank, start element, covers in ``up`` order),
     and ``weights[i]`` is row i's weight in a count.  Rows are taut-free
-    under ``cfg.forbid_taut``.  ``conflicts[i]`` is row i's conflict mask
+    under ``forbid_taut``.  ``conflicts[i]`` is row i's conflict mask
     once it was picked, for at most ``max_conflicts`` rows.  ``quotient``
     takes effect on cuboids only.  ``nodes`` counts those a cover used
     before in the same search, against the same budget.  No table with an
     entry per element is built before the first row is ticked.
     """
 
-    def __init__(self, host: GradedPoset, cfg: SearchConfig, quotient: bool = True,
-                 nodes: int = 0):
-        self.node_budget = cfg.node_budget
+    def __init__(self, host: GradedPoset, forbid_taut: bool, node_budget: int,
+                 quotient: bool = True, nodes: int = 0):
+        self.node_budget = node_budget
         self.nodes = nodes
         shape = cuboid_shape(host)
         self.quotient = quotient and shape is not None
@@ -177,7 +167,7 @@ class _Cover:
         self.max_rows = MAX_COVER_BITS // len(host)
         self.rows: list[int] = []
         self.weights: list[int] = []
-        grown = self._grow_rows(cfg.forbid_taut)
+        grown = self._grow_rows(forbid_taut)
         marks = [bytearray(len(self.rows) // 8 + 1) for _ in range(len(host))]
         for i, row in enumerate(grown):
             for e in row:
@@ -409,61 +399,63 @@ def _numbering(host: GradedPoset):
     return (lambda e: e[0] * n + e[1]), (lambda i: divmod(i, n)), of_rank
 
 
-def _checked(config: SearchConfig | None, host: GradedPoset) -> SearchConfig:
-    """``config``, or the default, once it passes every check for ``host``."""
-    cfg = config or SearchConfig()
-    if cfg.limit is not None and cfg.limit < 1:
-        raise SearchError(f"limit must be at least 1, got {cfg.limit}")
-    if cfg.node_budget < 0:
-        raise SearchError(f"node budget must be nonnegative, got {cfg.node_budget}")
-    if cfg.forbid_taut and host.chain_factor is None:
+def _check(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget: int) -> None:
+    """Refuse search settings that are unusable for ``host``."""
+    if limit is not None and limit < 1:
+        raise SearchError(f"limit must be at least 1, got {limit}")
+    if node_budget < 0:
+        raise SearchError(f"node budget must be nonnegative, got {node_budget}")
+    if forbid_taut and host.chain_factor is None:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
-    return cfg
 
 
-def enumerate_scds(host: GradedPoset, config: SearchConfig | None = None) -> SearchOutcome:
-    """Enumerate symmetric chain decompositions of ``host``.
+def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int | None = None,
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
+    """Enumerate symmetric chain decompositions of ``host``, taut-free ones
+    under ``forbid_taut``: up to ``limit`` (at least 1), within
+    ``node_budget`` nodes (nonnegative), the one bound on a search.
 
-    Deterministic: an enumeration tries rows in canonical order, and an
-    existence query (and the first pass of a ``forbid_taut`` enumeration
-    of a cuboid) runs a fixed restart schedule, so repeated runs yield the
-    same decompositions in the same order.  A non-rank-symmetric host has
-    no decompositions at all: its search is finished, and empty, at 0 nodes.
+    An enumeration with no limit holds every decomposition it finds, so
+    use :func:`count_search` for their number.  Deterministic: an
+    enumeration tries rows in canonical order, and an existence query
+    (and the first pass of a ``forbid_taut`` enumeration of a cuboid)
+    runs a fixed restart schedule, so repeated runs yield the same
+    decompositions in the same order.  A non-rank-symmetric host has no
+    decompositions at all: its search is finished, and empty, at 0 nodes.
     """
-    cfg = _checked(config, host)
+    _check(host, forbid_taut, limit, node_budget)
     if not is_rank_symmetric(host):
         return SearchOutcome((), 0)
     cover = prover = None
     try:
-        if cfg.limit == 1 or cfg.forbid_taut and cuboid_shape(host) is not None:
-            prover = _Cover(host, cfg)
+        if limit == 1 or forbid_taut and cuboid_shape(host) is not None:
+            prover = _Cover(host, forbid_taut, node_budget)
             witness = prover.witness()
             if witness is None:
                 return SearchOutcome((), prover.nodes)
-            if cfg.limit == 1:
+            if limit == 1:
                 return SearchOutcome((witness,), prover.nodes, "limit")
-        cover = _Cover(host, cfg, quotient=False, nodes=prover.nodes if prover else 0)
-        cover.solve(limit=cfg.limit)
+        cover = _Cover(host, forbid_taut, node_budget, quotient=False,
+                       nodes=prover.nodes if prover else 0)
+        cover.solve(limit=limit)
     except _StopSearch as stop:
         reason, nodes = stop.reason, stop.nodes
     else:
-        reason = "limit" if len(cover.found) == cfg.limit else None
+        reason = "limit" if len(cover.found) == limit else None
         nodes = cover.nodes
     found = tuple(map(cover.decode, cover.found)) if cover else ()
     return SearchOutcome(found, nodes, reason)
 
 
-def count_search(host: GradedPoset, config: SearchConfig | None = None) -> CountOutcome:
+def count_search(host: GradedPoset, *, forbid_taut: bool = False,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> CountOutcome:
     """The number of decompositions ``enumerate_scds`` finds with no limit,
-    counted without building one.  ``config`` takes the same checks and
-    node budget, but no ``limit``."""
-    cfg = _checked(config, host)
-    if cfg.limit is not None:
-        raise SearchError("a count takes no limit")
+    counted without building one, under the same checks and budget."""
+    _check(host, forbid_taut, None, node_budget)
     if not is_rank_symmetric(host):
         return CountOutcome(0, 0)
     try:
-        cover = _Cover(host, cfg)
+        cover = _Cover(host, forbid_taut, node_budget)
         return CountOutcome(cover.count(), cover.nodes)
     except _StopSearch as stop:
         return CountOutcome(0, stop.nodes, stop.reason)
@@ -508,8 +500,7 @@ class ExistenceResult(NamedTuple):
 @lru_cache(maxsize=16)
 def _taut_free_search(k: int, m: int, node_budget: int) -> SearchOutcome:
     """The taut-free existence query on P(k, m), once per process per budget."""
-    cfg = SearchConfig(forbid_taut=True, limit=1, node_budget=node_budget)
-    return enumerate_scds(build_cuboid(k, m), cfg)
+    return enumerate_scds(build_cuboid(k, m), forbid_taut=True, limit=1, node_budget=node_budget)
 
 
 def exists_nontaut_scd(k: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> ExistenceResult:

@@ -6,7 +6,7 @@ from scdkit import cli
 GONE = {
     "ChainCheck", "EdgeMatching", "NecessaryConditions", "Packet", "PacketGrid",
     "ScdError", "element_at", "enumerate_matchings", "expected_chain_count",
-    "necessary_conditions", "packet", "validate_chain",
+    "necessary_conditions", "packet", "validate_chain", "SearchConfig",
 }
 
 

@@ -12,7 +12,7 @@ from scdkit.posets import (
     GradedPoset, _Cuboid, _Hypercube, build_chain_poset, build_cuboid, build_hypercube,
     cuboid_shape, product,
 )
-from scdkit.search import SearchConfig, enumerate_scds
+from scdkit.search import enumerate_scds
 
 from oracles import (
     diagnose_by_elements, is_taut_by_definition, middle_rank_bound_holds, middle_rank_size,
@@ -280,7 +280,7 @@ def _valid_documents() -> tuple[SCD, ...]:
     search finds on small hosts, one of them over a generic product."""
     docs = [generate(k, n) for k in (5, 6) for n in (3, 4, 5)]
     for k, n in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
-        docs += enumerate_scds(build_cuboid(k, n), SearchConfig(limit=4)).found
+        docs += enumerate_scds(build_cuboid(k, n), limit=4).found
     generic = product(build_hypercube(2), build_chain_poset(3))
     docs += [SCD(generic, scd.chains) for scd in docs if scd.host.label == "P(2,3)"]
     return tuple(docs)

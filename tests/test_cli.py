@@ -525,6 +525,17 @@ def test_searches_on_the_largest_host_stop_within_memory(argv, reason):
     assert proc.stdout.count("\n") == 1
 
 
+def test_a_search_with_out_and_no_limit_stops_at_the_one_document_it_writes(tmp_path):
+    # --out writes the first decomposition only, so with no --limit the
+    # search stops at one, as with --limit 1.  Enumerating all 299,356,200
+    # of P(4,3)'s first ran out of memory under this limit.
+    doc = tmp_path / "w43.scd"
+    proc = run_limited(1 << 28, ["search", "--k", "4", "--n", "3", "--out", str(doc)], timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "found 1, stopped (limit), nodes 506\n", "")
+    assert parse_scd(doc.read_text(encoding="ascii")).report.valid
+
+
 # Hosts that a search recursing once per chain or per cover would take past
 # Python's frame limit: the widest ranks of P(12,2) hold over 1000 chains,
 # and P(0,1500) is one column of 1500 elements.  Rows are grown and picked

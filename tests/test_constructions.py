@@ -27,10 +27,11 @@ from scdkit.posets import (
     build_chain_poset,
     build_cuboid,
     build_hypercube,
+    cuboid_shape,
     poset_times_chain,
     product,
 )
-from scdkit.search import SearchConfig, enumerate_scds
+from scdkit.search import enumerate_scds
 
 from oracles import brute_force_scds, middle_graph_by_ranks, middle_rank_size, permute_scd
 
@@ -296,7 +297,7 @@ def test_middle_graph_of_squares():
 
 def test_middle_graph_single_maximal_path():
     host = poset_times_chain(product(build_chain_poset(2), build_chain_poset(3)), 3)
-    for s in enumerate_scds(host, SearchConfig(limit=20)).found:
+    for s in enumerate_scds(host, limit=20).found:
         graph = middle_graph(s)
         nonloops = [e for e in graph.edges if e[0] != e[1]]
         assert len(nonloops) == graph.base.rk
@@ -461,7 +462,7 @@ def test_repair_surgery_over_nontaut_grid_lifts():
     host = grid23_host()
     base = host.chain_factor[0]
     lo, hi, rk = base.bottom, base.top, base.rk
-    found = enumerate_scds(host, SearchConfig(forbid_taut=True)).found
+    found = enumerate_scds(host, forbid_taut=True).found
     assert len(found) == 48
     surgeries = 0
     for s in found:
@@ -480,7 +481,7 @@ def test_repair_surgery_over_nontaut_grid_lifts():
 def test_repair_rejects_narrow_maximum():
     # chain(3) as base: its maximum covers one element only.
     host = poset_times_chain(build_chain_poset(3), 3)
-    scd = enumerate_scds(host, SearchConfig(limit=1)).found[0]
+    scd = enumerate_scds(host, limit=1).found[0]
     with pytest.raises(ConstructionError):
         repair(scd)
 
@@ -550,17 +551,21 @@ def test_generated_middle_block_is_vertical(n):
 
 
 def test_the_surgery_from_searched_anchors():
-    # The searched taut-free P(5,3) and P(5,5), not the bundled tables,
-    # through every lift, repair, collapse, shift and widening.
-    cfg = SearchConfig(forbid_taut=True, limit=1)
-    w53 = enumerate_scds(build_cuboid(5, 3), cfg).found[0]
-    w55 = enumerate_scds(build_cuboid(5, 5), cfg).found[0]
+    # The searched taut-free P(5,3), P(5,4) and P(5,5), not the bundled
+    # tables, through every lift, repair, collapse, shift and widening,
+    # out to every P(k, n) of the grid k = 5..8, n = 3..12.
+    w53, w54, w55 = (enumerate_scds(build_cuboid(5, n), forbid_taut=True, limit=1).found[0]
+                     for n in (3, 4, 5))
     outputs = []
     for j in range(6):
         lifted = expand(w55, j)
         fixed = repair(lifted)
         outputs += [lifted, fixed, collapse(fixed), shift(fixed, 7), shift(fixed, 12)]
-    outputs += [extend_dimension(w53, 6), extend_dimension(w53, 8)]
-    for out in outputs:
+    w56 = repair(expand(w55, 0))
+    anchors = [w53, w54, w55, w56] + [shift(w56, n) for n in range(7, 13)]
+    grid = [extend_dimension(w, k) for w in anchors for k in range(5, 9)]
+    assert {cuboid_shape(out.host) for out in grid} == {
+        (k, n) for k in range(5, 9) for n in range(3, 13)}
+    for out in outputs + grid:
         report = validate_scd(out.host, out)
         assert report.valid and report.taut_count == 0

@@ -24,7 +24,7 @@ from scdkit.data_io import (
     write_scd,
 )
 from scdkit.posets import build_cuboid, build_hypercube
-from scdkit.search import SearchConfig, enumerate_scds
+from scdkit.search import enumerate_scds
 from scdkit.tables import BUILTIN_TABLES
 
 from oracles import element_of_token, permute_scd
@@ -426,7 +426,7 @@ def _differential_source(k: int, n: int) -> SCD:
     if k == 0:  # P(0, n) is one chain
         return SCD(build_cuboid(0, n), (tuple((0, c) for c in range(n)),))
     if k < 5:
-        return enumerate_scds(build_cuboid(k, n), SearchConfig(limit=1)).found[0]
+        return enumerate_scds(build_cuboid(k, n), limit=1).found[0]
     return generate(k, n)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import sys
 from functools import lru_cache
 from math import factorial
@@ -18,7 +19,7 @@ from scdkit.posets import (
     product,
 )
 from scdkit.search import (
-    SearchConfig,
+    DEFAULT_NODE_BUDGET,
     SearchError,
     _Cover,
     count_scds,
@@ -100,7 +101,7 @@ def test_hosts_without_a_chain_factor_agree_with_the_oracle(make):
     out = enumerate_scds(host)
     assert out.stop_reason is None and {s.chain_set for s in out.found} == oracle
     assert len(out.found) == count_search(host).count == count_scds(host)
-    first = enumerate_scds(host, SearchConfig(limit=1))
+    first = enumerate_scds(host, limit=1)
     assert first.stop_reason == "limit" and first.found[0].chain_set in oracle
 
 
@@ -127,7 +128,7 @@ def test_enumeration_is_deterministic_bitwise():
 
 
 def test_forbid_taut_filters_everything_for_low_k():
-    out = enumerate_scds(build_cuboid(2, 3), SearchConfig(forbid_taut=True))
+    out = enumerate_scds(build_cuboid(2, 3), forbid_taut=True)
     assert out.stop_reason is None and not out.found
 
 
@@ -135,7 +136,7 @@ def test_forbid_taut_outputs_have_no_taut_chains():
     from scdkit.posets import poset_times_chain, product
 
     host = poset_times_chain(product(build_chain_poset(2), build_chain_poset(3)), 4)
-    out = enumerate_scds(host, SearchConfig(forbid_taut=True))
+    out = enumerate_scds(host, forbid_taut=True)
     assert out.stop_reason is None
     assert out.found
     for s in out.found:
@@ -144,27 +145,27 @@ def test_forbid_taut_outputs_have_no_taut_chains():
 
 def test_forbid_taut_needs_chain_coordinate():
     with pytest.raises(SearchError):
-        enumerate_scds(build_hypercube(2), SearchConfig(forbid_taut=True))
+        enumerate_scds(build_hypercube(2), forbid_taut=True)
 
 
 def test_limit_stops_early():
-    out = enumerate_scds(build_cuboid(2, 3), SearchConfig(limit=5))
+    out = enumerate_scds(build_cuboid(2, 3), limit=5)
     assert len(out.found) == 5
     assert out.stop_reason == "limit"
 
 
 @pytest.mark.parametrize("config", [
-    SearchConfig(limit=0),
-    SearchConfig(limit=-3),
-    SearchConfig(node_budget=-1),
+    dict(limit=0),
+    dict(limit=-3),
+    dict(node_budget=-1),
 ])
 def test_rejects_nonpositive_limit_and_negative_budgets(config):
     with pytest.raises(SearchError):
-        enumerate_scds(build_cuboid(2, 2), config)
+        enumerate_scds(build_cuboid(2, 2), **config)
 
 
 def test_node_budget_reported_distinctly():
-    out = enumerate_scds(build_cuboid(2, 3), SearchConfig(node_budget=10))
+    out = enumerate_scds(build_cuboid(2, 3), node_budget=10)
     assert out.stop_reason == "node-budget"
     assert out.nodes_visited <= 11
 
@@ -175,8 +176,7 @@ def test_the_node_budget_bounds_the_chains_a_quotient_discards(monkeypatch):
     weighed = []
     weight = search._word_weight
     monkeypatch.setattr(search, "_word_weight", lambda c: weighed.append(c) or weight(c))
-    cfg = SearchConfig(forbid_taut=True, limit=1, node_budget=10)
-    out = enumerate_scds(build_cuboid(7, 20), cfg)
+    out = enumerate_scds(build_cuboid(7, 20), forbid_taut=True, limit=1, node_budget=10)
     assert out.stop_reason == "node-budget"
     assert len(weighed) <= out.nodes_visited == 11
 
@@ -187,9 +187,9 @@ def test_the_default_budget_has_one_spelling(monkeypatch):
     searched = []
     real = search.enumerate_scds
 
-    def recording(host, config):
+    def recording(host, **settings):
         searched.append(host.label)
-        return real(host, config)
+        return real(host, **settings)
 
     monkeypatch.setattr(search, "enumerate_scds", recording)
     monkeypatch.setattr(search, "_taut_free_search",
@@ -201,7 +201,10 @@ def test_the_default_budget_has_one_spelling(monkeypatch):
 
 def test_the_node_budget_is_the_only_bound():
     # No wall clock: every answer, a stopped one included, is deterministic.
-    assert SearchConfig._fields == ("forbid_taut", "limit", "node_budget")
+    assert list(inspect.signature(enumerate_scds).parameters) == [
+        "host", "forbid_taut", "limit", "node_budget"]
+    assert list(inspect.signature(count_search).parameters) == [
+        "host", "forbid_taut", "node_budget"]
 
 
 def test_non_rank_symmetric_host_is_empty_exhausted():
@@ -216,7 +219,7 @@ def test_an_existence_witness_validates_on_the_original_host():
     # An existence query searches the quotient by bit permutations and
     # duality; its witness is a decomposition of the host itself.
     host = build_cuboid(2, 3)
-    out = enumerate_scds(host, SearchConfig(limit=1))
+    out = enumerate_scds(host, limit=1)
     assert out.found
     assert validate_scd(host, out.found[0]).valid
 
@@ -281,15 +284,15 @@ def test_each_existence_search_runs_once_per_config(monkeypatch):
     searched = []
     real = search.enumerate_scds
 
-    def recording(host, config):
-        searched.append((host.label, config))
-        return real(host, config)
+    def recording(host, **settings):
+        searched.append((host.label, settings))
+        return real(host, **settings)
 
     monkeypatch.setattr(search, "enumerate_scds", recording)
     for _ in range(2):
         for n in range(3, 9):
             assert exists_nontaut_scd(3, n, node_budget=123_456).method in PROOFS
-    taut_free = SearchConfig(forbid_taut=True, limit=1, node_budget=123_456)
+    taut_free = dict(forbid_taut=True, limit=1, node_budget=123_456)
     assert searched == [("P(3,3)", taut_free), ("P(3,4)", taut_free)]
 
 
@@ -326,39 +329,39 @@ def _digest(found) -> str:
 # found decompositions of fixed searches: each must visit the same nodes in
 # the same order and find the same decompositions.  Existence queries and
 # forbid-taut cuboid searches run on the quotient, by bit permutations and
-# duality (the ids' "-symmetry"); the others enumerate unquotiented.
+# duality; the others enumerate unquotiented.
 PINNED_WALKS = [
-    (lambda: build_cuboid(3, 3), SearchConfig(), (1488, 5182, None),
+    (lambda: build_cuboid(3, 3), dict(), (1488, 5182, None),
      "796718d61d3c908f083c5855621a5f5663598ed02a35c979e1f4c2133f4ffa4d"),
-    (lambda: build_cuboid(2, 6), SearchConfig(), (18, 173, None),
+    (lambda: build_cuboid(2, 6), dict(), (18, 173, None),
      "429609513b987c7e66a1a4d5f5ab7b3aa9284b56650d9c1f166232f0bfff5f22"),
-    (lambda: build_cuboid(3, 4), SearchConfig(forbid_taut=True), (0, 217, None),
+    (lambda: build_cuboid(3, 4), dict(forbid_taut=True), (0, 217, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (lambda: build_cuboid(2, 3), SearchConfig(limit=1), (1, 27, "limit"),
+    (lambda: build_cuboid(2, 3), dict(limit=1), (1, 27, "limit"),
      "473cc98297717c9da63d00621ad38dabcf0c8b6c555aacb8aa2f3eeb20822a96"),
-    (lambda: build_cuboid(3, 3), SearchConfig(limit=1), (1, 96, "limit"),
+    (lambda: build_cuboid(3, 3), dict(limit=1), (1, 96, "limit"),
      "a59abbb69936c586413e0b3e21d6aa278c419aa2f03979dd42d722df94d213ca"),
-    (lambda: build_cuboid(3, 3), SearchConfig(forbid_taut=True, limit=1), (0, 95, None),
+    (lambda: build_cuboid(3, 3), dict(forbid_taut=True, limit=1), (0, 95, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (lambda: build_cuboid(2, 4), SearchConfig(node_budget=3), (0, 4, "node-budget"),
+    (lambda: build_cuboid(2, 4), dict(node_budget=3), (0, 4, "node-budget"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (generic_host, SearchConfig(forbid_taut=True), (48, 347, None),
+    (generic_host, dict(forbid_taut=True), (48, 347, None),
      "77d3e6ff96542203b49d15b91a1afce8b36ff3b7dfa8b6cde55d0c8b3f352e05"),
-    (lambda: build_cuboid(4, 3), SearchConfig(forbid_taut=True), (0, 7892, None),
+    (lambda: build_cuboid(4, 3), dict(forbid_taut=True), (0, 7892, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (lambda: build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=1),
+    (lambda: build_cuboid(5, 3), dict(forbid_taut=True, limit=1),
      (1, 3814, "limit"),
      "4d5fbb9810c72bd68a2a18a1c7b1610994acc345a3878d50646ae7934af463d5"),
 ]
 
 
 @pytest.mark.parametrize("make, config, summary, digest", PINNED_WALKS, ids=[
-    "P(3,3)", "P(2,6)", "P(3,4)-forbid-taut", "P(2,3)-symmetry", "P(3,3)-symmetry",
-    "P(3,3)-forbid-taut-symmetry", "P(2,4)-budget", "generic-forbid-taut",
+    "P(3,3)", "P(2,6)", "P(3,4)-forbid-taut", "P(2,3)-limit-1", "P(3,3)-limit-1",
+    "P(3,3)-forbid-taut-limit-1", "P(2,4)-budget", "generic-forbid-taut",
     "P(4,3)-forbid-taut", "P(5,3)-forbid-taut-limit",
 ])
 def test_pinned_walks(make, config, summary, digest):
-    out = enumerate_scds(make(), config)
+    out = enumerate_scds(make(), **config)
     assert (len(out.found), out.nodes_visited, out.stop_reason) == summary
     assert _digest(out.found) == digest
 
@@ -383,14 +386,14 @@ def test_a_chain_is_decoded_in_rank_order_not_position_order():
 def test_forbid_taut_agrees_with_filtered_oracle(make):
     host = make()
     n = host.chain_factor[1]
-    out = enumerate_scds(host, SearchConfig(forbid_taut=True))
+    out = enumerate_scds(host, forbid_taut=True)
     taut_free = {
         s for s in brute_force_scds(host) if not any(has_full_column(ch, n) for ch in s)
     }
     assert out.stop_reason is None
     assert len(out.found) == len(taut_free)
     assert {s.chain_set for s in out.found} == taut_free
-    first = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
+    first = enumerate_scds(host, forbid_taut=True, limit=1)
     if taut_free:
         assert first.found[0].chain_set in taut_free
     else:
@@ -409,7 +412,7 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
     # k! decompositions when its maximal chain's word is a palindrome and
     # for 2 * k! otherwise (the duality reverses the word).
     host = build_cuboid(k, n)
-    cover = _Cover(host, SearchConfig())
+    cover = _Cover(host, False, DEFAULT_NODE_BUDGET)
     solutions = [cover.decode(sol) for sol in cover.solve(limit=None)]
     weights = [1 if w == w[::-1] else 2 for w in map(_maximal_word, solutions)]
     assert all(validate_scd(host, s).valid for s in solutions)
@@ -431,7 +434,7 @@ def _base(p):
 
 def _count(p, m, **config):
     """The count of ``_base(p) x chain(m)``: of P(p, m) for an integer p."""
-    out = count_search(poset_times_chain(_base(p), m), SearchConfig(**config))
+    out = count_search(poset_times_chain(_base(p), m), **config)
     assert out.stop_reason is None
     return out.count
 
@@ -449,8 +452,7 @@ ENUMERATED = [
 def test_the_count_matches_the_walker(k, n, forbid_taut):
     # The count on the quotient against the unquotiented enumeration.
     host = build_cuboid(k, n)
-    cfg = SearchConfig(forbid_taut=forbid_taut)
-    enumerated = enumerate_scds(host, cfg)
+    enumerated = enumerate_scds(host, forbid_taut=forbid_taut)
     assert enumerated.stop_reason is None
     assert _count(k, n, forbid_taut=forbid_taut) == len(enumerated.found)
 
@@ -502,7 +504,7 @@ def test_the_count_of_q5_is_pinned():
 
 def test_the_taut_free_count_of_p44_is_pinned():
     # The count path's longest pinned walk: its verdict and every node.
-    out = count_search(build_cuboid(4, 4), SearchConfig(forbid_taut=True))
+    out = count_search(build_cuboid(4, 4), forbid_taut=True)
     assert out == search.CountOutcome(0, 75872, None)
 
 
@@ -516,27 +518,27 @@ def test_a_count_builds_no_decomposition(monkeypatch):
 
 
 def test_counts_on_other_hosts_are_walked():
-    assert count_search(generic_host(), SearchConfig(forbid_taut=True)).count == 48
+    assert count_search(generic_host(), forbid_taut=True).count == 48
     assert count_search(build_hypercube(3)).count == 6
-    out = count_search(generic_host(), SearchConfig(forbid_taut=True, node_budget=10))
+    out = count_search(generic_host(), forbid_taut=True, node_budget=10)
     assert out == search.CountOutcome(0, 11, "node-budget")
 
 
 @pytest.mark.parametrize("config", [
-    SearchConfig(limit=1),
-    SearchConfig(limit=2),
-    SearchConfig(node_budget=-1),
+    dict(limit=1),
+    dict(limit=2),
+    dict(node_budget=-1),
 ])
 def test_a_count_takes_no_limit_and_checks_its_config(config):
-    with pytest.raises(SearchError):
-        count_search(build_cuboid(2, 2), config)
+    with pytest.raises(TypeError if "limit" in config else SearchError):
+        count_search(build_cuboid(2, 2), **config)
 
 
 def test_a_count_stops_at_its_budgets(monkeypatch):
     # P(3,3) has 84 quotient rows without the taut test: the budget stops
     # the count in the row table or past it.
     for budget in (10, 100):
-        out = count_search(build_cuboid(3, 3), SearchConfig(node_budget=budget))
+        out = count_search(build_cuboid(3, 3), node_budget=budget)
         assert out == search.CountOutcome(0, budget + 1, "node-budget")
     # count_scds refuses to answer from a stopped count: here the row table
     # has room for 50 of P(3,3)'s 84 rows.
@@ -547,7 +549,7 @@ def test_a_count_stops_at_its_budgets(monkeypatch):
 
 def test_a_count_stops_at_the_row_limit(monkeypatch):
     monkeypatch.setattr(search, "MAX_COVER_BITS", 32 * 100)
-    out = count_search(build_cuboid(3, 4), SearchConfig(forbid_taut=True))
+    out = count_search(build_cuboid(3, 4), forbid_taut=True)
     assert out == search.CountOutcome(0, 109, "row-limit")
 
 
@@ -556,10 +558,10 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
     # counted right, in more nodes: a count recounts each set it could not
     # record.
     host = build_cuboid(3, 3)
-    unbounded = _Cover(host, SearchConfig())
+    unbounded = _Cover(host, False, DEFAULT_NODE_BUDGET)
     assert unbounded.count() == 1488
     monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(unbounded.rows) + 5))
-    cover = _Cover(host, SearchConfig())
+    cover = _Cover(host, False, DEFAULT_NODE_BUDGET)
     assert cover.count() == 1488
     assert len(cover.memo) == 5 and (cover.nodes, unbounded.nodes) == (444, 300)
     assert count_search(host) == search.CountOutcome(1488, cover.nodes)
@@ -572,7 +574,7 @@ def test_a_full_memo_only_counts_slower(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_prover_finds_taut_free_witnesses_for_k5(n):
     host = build_cuboid(5, n)
-    out = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
+    out = enumerate_scds(host, forbid_taut=True, limit=1)
     assert out.stop_reason == "limit" and len(out.found) == 1
     report = validate_scd(host, out.found[0])
     assert report.valid and report.taut_count == 0
@@ -583,7 +585,7 @@ def test_prover_agrees_with_the_middle_rank_bound(k, n):
     # The middle-rank counting condition fails for Q_3 and Q_4.  A finished
     # search agrees, and exists_nontaut_scd reports that search.
     assert not middle_rank_bound_holds(build_hypercube(k).rank_vector)
-    out = enumerate_scds(build_cuboid(k, n), SearchConfig(forbid_taut=True, limit=1))
+    out = enumerate_scds(build_cuboid(k, n), forbid_taut=True, limit=1)
     assert out.stop_reason is None and not out.found
     res = exists_nontaut_scd(k, n)
     assert (res.exists, res.method) == (False, "exhaustive")
@@ -596,12 +598,12 @@ def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
     starts = []
     init = _Cover.__init__
 
-    def recording_init(cover, host, cfg, quotient=True, nodes=0):
+    def recording_init(cover, host, forbid_taut, node_budget, quotient=True, nodes=0):
         starts.append((quotient, nodes))
-        init(cover, host, cfg, quotient, nodes)
+        init(cover, host, forbid_taut, node_budget, quotient, nodes)
 
     monkeypatch.setattr(_Cover, "__init__", recording_init)
-    out = enumerate_scds(build_cuboid(5, 3), SearchConfig(forbid_taut=True, limit=2, node_budget=5000))
+    out = enumerate_scds(build_cuboid(5, 3), forbid_taut=True, limit=2, node_budget=5000)
     assert starts == [(True, 0), (False, 3814)]
     assert out.stop_reason == "node-budget"
     assert out.nodes_visited == 5001
@@ -610,14 +612,14 @@ def test_the_prover_hands_its_budget_on_to_the_enumeration(monkeypatch):
 @pytest.mark.parametrize("k", [5, 12])
 def test_prover_decides_n2_at_its_first_node(k):
     # Every maximal chain of P(k, 2) is taut, so no row covers the bottom.
-    out = enumerate_scds(build_cuboid(k, 2), SearchConfig(forbid_taut=True))
+    out = enumerate_scds(build_cuboid(k, 2), forbid_taut=True)
     assert (out.found, out.nodes_visited, out.stop_reason) == ((), 1, None)
 
 
 def test_prover_stops_at_its_row_limit(monkeypatch):
     host = build_cuboid(3, 4)  # 32 elements, 166 taut-free rows
     monkeypatch.setattr(search, "MAX_COVER_BITS", 32 * 100)
-    out = enumerate_scds(host, SearchConfig(forbid_taut=True))
+    out = enumerate_scds(host, forbid_taut=True)
     assert (out.found, out.stop_reason) == ((), "row-limit")
     # 100 rows and 8 discarded maximal chains are generated, then the
     # 101st row, which is refused.
@@ -638,11 +640,11 @@ def test_cut_off_runs_leave_no_false_dead_sets(k, n, taut_free, seed, limit):
     # an unfinished subproblem recorded as dead would lose its solutions
     # (and the budget stops a run that then searches on in vain).
     host = build_cuboid(k, n)
-    shared = _Cover(host, SearchConfig(forbid_taut=taut_free, node_budget=50_000))
+    shared = _Cover(host, taut_free, 50_000)
     for s in range(1, 9):
         assert shared.solve(s, cutoff=20 if taut_free else 5) is None
     assert shared.memo and not any(shared.memo.values())
-    expected = _Cover(host, SearchConfig(forbid_taut=taut_free)).solve(seed, limit=limit)
+    expected = _Cover(host, taut_free, DEFAULT_NODE_BUDGET).solve(seed, limit=limit)
     assert expected and shared.solve(seed, limit=limit) == expected
 
 
@@ -651,8 +653,7 @@ def test_restarts_cost_little_on_an_empty_host():
     # the later ones, so the whole schedule costs under 5% more nodes than
     # one uncapped canonical run.
     host = build_cuboid(4, 3)
-    cfg = SearchConfig(forbid_taut=True)
-    scheduled, alone = _Cover(host, cfg), _Cover(host, cfg)
+    scheduled, alone = (_Cover(host, True, DEFAULT_NODE_BUDGET) for _ in range(2))
     assert scheduled.witness() is None and alone.solve() == []
     assert scheduled.nodes < 1.05 * alone.nodes
 
@@ -663,11 +664,12 @@ def test_a_full_memo_only_prunes_less(monkeypatch, make, config, summary, digest
     # With room for only 3 dead sets beside the row table, the pinned
     # searches give the same answers, in no fewer nodes.
     host = make()
-    monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (len(_Cover(host, config).rows) + 3))
-    cover = _Cover(host, config)
+    rows = len(_Cover(host, config["forbid_taut"], DEFAULT_NODE_BUDGET).rows)
+    monkeypatch.setattr(search, "MAX_COVER_BITS", len(host) * (rows + 3))
+    cover = _Cover(host, config["forbid_taut"], DEFAULT_NODE_BUDGET)
     cover.witness()
     assert list(cover.memo.values()) == [0, 0, 0]
-    out = enumerate_scds(host, config)
+    out = enumerate_scds(host, **config)
     found, nodes, reason = summary
     assert (len(out.found), out.stop_reason) == (found, reason)
     assert out.nodes_visited >= nodes and _digest(out.found) == digest
@@ -703,7 +705,7 @@ def test_a_witness_search_runs_on_the_luby_schedule(monkeypatch, k, n, restart_n
 
     monkeypatch.setattr(_Cover, "solve", recording)
     host = build_cuboid(k, n)
-    out = enumerate_scds(host, SearchConfig(forbid_taut=True, limit=1))
+    out = enumerate_scds(host, forbid_taut=True, limit=1)
     unit = max(restart_nodes, 2 * max(host.rank_vector))
     assert runs == [(i, unit * search._luby(i), i < len(runs)) for i in range(1, len(runs) + 1)]
     assert len(runs) == LUBY_RUNS[k, n, restart_nodes]
@@ -718,7 +720,7 @@ def test_the_unit_cutoff_reaches_a_leaf_of_a_wide_host():
     # A path from the root to a leaf of antichain(1500) takes 1501 nodes,
     # so the first run, of twice the width, finds the one decomposition
     # after the 1500 rows are generated.
-    out = enumerate_scds(antichain(1500), SearchConfig(limit=1))
+    out = enumerate_scds(antichain(1500), limit=1)
     assert out.stop_reason == "limit" and out.nodes_visited <= 3001
 
 
@@ -736,7 +738,7 @@ def test_cut_off_runs_keep_existence_answers_exact(monkeypatch, k, n):
     for forbid_taut in (False, True):
         wanted = {s for s in oracle if not any(has_full_column(ch, n) for ch in s)} \
             if forbid_taut else oracle
-        out = enumerate_scds(host, SearchConfig(forbid_taut=forbid_taut, limit=1))
+        out = enumerate_scds(host, forbid_taut=forbid_taut, limit=1)
         if wanted:
             assert out.stop_reason == "limit" and out.found[0].chain_set in wanted
         else:
