@@ -10,10 +10,10 @@ element ``p``.  Those runs are what the constructions in this package
 are engineered to avoid.
 
 ``validate_scd`` makes one pass over the chains and writes a message
-for every finding.  On a hypercube-by-chain host, whose elements are
-``(bits, level)`` pairs, and when every element is a tuple, each chain
-first takes one saturation test, and the pass builds no table of the
-host:
+for every finding; the report is its findings, valid when it has none.
+On a hypercube-by-chain host, whose elements are ``(bits, level)``
+pairs, and when every element is a tuple, each chain first takes one
+saturation test, and the pass builds no table of the host:
 
 * a chain *climbs* the host when it is nonempty, its ends are in range
   (bits below ``2^k``, levels below ``n``, none negative), no step
@@ -60,9 +60,10 @@ def canonical_chain_order(host: GradedPoset, chains: Iterable[Sequence]) -> tupl
 class SCD:
     """A set of chains intended to partition ``host`` into symmetric chains.
 
-    ``notes`` carries provenance strings (e.g. which matching a pipeline
-    chose); they ride along through serialization but never affect
-    equality.
+    Two decompositions are equal when their hosts are (``GradedPoset``
+    equality) and their chain sets agree.  ``notes`` carries provenance
+    strings (e.g. which matching a pipeline chose); they ride along
+    through serialization but never affect equality.
 
     An SCD is immutable: assigning or deleting an attribute raises
     ``AttributeError``.  Hosts and chains are immutable tuples, so
@@ -113,21 +114,10 @@ class SCD:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SCD):
             return NotImplemented
-        return _same_elements(self.host, other.host) and self.chain_set == other.chain_set
+        return self.host == other.host and self.chain_set == other.chain_set
 
     def __repr__(self) -> str:
         return f"SCD({self.host.label}, {self.chain_count} chains)"
-
-
-def _same_elements(a: GradedPoset, b: GradedPoset) -> bool:
-    """Whether two hosts have the same elements.  Two hypercube-by-chain
-    hosts do iff their shapes agree, so no element table is built for them."""
-    if a is b:
-        return True
-    shape = cuboid_shape(a)
-    if shape is not None and cuboid_shape(b) is not None:
-        return shape == cuboid_shape(b)
-    return a.elements == b.elements
 
 
 def is_taut(chain: Sequence, n: int) -> bool:
@@ -150,17 +140,20 @@ def is_taut(chain: Sequence, n: int) -> bool:
 
 
 class ValidationReport(NamedTuple):
-    """All findings about a candidate decomposition; nothing fails fast."""
+    """All findings about a candidate decomposition; nothing fails fast.
 
-    is_partition: bool
-    all_symmetric: bool
+    ``messages`` holds one line per finding, in the order of the pass, and
+    is the verdict: the decomposition is ``valid`` when there is none.
+    ``taut_chain_indices`` names the taut chains, which are no finding.
+    """
+
     taut_chain_indices: tuple[int, ...]
     chain_count: int
     messages: tuple[str, ...] = ()
 
     @property
     def valid(self) -> bool:
-        return self.is_partition and self.all_symmetric
+        return not self.messages
 
     @property
     def taut_count(self) -> int:
@@ -181,13 +174,11 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
     except Exception:  # an element with no hash, which is foreign
         distinct = False
     messages: list[str] = []
-    is_partition = all_symmetric = True
     taut: list[int] = []
     seen: dict[Element, int] = {}
     for i, ch in enumerate(chains):
         if not ch:
             messages.append(f"chain {i}: empty")
-            is_partition = False
             continue
         if climbing and _climbs(ch, n, width, host.rk) and (distinct or len(set(ch)) == len(ch)):
             # A saturated symmetric chain of members; the level-0 elements
@@ -200,37 +191,26 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
             foreign = [e for e in ch if e not in host]
             if foreign:
                 messages.append(f"chain {i}: foreign elements {foreign!r}")
-                is_partition = False
                 covered -= len(ch)
                 continue
             bad = [(a, b) for a, b in zip(ch, ch[1:]) if not host.is_cover(a, b)]
             if bad:
                 messages.append(f"chain {i}: non-cover steps {bad!r}")
-                is_partition = False
             lo, hi = host.rank_of(ch[0]), host.rank_of(ch[-1])
             if lo + hi != host.rk:
                 messages.append(
                     f"chain {i}: spans ranks {lo}..{hi}, not symmetric about {host.rk}/2")
-                all_symmetric = False
             if host.chain_factor is not None and is_taut(ch, host.chain_factor[1]):
                 taut.append(i)
         if not distinct:
             for e in ch:
                 if e in seen:
                     messages.append(f"chain {i}: {e!r} already used by chain {seen[e]}")
-                    is_partition = False
                 seen[e] = i
     uncovered = len(host) - (covered if distinct else len(seen))
     if uncovered:
         messages.append(f"{uncovered} elements of {host.label} uncovered")
-        is_partition = False
-    return ValidationReport(
-        is_partition=is_partition,
-        all_symmetric=all_symmetric,
-        taut_chain_indices=tuple(taut),
-        chain_count=len(chains),
-        messages=tuple(messages),
-    )
+    return ValidationReport(tuple(taut), len(chains), tuple(messages))
 
 
 _level = itemgetter(1)

@@ -16,12 +16,20 @@ Implicit hosts keep nothing but their shape: their size, membership
 host of 2^15 elements costs a few hundred bytes.  A generic poset keeps
 its rank dict and its covers.  ``elements`` and ``by_rank`` are derived
 on each call and never kept, for the consumers that enumerate elements
-(the surgery on small bases, structural equality, a generic search).
+(the surgery on small bases, the equality of generic hosts, a generic
+search).
 ``rank_of`` is the one per-element rank read: a dict lookup on generic
 posets, ``bits.bit_count() + level`` on cuboids, which the saturation
 test of ``validate_scd`` computes inline from the chain ends it unpacks.
 ``covers`` is the one listing of the cover pairs.  Every host, and the
 packet grid, passes one size guard: ``MAX_HOST_ELEMENTS`` elements.
+
+A host built as ``base x chain(n)`` records ``chain_factor = (base, n)``:
+the cuboid does, and of the table posets only those :func:`product` builds
+with a chain poset as its second factor; no caller can declare one.  Hosts
+have one equality, ``==``: the same elements and covers, which for two
+hypercube-by-chain hosts (``cuboid_shape``) is the same shape, read with
+no element table.
 
 Elements are plain hashable values.  Cuboid elements are ``(bits, level)``
 pairs with ``bits`` an integer whose binary digits, most significant
@@ -54,9 +62,11 @@ class PosetError(ValueError):
 class GradedPoset:
     """A finite graded poset given by elements, covers, and ranks.
 
-    ``chain_factor`` is set when the poset was built as ``base x chain(n)``
-    with elements ``(p, level)``; operations that care about the chain
-    coordinate (tautness, block surgery) require it.
+    ``chain_factor`` is ``(base, n)`` when the poset was built as
+    ``base x chain(n)`` with elements ``(p, level)``, and None otherwise;
+    operations that care about the chain coordinate (tautness, block
+    surgery) require it.  Only :func:`product` and the cuboid record it,
+    as the saturation test, the search and equality trust it.
 
     ``up`` is the one cover relation: a table here, bit arithmetic in the
     implicit hosts; ``is_cover`` and ``covers`` read it for every host.
@@ -64,7 +74,8 @@ class GradedPoset:
     chain that fails its one saturation test.  ``rank_of`` is the one rank
     read.  A generic poset keeps its rank dict and covers, an implicit host
     its shape; ``elements`` and ``by_rank`` are derived on each call.  Two
-    posets are equal when their elements and covers are (covers fix ranks).
+    posets are equal when their elements and covers are (covers fix ranks):
+    two cuboids when their shapes are, with no element table built.
     """
 
     __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_rank")
@@ -75,8 +86,6 @@ class GradedPoset:
         covers: Iterable[tuple[Element, Element]],
         rank: Mapping[Element, int],
         label: str = "poset",
-        *,
-        chain_factor: tuple["GradedPoset", int] | None = None,
     ):
         elements = sorted(set(elements))
         if not elements:
@@ -109,7 +118,7 @@ class GradedPoset:
         self.label, self.rk = label, max(self._rank.values())
         self.rank_vector = tuple(map(len, self.by_rank))
         self._up = {e: tuple(sorted(up[e])) for e in elements}
-        self.chain_factor = chain_factor
+        self.chain_factor = None
 
     # -- the element tables, derived on each call ----------------------------
 
@@ -151,6 +160,9 @@ class GradedPoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoset):
             return NotImplemented
+        shape = cuboid_shape(self)
+        if shape is not None and cuboid_shape(other) is not None:
+            return shape == cuboid_shape(other)
         return self.elements == other.elements and self.covers == other.covers
 
     __hash__ = None  # structural equality, not hashable
@@ -302,9 +314,10 @@ def _require_size(k: int, n: int, label: str) -> None:
 def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     """Direct product: elements are pairs, covers move in one coordinate.
 
-    When ``q`` is a chain poset the result records ``chain_factor=(p, n)``
-    so that chain-coordinate operations apply to it.  Refuses products of
-    more than ``MAX_HOST_ELEMENTS`` elements.
+    When ``q`` is a chain poset the result records ``chain_factor = (p, n)``
+    so that chain-coordinate operations apply to it; this is the one place
+    a table poset gets a chain factor.  Refuses products of more than
+    ``MAX_HOST_ELEMENTS`` elements.
     """
     _require_size(0, len(p) * len(q), f"{p.label}x{q.label}")
     p_elements, q_elements = p.elements, q.elements
@@ -312,12 +325,9 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     covers = [((a, b), (a2, b)) for (a, a2) in p.covers for b in q_elements]
     covers += [((a, b), (a, b2)) for a in p_elements for (b, b2) in q.covers]
     rank = {(a, b): p.rank_of(a) + q.rank_of(b) for (a, b) in elements}
-    factor = (p, len(q)) if q.is_chain_poset else None
-    return GradedPoset(
-        elements, covers, rank,
-        label=f"{p.label}x{q.label}",
-        chain_factor=factor,
-    )
+    host = GradedPoset(elements, covers, rank, label=f"{p.label}x{q.label}")
+    host.chain_factor = (p, len(q)) if q.is_chain_poset else None
+    return host
 
 
 # Bounded: a long-lived process keeps the hosts it used last, not every

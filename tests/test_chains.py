@@ -103,7 +103,7 @@ def test_validate_scd_tables():
 def test_validate_scd_detects_missing_chain():
     t1 = builtin_table("P53")
     report = validate_scd(t1.host, t1.chains[:-1])
-    assert not report.is_partition
+    assert not report.valid
     assert any("2 elements" in m for m in report.messages)
 
 
@@ -111,9 +111,10 @@ def test_validate_scd_detects_duplicates_and_noncovers():
     host = build_cuboid(1, 2)
     chains = [((0, 0), (1, 0), (1, 1)), ((0, 1), (0, 1))]
     report = validate_scd(host, chains)
-    assert not report.is_partition
+    assert not report.valid
     assert any("already used" in m for m in report.messages)
     report2 = validate_scd(host, [((0, 0), (1, 1))])
+    assert not report2.valid
     assert any("non-cover" in m for m in report2.messages)
 
 
@@ -191,7 +192,19 @@ def test_decompositions_of_equal_cuboids_compare_without_tables(monkeypatch):
         monkeypatch.setattr(cls, "by_rank", property(refuse))
     assert a is not b and a == b
     assert a == fresh == generic and fresh.host is not a.host
+    assert a.host == generic.host == fresh.host
     assert a != SCD(a.host, a.chains[1:]) and a != other
+
+
+def test_decompositions_over_hosts_with_different_covers_are_unequal():
+    square = product(build_chain_poset(2), build_chain_poset(2))
+    rank = {e: square.rank_of(e) for e in square.elements}
+    fewer = GradedPoset(square.elements, square.covers[:-1], rank)
+    assert fewer.elements == square.elements and len(fewer.covers) == 3
+    picked = (((0, 0), (0, 1), (1, 1)), ((1, 0),))
+    a, b = SCD(square, picked), SCD(fewer, picked)
+    assert a.report.valid and b.report.valid
+    assert a.host != b.host and a != b
 
 
 @pytest.mark.parametrize("name", ["host", "chains", "notes"])
@@ -227,8 +240,7 @@ def test_a_report_is_computed_once_and_passed_on_to_noted_copies(monkeypatch):
 def test_a_report_reads_as_before():
     report = validate_scd(build_cuboid(1, 2), [((0, 0), (0, 1), (1, 1)), ((1, 0),)])
     assert repr(report) == (
-        "ValidationReport(is_partition=True, all_symmetric=True, "
-        "taut_chain_indices=(0,), chain_count=2, messages=())"
+        "ValidationReport(taut_chain_indices=(0,), chain_count=2, messages=())"
     )
 
 

@@ -94,7 +94,7 @@ def test_parse_single_taut_chain():
     assert scd.chain_count == 1
     report = validate_scd(scd.host, scd)
     assert report.taut_chain_indices == (0,)
-    assert not report.is_partition  # one chain cannot cover P(5,3)
+    assert not report.valid  # one chain cannot cover P(5,3)
 
 
 def test_parse_rejects_bad_tokens():
