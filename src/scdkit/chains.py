@@ -57,6 +57,13 @@ def canonical_chain_order(host: GradedPoset, chains: Iterable[Sequence]) -> tupl
     return tuple(sorted((tuple(ch) for ch in chains), key=lambda ch: (rank(ch[0]), ch[0])))
 
 
+def cuboid_order(bottoms: Sequence[tuple[int, int]], k: int, n: int) -> list[int]:
+    """Positions of chains of Q_k x chain(n) with these bottoms in canonical order, ties
+    kept: :func:`canonical_chain_order`'s key (rank, bits < 2^k, level < n) as one int."""
+    keys = [((b.bit_count() + c << k) + b) * n + c for b, c in bottoms]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 class SCD:
     """A set of chains intended to partition ``host`` into symmetric chains.
 

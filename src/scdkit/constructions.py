@@ -1,10 +1,10 @@
 """Constructive transformations between symmetric chain decompositions.
 
-``hypercube_scd`` and the lifts are one peeling product (``_cross``), and
+``hypercube_scd`` and ``product_lift`` are one peeling product (``_cross``),
+``extend_dimension`` builds those chains with no call per element, and
 shift, collapse and expand are one middle-block restretch (``_restretch``).
-Each map validates its input once (``_check``), reads the middle rows of
-that valid decomposition by index, re-checks nothing validity implies,
-and passes its output through the same gate (``_checked``).
+Each map validates its input once (``_check``), reads the middle rows of the
+valid input by index, re-checks nothing validity implies, and gates its output.
 The toolbox, bottom to top:
 
 * canonical decompositions of rectangles (``grid_scd``) and hypercubes
@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-from .chains import SCD, ValidationReport, canonical_chain_order
+from .chains import SCD, ValidationReport, canonical_chain_order, cuboid_order
 from .data_io import builtin_table
 from .posets import (
     Element,
@@ -91,8 +91,8 @@ def _grid_cells(a: int, b: int) -> list[list[tuple[int, int]]]:
     For a <= b, chain i climbs column x=i from (i, 0) to (i, b-1-i) and
     then walks the row y=b-1-i out to (a-1, b-1-i); chain i has length
     a+b-1-2i.  For a > b the walks of the b x a grid are transposed.  The
-    cells depend on the shape alone, so :func:`_cross` peels each shape
-    once.
+    cells depend on the shape alone, so :func:`_cross` and the lift peel
+    each shape once per call.
     """
     if a > b:
         return [[(x, y) for y, x in walk] for walk in _grid_cells(b, a)]
@@ -107,9 +107,9 @@ def _cross(left, right, pair) -> list[tuple]:
     ``left`` and every chain ``d`` of ``right``, peeled by
     :func:`_grid_cells`; ``pair(a, b)`` names the product element.
 
-    The rectangles come in few shapes (20 among the 1,050 of P(12,4)),
-    and each ``(len(c), len(d))`` is peeled once per call, so an element
-    costs one ``pair`` call.  The peelings live only as long as the call.
+    The rectangles come in few shapes, and each ``(len(c), len(d))`` is
+    peeled once per call, so an element costs one ``pair`` call.  The
+    peelings live only as long as the call.
     """
     peeled: dict[tuple[int, int], list] = {}
     out = []
@@ -179,7 +179,7 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     This is :func:`product_lift` specialised to cuboids through
     ``Q_k x Q_j = Q_{k+j}``: element ``(b, level)`` of the input crossed
     with ``d`` of Q_j is ``((b << j) | d, level)``, so no product host is
-    built.
+    built, and the chains are put in canonical order by int keys.
     """
     shape = cuboid_shape(scd.host)
     if shape is None:
@@ -190,16 +190,32 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     _check(scd, "extend_dimension input", taut_count=0)
     if k_prime == k:
         return scd
+    out = SCD(build_cuboid(k_prime, n), _lifted_chains(scd.chains, k, k_prime, n), scd.notes)
+    _check(out, "extend_dimension", taut_count=0)  # already in canonical order
+    return out
+
+
+def _lifted_chains(chains, k: int, k_prime: int, n: int) -> tuple:
+    """The chains of :func:`extend_dimension`: the walks of the peeled
+    rectangles ``c x d``, each built once with no call per element, then
+    put in canonical order by the packed keys of their bottoms.  The Q_j chains
+    go unchecked: the output gate rejects any defect in them, and runs
+    after this call, once its lists (``bits`` holds 2^k' ints) are freed."""
     j = k_prime - k
-    host = build_cuboid(k_prime, n)
-    # The Q_j chains go unchecked: the output gate rejects any defect in
-    # them, and canonical ordering makes the output independent of theirs.
+    peeled, built = {}, []
+    right = _hypercube_chains(j)
     # The n elements over one base share one int for its bits, not one
     # new int each.
     bits = list(range(1 << k_prime))
-    chains = _cross(scd.chains, _hypercube_chains(j),
-                    lambda e, d: (bits[(e[0] << j) | d], e[1]))
-    return _checked(host, chains, scd.notes, what="extend_dimension", taut_count=0)
+    for c in chains:
+        cb, cl = [b << j for b, _ in c], [level for _, level in c]
+        for d in right:
+            shape = len(c), len(d)
+            cells = peeled.get(shape)
+            if cells is None:
+                cells = peeled[shape] = _grid_cells(*shape)
+            built += [tuple([(bits[cb[x] | d[y]], cl[x]) for x, y in walk]) for walk in cells]
+    return tuple(map(built.__getitem__, cuboid_order([ch[0] for ch in built], k_prime, n)))
 
 
 # -- the middle-block restretch -----------------------------------------------

@@ -38,7 +38,9 @@ coordinate.  A cuboid's members are exactly the 2-tuples of ``int``s in
 range and a hypercube's the ``int``s in range (bools count as ints);
 anything else, a float equal to an int included, is foreign.  Products
 of arbitrary posets use nested tuples the same way.  All posets are
-immutable after construction and safe to share.
+immutable after construction and safe to share: assigning or deleting
+an attribute of a host raises ``AttributeError``, as it does on an
+``SCD``, and the constructors set their slots through one private path.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class GradedPoset:
     ``base x chain(n)`` with elements ``(p, level)``, and None otherwise;
     operations that care about the chain coordinate (tautness, block
     surgery) require it.  Only :func:`product` and the cuboid record it,
-    as the saturation test, the search and equality trust it.
+    as the saturation test, the search and equality trust it; a host is
+    immutable, so no caller can set it after construction.
 
     ``up`` is the one cover relation: a table here, bit arithmetic in the
     implicit hosts; ``is_cover`` and ``covers`` read it for every host.
@@ -114,11 +117,21 @@ class GradedPoset:
 
         # Only the elements' own ranks are kept: a rank given for anything
         # else must not make it a member.
-        self._rank = {e: rank[e] for e in elements}
-        self.label, self.rk = label, max(self._rank.values())
-        self.rank_vector = tuple(map(len, self.by_rank))
-        self._up = {e: tuple(sorted(up[e])) for e in elements}
-        self.chain_factor = None
+        ranks = {e: rank[e] for e in elements}
+        self._set(_rank=ranks, label=label, rk=max(ranks.values()), chain_factor=None,
+                  _up={e: tuple(sorted(up[e])) for e in elements})
+        self._set(rank_vector=tuple(map(len, self.by_rank)))
+
+    def _set(self, **fields: object) -> None:
+        """The one path that sets a host's slots, while it is built."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a host")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a host")
 
     # -- the element tables, derived on each call ----------------------------
 
@@ -215,9 +228,8 @@ class _Hypercube(GradedPoset):
     __slots__ = ()
 
     def __init__(self, k: int):
-        self.label, self.rk = f"Q{k}", k
-        self.rank_vector = tuple(comb(k, r) for r in range(k + 1))
-        self.chain_factor = None
+        self._set(label=f"Q{k}", rk=k, chain_factor=None,
+                  rank_vector=tuple(comb(k, r) for r in range(k + 1)))
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -245,12 +257,10 @@ class _Cuboid(GradedPoset):
 
     def __init__(self, k: int, n: int):
         base = build_hypercube(k)
-        self.label, self.rk = f"P({k},{n})", k + n - 1
         # Rank r holds the base ranks r - n + 1 .. r, one level each.
         row = base.rank_vector
-        self.rank_vector = tuple(sum(row[max(r - n + 1, 0):r + 1]) for r in range(k + n))
-        self._k, self._n = k, n
-        self.chain_factor = (base, n)
+        self._set(label=f"P({k},{n})", rk=k + n - 1, _k=k, _n=n, chain_factor=(base, n),
+                  rank_vector=tuple(sum(row[max(r - n + 1, 0):r + 1]) for r in range(k + n)))
 
     @property
     def elements(self) -> tuple[tuple[int, int], ...]:
@@ -326,7 +336,7 @@ def product(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     covers += [((a, b), (a, b2)) for a in p_elements for (b, b2) in q.covers]
     rank = {(a, b): p.rank_of(a) + q.rank_of(b) for (a, b) in elements}
     host = GradedPoset(elements, covers, rank, label=f"{p.label}x{q.label}")
-    host.chain_factor = (p, len(q)) if q.is_chain_poset else None
+    host._set(chain_factor=(p, len(q)) if q.is_chain_poset else None)
     return host
 
 

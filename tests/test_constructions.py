@@ -162,6 +162,26 @@ def test_extend_dimension_matches_product_lift(n, k2):
     assert serialize_scd(extend_dimension(scd, k2)) == serialize_scd(reference)
 
 
+def _lift_inputs():
+    for name in ("P53", "P54", "P55"):
+        for j in range(1, 5):
+            yield pytest.param(name, j, id=f"{name}-j{j}")
+    yield pytest.param("generate(5,12)", 2, id="P5_12-j2")  # the general spelling
+
+
+@pytest.mark.parametrize("name, j", _lift_inputs())
+def test_the_lift_builds_its_chains_in_canonical_order(name, j):
+    # Ordered by packed keys, not by canonical_chain_order's sort: the
+    # chains still come out canonical, and the input's own order leaves no
+    # trace in the bytes.
+    scd = generate(5, 12) if name.startswith("generate") else builtin_table(name)
+    lifted = extend_dimension(scd, 5 + j)
+    assert lifted.chains == canonical_chain_order(lifted.host, lifted.chains)
+    backwards = extend_dimension(SCD(scd.host, scd.chains[::-1], scd.notes), 5 + j)
+    assert backwards.chains == lifted.chains
+    assert serialize_scd(backwards) == serialize_scd(lifted)
+
+
 # -- the validation gate --------------------------------------------------------
 
 

@@ -478,3 +478,26 @@ def test_the_module_caches_are_bounded():
     for cached in (build_cuboid, data_io._elements_by_spelling, data_io._spellings):
         assert cached.cache_info().maxsize is not None
     assert constructions.generate(6, 3) is not constructions.generate(6, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GradedPoset([0, 1], [(0, 1)], {0: 0, 1: 1}),
+    lambda: build_hypercube(3),
+    lambda: _Cuboid(3, 3),
+], ids=["table", "hypercube", "cuboid"])
+@pytest.mark.parametrize("name", ["chain_factor", "rk", "label", "rank_vector"])
+def test_hosts_refuse_assignment_and_deletion(make, name):
+    host = make()
+    before = getattr(host, name)
+    with pytest.raises(AttributeError):
+        setattr(host, name, 99)
+    with pytest.raises(AttributeError):
+        delattr(host, name)
+    assert getattr(host, name) == before
+
+
+def test_no_caller_can_make_a_table_poset_a_cuboid():
+    host = GradedPoset([0, 1], [(0, 1)], {0: 0, 1: 1})
+    with pytest.raises(AttributeError):
+        host.chain_factor = (build_hypercube(1), 2)
+    assert cuboid_shape(host) is None and host != build_cuboid(1, 2)
