@@ -57,11 +57,9 @@ def canonical_chain_order(host: GradedPoset, chains: Iterable[Sequence]) -> tupl
     return tuple(sorted((tuple(ch) for ch in chains), key=lambda ch: (rank(ch[0]), ch[0])))
 
 
-def cuboid_order(bottoms: Sequence[tuple[int, int]], k: int, n: int) -> list[int]:
-    """Positions of chains of Q_k x chain(n) with these bottoms in canonical order, ties
-    kept: :func:`canonical_chain_order`'s key (rank, bits < 2^k, level < n) as one int."""
-    keys = [((b.bit_count() + c << k) + b) * n + c for b, c in bottoms]
-    return sorted(range(len(keys)), key=keys.__getitem__)
+def cuboid_key(b: int, c: int, k: int, n: int) -> int:
+    """:func:`canonical_chain_order`'s key of a chain of Q_k x chain(n) with bottom ``(b, c)``."""
+    return ((b.bit_count() + c << k) + b) * n + c
 
 
 class SCD:
@@ -114,9 +112,7 @@ class SCD:
         return self._report is not None and self._report.valid
 
     def with_notes(self, *notes: str) -> "SCD":
-        copy = SCD(self.host, self.chains, self.notes + notes)
-        object.__setattr__(copy, "_report", self._report)
-        return copy
+        return _reported(SCD(self.host, self.chains, self.notes + notes), self._report)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SCD):
@@ -125,6 +121,12 @@ class SCD:
 
     def __repr__(self) -> str:
         return f"SCD({self.host.label}, {self.chain_count} chains)"
+
+
+def _reported(scd: SCD, report: "ValidationReport | None") -> SCD:
+    """``scd`` with ``report``, already computed for its host and chains."""
+    object.__setattr__(scd, "_report", report)
+    return scd
 
 
 def is_taut(chain: Sequence, n: int) -> bool:
@@ -188,12 +190,8 @@ def validate_scd(host: GradedPoset, scd: SCD | Iterable[Sequence]) -> Validation
             messages.append(f"chain {i}: empty")
             continue
         if climbing and _climbs(ch, n, width, host.rk) and (distinct or len(set(ch)) == len(ch)):
-            # A saturated symmetric chain of members; the level-0 elements
-            # come first, and it is taut iff it climbs the column of the last.
-            if ch[0][1] == 0:
-                z = bisect_right(ch, 0, key=_level) - 1
-                if z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1):
-                    taut.append(i)
+            if _climbs_taut(ch, n):  # a saturated symmetric chain of members
+                taut.append(i)
         else:
             foreign = [e for e in ch if e not in host]
             if foreign:
@@ -229,6 +227,14 @@ def _tuples_only(chains: tuple[Chain, ...]) -> bool:
     unpacks as a pair of ints (bytes, a range) is foreign, and only a
     check element by element can tell it apart from the tuple it spells."""
     return set(map(type, concat.from_iterable(chains))) == {tuple}
+
+
+def _climbs_taut(ch: Chain, n: int) -> bool:
+    """The taut test of a chain that climbs (the module doc's last rule)."""
+    if ch[0][1]:
+        return False
+    z = bisect_right(ch, 0, key=_level) - 1
+    return z + n <= len(ch) and ch[z + n - 1] == (ch[z][0], n - 1)
 
 
 def _climbs(ch: Chain, n: int, width: int, rk: int) -> bool:

@@ -4,15 +4,15 @@ Thin wrappers over the library that compose in shell pipelines: a path
 of ``-`` reads stdin, and ``--out -`` or no ``--out`` writes stdout.
 ``validate`` prints a report, ``show`` a packet grid, and ``search`` a
 summary, on stderr when its document goes to stdout.  Every other command
-names its one library call as ``build`` in the parser; ``_cmd_write``
-writes what that returns as a document.  Every document is written by
-``_emit`` block by block, as ``data_io.write_scd`` yields it, and never
-held whole; ``data_io.serialize_scd``, the join of those blocks, is for
-library callers.  An ``--out`` file is opened only once the first block
-exists, so a refused document leaves none.  Stdin and files are decoded
-alike, as UTF-8 with an undecodable byte read as U+FFFD.  Exit codes: 0
-success, 1 invalid input, out-of-region request or output that cannot
-be written, 2 search stopped by budget before reaching a conclusion.
+names its one library call as ``build`` in the parser; ``_cmd_write`` has
+``_emit`` write what that returns block by block, as ``data_io.write_lines``
+yields it, never whole (``data_io.serialize_scd`` joins the blocks for
+library callers), and ``generate`` (k > 5) and ``lift`` hold only the line
+of each chain the lift has checked.  An ``--out`` file is opened only once
+the first block exists, so a refused document leaves none.  Stdin and files
+are decoded alike, as UTF-8 with an undecodable byte read as U+FFFD.  Exit
+codes: 0 success, 1 invalid input, out-of-region request or output that
+cannot be written, 2 search stopped by budget before reaching a conclusion.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import constructions, data_io, search
+from .chains import SCD
 from .posets import build_cuboid, build_hypercube, cuboid_shape
 
 EXIT_OK = 0
@@ -86,14 +87,22 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_write(args) -> int:
-    _emit(data_io.write_scd(args.build(args)), args.out)
+    doc = args.build(args)
+    _emit(data_io.write_scd(doc) if isinstance(doc, SCD) else doc, args.out)
     return EXIT_OK
+
+
+def _lift_blocks(scd: SCD, k_prime: int, *notes: str):
+    """The document of ``extend_dimension(scd, k_prime).with_notes(*notes)``,
+    each chain spelled as the lift builds and checks it, then dropped."""
+    host, lines, _ = constructions._lift(scd, k_prime, data_io.chain_lines)
+    return data_io.write_lines(host, scd.notes + notes, lines, list)
 
 
 def _lift(args):
     scd = _read_scd(args.file)
     k, _ = cuboid_shape(scd.host)
-    return constructions.extend_dimension(scd, k + args.with_hypercube)
+    return _lift_blocks(scd, k + args.with_hypercube)
 
 
 def _cmd_search(args) -> int:
@@ -149,7 +158,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.generate(a.k, a.n))
+    p.set_defaults(fn=_cmd_write, build=lambda a: constructions._generate(a.k, a.n, _lift_blocks))
 
     p = sub.add_parser("shift", help="restretch the middle block to a new chain length")
     p.add_argument("--file", required=True)

@@ -1,7 +1,7 @@
 """Constructive transformations between symmetric chain decompositions.
 
 ``hypercube_scd`` and ``product_lift`` are one peeling product (``_cross``),
-``extend_dimension`` builds those chains with no call per element, and
+``_lift`` builds and checks those chains with no call per element, and
 shift, collapse and expand are one middle-block restretch (``_restretch``).
 Each map validates its input once (``_check``), reads the middle rows of the
 valid input by index, re-checks nothing validity implies, and gates its output.
@@ -31,7 +31,8 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-from .chains import SCD, ValidationReport, canonical_chain_order, cuboid_order
+from .chains import SCD, ValidationReport, canonical_chain_order, cuboid_key
+from .chains import _climbs, _climbs_taut, _reported
 from .data_io import builtin_table
 from .posets import (
     Element,
@@ -179,8 +180,18 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     This is :func:`product_lift` specialised to cuboids through
     ``Q_k x Q_j = Q_{k+j}``: element ``(b, level)`` of the input crossed
     with ``d`` of Q_j is ``((b << j) | d, level)``, so no product host is
-    built, and the chains are put in canonical order by int keys.
+    built, and :func:`_lift` checks each chain as it builds it.
     """
+    host, chains, report = _lift(scd, k_prime)
+    return scd if host is scd.host else _reported(SCD(host, chains, scd.notes), report)
+
+
+def _lift(scd: SCD, k_prime: int, keep=None) -> tuple[GradedPoset, tuple, ValidationReport]:
+    """The host of :func:`extend_dimension`, its chains (or what ``keep(k', n)``
+    makes of them) in canonical order and its report.  Each chain is built
+    once, with no call per element, and checked at once: it climbs, is not
+    taut and marks its positions ``b * n + c`` in one bitmap.  Then the
+    elements and the marks must each number ``len(host)``, or ``_check`` names all."""
     shape = cuboid_shape(scd.host)
     if shape is None:
         raise ConstructionError("extend_dimension needs a cuboid host")
@@ -188,34 +199,38 @@ def extend_dimension(scd: SCD, k_prime: int) -> SCD:
     if k_prime < k:
         raise ConstructionError(f"cannot extend k={k} down to k'={k_prime}")
     _check(scd, "extend_dimension input", taut_count=0)
-    if k_prime == k:
-        return scd
-    out = SCD(build_cuboid(k_prime, n), _lifted_chains(scd.chains, k, k_prime, n), scd.notes)
-    _check(out, "extend_dimension", taut_count=0)  # already in canonical order
-    return out
-
-
-def _lifted_chains(chains, k: int, k_prime: int, n: int) -> tuple:
-    """The chains of :func:`extend_dimension`: the walks of the peeled
-    rectangles ``c x d``, each built once with no call per element, then
-    put in canonical order by the packed keys of their bottoms.  The Q_j chains
-    go unchecked: the output gate rejects any defect in them, and runs
-    after this call, once its lists (``bits`` holds 2^k' ints) are freed."""
-    j = k_prime - k
-    peeled, built = {}, []
-    right = _hypercube_chains(j)
-    # The n elements over one base share one int for its bits, not one
-    # new int each.
-    bits = list(range(1 << k_prime))
-    for c in chains:
+    host = scd.host if k_prime == k else build_cuboid(k_prime, n)
+    spell = keep(k_prime, n) if keep else None
+    if host is scd.host:
+        return host, tuple(spell(scd.chains)) if spell else scd.chains, scd.report
+    j, width, size = k_prime - k, 1 << k_prime, len(host)
+    peeled, marks, keys, kept, count, ok = {}, bytearray(size), [], [], 0, True
+    # The n elements over one base share one int, freed before the sort.
+    right, bits = _hypercube_chains(j), list(range(width))
+    for c in scd.chains:
         cb, cl = [b << j for b, _ in c], [level for _, level in c]
         for d in right:
             shape = len(c), len(d)
             cells = peeled.get(shape)
             if cells is None:
                 cells = peeled[shape] = _grid_cells(*shape)
-            built += [tuple([(bits[cb[x] | d[y]], cl[x]) for x, y in walk]) for walk in cells]
-    return tuple(map(built.__getitem__, cuboid_order([ch[0] for ch in built], k_prime, n)))
+            walks = [tuple([(bits[cb[x] | d[y]], cl[x]) for x, y in walk]) for walk in cells]
+            for ch in walks:
+                ok = ok and _climbs(ch, n, width, host.rk) and not _climbs_taut(ch, n)
+                if ok:
+                    for b, level in ch:
+                        marks[b * n + level] = 1
+                count += len(ch)
+                keys.append(cuboid_key(*ch[0], k_prime, n))
+            kept += spell(walks) if spell else walks
+    del bits
+    kept = tuple(map(kept.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
+    if ok and count == size == marks.count(1):
+        return host, kept, ValidationReport((), len(kept))
+    if spell:  # the gate reads chains, so it takes them built again
+        host, kept, report = _lift(scd, k_prime)
+        return host, tuple(spell(kept)), report
+    return host, kept, _check(SCD(host, kept), "extend_dimension", taut_count=0)
 
 
 # -- the middle-block restretch -----------------------------------------------
@@ -430,12 +445,18 @@ def generate(k: int, n: int) -> SCD:
     find none (that of P(k, max(k+1, 3)) carries over to every taller n
     by :func:`shift`).
     """
+    return _generate(k, n, lambda scd, k2, note: extend_dimension(scd, k2).with_notes(note))
+
+
+def _generate(k: int, n: int, lift):
+    """:func:`generate` with its last step for k > 5, ``lift(generate(5, n),
+    k, note)``, in the caller's hands: a library lift or a streamed document."""
     if k < 5 or n < 3:
         raise RegionError(
             f"P({k},{n}) has no taut-free decomposition: the region is k >= 5, n >= 3"
         )
     if k > 5:
-        return extend_dimension(generate(5, n), k).with_notes(f"lift: k=5->k={k}")
+        return lift(generate(5, n), k, f"lift: k=5->k={k}")
     if n <= 5:
         return builtin_table(f"P5{n}")
     if n == 6:

@@ -30,11 +30,11 @@ parser of both spellings, so a short document of a huge host allocates
 nothing per element.  The table never changes, so a document parses the
 same whatever was parsed before it.
 
-``write_scd`` is the one writer.  It makes every refusal check first,
-then yields the document in blocks of at most ``BLOCK_LINES`` chain
-lines, so whoever writes the blocks out holds the decomposition and one
-block of text, never the whole document.  ``serialize_scd`` is the join
-of its blocks.
+``write_lines`` is the one writer.  It refuses a bad note first, then
+yields the document in blocks of at most ``BLOCK_LINES`` chain lines, so
+whoever writes the blocks out holds one block of text, never the whole
+document.  ``write_scd`` spells a decomposition's chains into it, and
+``serialize_scd`` is the join of its blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .chains import SCD
 from .posets import MAX_HOST_ELEMENTS, GradedPoset, build_cuboid, cuboid_shape, packet_grid
@@ -180,23 +180,14 @@ def parse_scd(text: str) -> SCD:
 
 def write_scd(scd: SCD) -> Iterator[str]:
     """Render an SCD over a cuboid host as a document (see module doc),
-    in blocks: the comment and header lines, then one block per run of
-    at most ``BLOCK_LINES`` chain lines.
+    its chains spelled by :func:`chain_lines` into :func:`write_lines`.
 
     Every refusal comes before the first block.  Only cuboid hosts
     serialize, and only members of the host are spelled: a decomposition
     whose report already found it valid holds nothing else, and any other
     is checked element by element first, so a foreign element, which
     could index a table from its end, raises ParseError instead.  So does
-    a note that would not parse back as itself: one that
-    ``str.splitlines`` would split (its document would not parse back, or
-    would lose the note's later lines), one with leading or trailing
-    blanks (parsing strips them) and one that is not ASCII.
-
-    The spelling of every base (its bits, and in the general form the
-    commas and the semicolon) and of every level is tabled once per host
-    (``_spellings``), so an element costs two lookups and one
-    concatenation.
+    a note that :func:`write_lines` refuses.
     """
     host = scd.host
     shape = cuboid_shape(host)
@@ -206,25 +197,38 @@ def write_scd(scd: SCD) -> Iterator[str]:
         foreign = [e for ch in scd.chains for e in ch if e not in host]
         if foreign:
             raise ParseError(f"{host.label} has no element {foreign[0]!r}; only members serialize")
-    for note in scd.notes:
+    yield from write_lines(host, scd.notes, scd.chains, chain_lines(*shape))
+
+
+def chain_lines(k: int, n: int) -> Callable[[Sequence[tuple]], list[str]]:
+    """The lines of chains of members of P(k, n): an element costs two
+    lookups in the tables of ``_spellings`` and one concatenation."""
+    bases, levels = _spellings(k, n)
+    return lambda chains: [" ".join([bases[b] + levels[c] for b, c in ch]) for ch in chains]
+
+
+def write_lines(host: GradedPoset, notes: tuple[str, ...], rows: Sequence,
+                spell: Callable[[Sequence], list[str]]) -> Iterator[str]:
+    """The one document writer: the comment and header lines of the cuboid
+    ``host`` with ``len(rows)`` chains and these notes, then the chain lines
+    ``spell`` makes of the rows, in blocks of at most ``BLOCK_LINES`` (rows
+    already spelled take ``list``).  First it refuses a note that would not
+    parse back as itself: one that ``str.splitlines`` would split, one with
+    outer blanks (parsing strips them) and one that is not ASCII."""
+    for note in notes:
         if "".join(note.splitlines()) != note:
             raise ParseError(f"note {note!r} spans lines; a note is one line")
         if note != note.strip():
             raise ParseError(f"note {note!r} has leading or trailing blanks, which parsing strips")
         if not note.isascii():
             raise ParseError(f"note {note!r} is not ASCII; a document is ASCII text")
-    k, n = shape
-    bases, levels = _spellings(k, n)
-    head = [f"# {host.label}", f"# chains: {scd.chain_count}"]
-    head += [f"# note: {note}" for note in scd.notes]
+    k, n = cuboid_shape(host)
+    head = [f"# {host.label}", f"# chains: {len(rows)}"]
+    head += [f"# note: {note}" for note in notes]
     head.append(f"{k} {n}")
     yield "\n".join(head) + "\n"
-    chains = scd.chains
-    for start in range(0, len(chains), BLOCK_LINES):
-        yield "\n".join([
-            " ".join([bases[b] + levels[c] for b, c in ch])
-            for ch in chains[start:start + BLOCK_LINES]
-        ]) + "\n"
+    for start in range(0, len(rows), BLOCK_LINES):
+        yield "\n".join(spell(rows[start:start + BLOCK_LINES])) + "\n"
 
 
 def serialize_scd(scd: SCD) -> str:

@@ -9,11 +9,19 @@ from pathlib import Path
 import pytest
 
 import scdkit
-from scdkit import chains, data_io
+from scdkit import chains, constructions, data_io
 from scdkit.cli import run
-from scdkit.constructions import collapse, expand, extend_dimension, generate, repair, shift
+from scdkit.constructions import (
+    ConstructionError,
+    collapse,
+    expand,
+    extend_dimension,
+    generate,
+    repair,
+    shift,
+)
 from scdkit.data_io import builtin_table, parse_scd, render_pictorial, serialize_scd
-from scdkit.posets import build_hypercube, cuboid_shape
+from scdkit.posets import build_cuboid, build_hypercube, cuboid_shape
 
 
 def invoke(capsys, *argv):
@@ -140,6 +148,70 @@ def test_lift_rejects_taut_documents(tmp_path, capsys):
     for extra in ("0", "1"):
         code, out, _ = invoke(capsys, "lift", "--file", str(doc), "--with-hypercube", extra)
         assert code == 1 and out == ""
+
+
+# generate streams its lift for k > 5 and lift streams its own: each chain
+# is spelled as it is checked, so the command line and the library take
+# two paths that must give one document.  n = 3, 4 and 6 are the compact
+# spelling (n = 6 shifted out of the repaired P(5,6)), n = 11 the general.
+@pytest.mark.parametrize("n", [3, 4, 6, 11])
+@pytest.mark.parametrize("k", range(6, 13))
+def test_generate_writes_the_library_document(capsys, k, n):
+    assert invoke(capsys, "generate", "--k", str(k), "--n", str(n)) == (
+        0, serialize_scd(generate(k, n)), "")
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+@pytest.mark.parametrize("name", ["P54", "P5_11"])
+def test_lift_writes_the_library_document(tmp_path, capsys, name, j):
+    # The bundled P(5,4) is not in canonical order, so J = 0 shows that
+    # the input comes back unchanged.
+    scd = builtin_table(name) if name == "P54" else generate(5, 11)
+    doc = tmp_path / "in.scd"
+    doc.write_text(serialize_scd(scd))
+    assert invoke(capsys, "lift", "--file", str(doc), "--with-hypercube", str(j)) == (
+        0, serialize_scd(extend_dimension(scd, 5 + j)), "")
+
+
+# Broken Q_j decompositions, for j = 2: one drops a chain and one repeats
+# a chain.  Two more keep every count: one swaps (2,) for (1,), so the lift
+# repeats some elements and misses others, and one splits (0, 1, 3) into
+# (0, 3) and (1,), so its lifted chains skip ranks.
+DEFECTS = {
+    "drop": lambda chains: chains[1:],
+    "repeat": lambda chains: chains + chains[-1:],
+    "overlap": lambda chains: chains[:-1] + [chains[0][1:2]],
+    "gap": lambda chains: [chains[0][::2], chains[0][1:2]] + chains[1:],
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_a_lift_defect_is_refused(tmp_path, capsys, monkeypatch, defect):
+    # A broken Q_j decomposition gives a lift that misses or repeats
+    # elements.  The library and the command line refuse it with the text
+    # the output gate gives for those chains, and no --out file is written
+    # or changed.
+    hypercube_chains = constructions._hypercube_chains
+    broken = lambda j: DEFECTS[defect](hypercube_chains(j))  # noqa: E731
+    monkeypatch.setattr(constructions, "_hypercube_chains", broken)
+    p53, j = builtin_table("P53"), 2
+    host = build_cuboid(5 + j, 3)
+    chains = [
+        tuple([((c[x][0] << j) | d[y], c[x][1]) for x, y in walk])
+        for c in p53.chains for d in broken(j) for walk in constructions._grid_cells(len(c), len(d))
+    ]
+    with pytest.raises(ConstructionError) as want:
+        constructions._checked(host, chains, what="extend_dimension", taut_count=0)
+    with pytest.raises(ConstructionError) as got:
+        extend_dimension(p53, 5 + j)
+    assert str(got.value) == str(want.value)
+    out = tmp_path / "p73.scd"
+    argv = ["generate", "--k", "7", "--n", "3", "--out", str(out)]
+    assert invoke(capsys, *argv) == (1, "", f"error: {want.value}\n")
+    assert not out.exists()
+    out.write_bytes(b"kept as it was\n")
+    assert invoke(capsys, *argv)[0] == 1
+    assert out.read_bytes() == b"kept as it was\n"
 
 
 def test_search_exhaustive_summary(capsys):
@@ -483,15 +555,29 @@ def test_a_short_document_of_the_largest_host_is_validated_within_memory(tmp_pat
 
 
 def test_generate_writes_a_large_document_within_memory(tmp_path):
-    # Under RLIMIT_AS, generate --k 16 --n 4 --out needs 57 MiB with its
-    # document written block by block, and needed 72 MiB when the document
-    # was joined and encoded whole (CPython 3.11, x86-64 Linux); 64 MiB
-    # sits between the two.
+    # Under RLIMIT_AS (CPython 3.11, x86-64 Linux, bisected to 1 MiB),
+    # generate --k 16 --n 4 --out needs 36 MiB with the lift streamed, each
+    # chain checked and spelled as it is built.  It needed 54 MiB when the
+    # whole decomposition was held and validated apart, 57 MiB before the
+    # lift shared its bit ints, and 72 MiB when the document was joined
+    # whole.  48 MiB sits between the streamed and the held lift.
     out = tmp_path / "p16_4.scd"
-    proc = run_limited(1 << 26, ["generate", "--k", "16", "--n", "4", "--out", str(out)])
+    proc = run_limited(48 << 20, ["generate", "--k", "16", "--n", "4", "--out", str(out)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "b9492e839cb9343b231cbdf748b0d76df27026ae456353ded2747d4b6de8532c"
+    )
+
+
+def test_generate_writes_the_largest_host_within_memory(tmp_path):
+    # P(17,8) has 2^20 elements, the most admitted.  Bisected as above,
+    # generate --out needs 71 MiB with the lift streamed and needed
+    # 152 MiB with the whole decomposition held; 96 MiB sits between.
+    out = tmp_path / "p17_8.scd"
+    proc = run_limited(96 << 20, ["generate", "--k", "17", "--n", "8", "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "798d264315f4c12c1573d9a67f78140d349692e402daed5720309f5f570c485b"
     )
 
 

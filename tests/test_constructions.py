@@ -173,9 +173,12 @@ def _lift_inputs():
 def test_the_lift_builds_its_chains_in_canonical_order(name, j):
     # Ordered by packed keys, not by canonical_chain_order's sort: the
     # chains still come out canonical, and the input's own order leaves no
-    # trace in the bytes.
+    # trace in the bytes.  The report the lift made as it built the chains
+    # is the one validate_scd gives them.
     scd = generate(5, 12) if name.startswith("generate") else builtin_table(name)
     lifted = extend_dimension(scd, 5 + j)
+    assert lifted.known_valid
+    assert lifted.report == validate_scd(lifted.host, lifted.chains)
     assert lifted.chains == canonical_chain_order(lifted.host, lifted.chains)
     backwards = extend_dimension(SCD(scd.host, scd.chains[::-1], scd.notes), 5 + j)
     assert backwards.chains == lifted.chains
@@ -551,10 +554,11 @@ def test_generate_validates_each_decomposition_once(monkeypatch):
     assert len(calls) == 2  # the P(5,5) certificate and its expansion
     generate(5, 7)
     assert len(calls) == 3  # the shifted output; its input is already checked
-    generate(6, 7)
-    # Its P(5,7) shift output again, then the lifted output; the Q_1
-    # chains are not checked apart.
-    assert len(calls) == 5
+    lifted = generate(6, 7)
+    # Its P(5,7) shift output again.  The lift checks each chain as it
+    # builds it, so its output carries its report and takes no call; the
+    # Q_1 chains are not checked apart.
+    assert len(calls) == 4 and lifted.known_valid
 
 
 def test_generate_records_matching_choice():
