@@ -106,16 +106,16 @@ def _lift(args):
 
 
 def _cmd_search(args) -> int:
-    if args.use_symmetry and args.limit != 1:
+    # Only the first decomposition is written, so --out alone searches for one.
+    limit = 1 if args.limit is None and args.out else args.limit
+    if args.use_symmetry and limit != 1:
         raise CliError("--use-symmetry is only sound for existence queries (--limit 1)")
     host = build_cuboid(args.k, args.n)
-    if args.limit is None and not args.out:
+    if limit is None:
         # Only the number is printed, so count without building decompositions.
         outcome = search.count_search(host, forbid_taut=args.forbid_taut, node_budget=args.budget)
         found = outcome.count
     else:
-        # Only the first decomposition is written, so --out alone searches for one.
-        limit = 1 if args.limit is None else args.limit
         outcome = search.enumerate_scds(host, forbid_taut=args.forbid_taut, limit=limit,
                                         node_budget=args.budget)
         found = len(outcome.found)
@@ -199,8 +199,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET,
                    help="node budget (default 10^8)")
     p.add_argument("--use-symmetry", action="store_true",
-                   help="accepted with --limit 1, which already searches up to "
-                   "bit permutations; changes nothing")
+                   help="accepted with --limit 1, or --out and no --limit, which "
+                   "already search up to bit permutations; changes nothing")
     p.add_argument("--out", help="write the first decomposition found")
     p.set_defaults(fn=_cmd_search)
 

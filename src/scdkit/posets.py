@@ -9,7 +9,8 @@ refuses anything inconsistent, so one that exists is known-good; it keeps
 ranks only for its own elements.  Hypercubes and cuboids are implicit:
 ``up`` is bit arithmetic and gradedness holds by construction.  The rest
 (``down``, ``covers``, ``top``, ``bottom``) is derived from ``up`` for all
-of them, and ``up``/``down`` of a foreign element raise ``PosetError``.
+of them, but for a hypercube's ``bottom`` and ``top``, which are 0 and
+``2^k - 1``; ``up``/``down`` of a foreign element raise ``PosetError``.
 
 Implicit hosts keep nothing but their shape: their size, membership
 (``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
@@ -243,6 +244,14 @@ class _Hypercube(GradedPoset):
 
     def __contains__(self, e: object) -> bool:
         return isinstance(e, int) and 0 <= e < 1 << self.rk
+
+    @property
+    def bottom(self) -> int:
+        return 0
+
+    @property
+    def top(self) -> int:
+        return (1 << self.rk) - 1
 
     def up(self, x: int) -> tuple[int, ...]:
         self._require(x)

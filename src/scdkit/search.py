@@ -65,13 +65,31 @@ answer is deterministic, and only a finished search says none exists.
 ``forbid_taut``, ``node_budget`` (``DEFAULT_NODE_BUDGET``) and, for an
 enumeration alone, ``limit``.
 
+Both search a host ``P x n`` on the smallest host the paper's two maps
+allow, by one rule (``_searched``), applied once the settings are checked
+and the host is rank-symmetric; the node budget, and the nodes reported,
+are those of the host searched.  For m, n >= rk(P)+1, ``shift`` is a
+bijection between the decompositions of ``P x m`` and ``P x n`` that
+keeps taut chains taut, so ``P x (rk+1)`` answers for every n > rk+1: an
+enumeration runs on it and carries each decomposition it finds to
+``P x n`` by ``shift`` (a finished empty search is finished for
+``P x n``), and a taut-free count counts it.  A decomposition decoded
+from a cover is valid by construction, so it enters ``shift`` with its
+report, and only ``shift``'s output gate validates.  When rk >= 1 and P
+has a unique bottom and top, ``collapse`` maps the decompositions
+of ``P x (rk+1)`` onto those of ``P x rk``, rk+1 to 1, so a count of
+every decomposition for n >= rk+1 counts ``P x rk`` and multiplies by
+rk+1.  Not a taut-free count: ``collapse`` is not rk+1 to 1 on taut-free
+decompositions (3x3 x 4 has 3,368, 3x3 x 5 has 17,600).
+
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
 construction, and every other pair by one taut-free existence query on
 P(k, m), ``m = min(n, max(k+1, 3))``: the ``shift`` bijection between the
 decompositions of ``P x m`` and ``P x n`` for m, n >= rk(P)+1 preserves
 taut chains, so one search of at most P(4, 5) settles every n.  Each
 such query runs once per process and node budget and is kept, so the
-first k = 4, n >= 5 query proves P(4, 5), and the rest reuse the proof.
+first k = 4, n >= 5 query proves P(4, 5), and the rest reuse the proof
+(for k <= 1, ``enumerate_scds`` runs P(k, 3)'s on P(k, k+1)).
 """
 
 from __future__ import annotations
@@ -84,9 +102,9 @@ from math import factorial
 from operator import or_
 from typing import NamedTuple
 
-from .chains import SCD, canonical_chain_order
-from .constructions import generate
-from .posets import GradedPoset, build_cuboid, cuboid_shape, is_rank_symmetric
+from .chains import SCD, ValidationReport, _reported, canonical_chain_order, is_taut
+from .constructions import generate, shift
+from .posets import GradedPoset, build_cuboid, cuboid_shape, is_rank_symmetric, poset_times_chain
 
 DEFAULT_NODE_BUDGET = 10**8
 # The least unit of an existence query's restart cutoffs, in nodes.
@@ -409,11 +427,32 @@ def _check(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
 
 
+def _searched(host: GradedPoset, forbid_taut: bool,
+              count: bool = False) -> tuple[GradedPoset, int]:
+    """The host a search of ``host`` runs on, and the factor that turns its
+    count into that of ``host``, by the module's rule: for ``P x n``, the
+    host ``P x min(n, rk+1)`` and 1, or, for a count of every decomposition
+    with n >= rk+1 >= 2 and a base with a unique bottom and top, ``P x rk``
+    and rk+1."""
+    if host.chain_factor is None:
+        return host, 1
+    base, n = host.chain_factor
+    rk = base.rk
+    if count and not forbid_taut and n > rk >= 1 and None not in (base.bottom, base.top):
+        return poset_times_chain(base, rk), rk + 1
+    return (poset_times_chain(base, rk + 1) if n > rk + 1 else host), 1
+
+
 def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int | None = None,
                    node_budget: int = DEFAULT_NODE_BUDGET) -> SearchOutcome:
     """Enumerate symmetric chain decompositions of ``host``, taut-free ones
     under ``forbid_taut``: up to ``limit`` (at least 1), within
     ``node_budget`` nodes (nonnegative), the one bound on a search.
+
+    A host ``P x n`` with n > rk(P)+1 is searched as ``P x (rk+1)``, and
+    each decomposition found is carried to ``P x n`` by ``shift``, a
+    bijection that keeps taut chains taut; the budget, and
+    ``nodes_visited``, are those of the host searched.
 
     An enumeration with no limit holds every decomposition it finds, so
     use :func:`count_search` for their number.  Deterministic: an
@@ -426,6 +465,27 @@ def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int |
     _check(host, forbid_taut, limit, node_budget)
     if not is_rank_symmetric(host):
         return SearchOutcome((), 0)
+    searched, _ = _searched(host, forbid_taut)
+    outcome = _enumerate(searched, forbid_taut, limit, node_budget)
+    if searched is host:
+        return outcome
+    n = host.chain_factor[1]
+    return outcome._replace(found=tuple(shift(_decoded(scd), n) for scd in outcome.found))
+
+
+def _decoded(scd: SCD) -> SCD:
+    """``scd``, decoded from a cover of a host ``P x m``, with the report
+    ``validate_scd`` gives it: a cover picks saturated symmetric chains
+    that partition the host, so the report names its taut chains and
+    finds nothing else, and ``shift``'s input gate reads it."""
+    m = scd.host.chain_factor[1]
+    taut = tuple(i for i, ch in enumerate(scd.chains) if is_taut(ch, m))
+    return _reported(scd, ValidationReport(taut, scd.chain_count))
+
+
+def _enumerate(host: GradedPoset, forbid_taut: bool, limit: int | None,
+               node_budget: int) -> SearchOutcome:
+    """:func:`enumerate_scds` on ``host`` itself."""
     cover = prover = None
     try:
         if limit == 1 or forbid_taut and cuboid_shape(host) is not None:
@@ -450,13 +510,21 @@ def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int |
 def count_search(host: GradedPoset, *, forbid_taut: bool = False,
                  node_budget: int = DEFAULT_NODE_BUDGET) -> CountOutcome:
     """The number of decompositions ``enumerate_scds`` finds with no limit,
-    counted without building one, under the same checks and budget."""
+    counted without building one, under the same checks.
+
+    A host ``P x n`` with n >= rk(P)+1 is counted as ``P x (rk+1)``, or,
+    for every decomposition of a base with a unique bottom and top and
+    rk(P) >= 1, as ``P x rk`` times rk+1.  The budget, and
+    ``nodes_visited``, are those of the host counted, which can be smaller
+    than the one ``enumerate_scds`` searches (``P x (rk+1)``), so a count
+    can finish within a budget that stops the matching enumeration."""
     _check(host, forbid_taut, None, node_budget)
     if not is_rank_symmetric(host):
         return CountOutcome(0, 0)
+    searched, factor = _searched(host, forbid_taut, count=True)
     try:
-        cover = _Cover(host, forbid_taut, node_budget)
-        return CountOutcome(cover.count(), cover.nodes)
+        cover = _Cover(searched, forbid_taut, node_budget)
+        return CountOutcome(factor * cover.count(), cover.nodes)
     except _StopSearch as stop:
         return CountOutcome(0, stop.nodes, stop.reason)
 

@@ -239,21 +239,24 @@ def test_the_budget_stops_a_search_while_it_grows_its_rows(capsys):
     assert (code, out) == (2, "found 0, stopped (node-budget), nodes 11\n")
 
 
-# The summary line of each count in the benchmark's search_prove list: a
-# search with neither --limit nor --out counts, and every node is pinned.
+# The summary line of each count in the benchmark's search_prove list, and
+# of P(3,40), counted as P(3,3) times 4 (its own rows overflow the cover's
+# table): a search with neither --limit nor --out counts, and every node is
+# pinned.
 PINNED_COUNTS = [
     (["--k", "3", "--n", "3"], "found 1488, exhausted, nodes 300"),
-    (["--k", "2", "--n", "6"], "found 18, exhausted, nodes 109"),
+    (["--k", "2", "--n", "6"], "found 18, exhausted, nodes 14"),
     (["--k", "3", "--n", "4", "--forbid-taut"], "found 0, exhausted, nodes 217"),
-    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 425"),
+    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 217"),
     (["--k", "4", "--n", "3", "--forbid-taut", "--budget", "400000"],
      "found 0, exhausted, nodes 7844"),
+    (["--k", "3", "--n", "40"], "found 5952, exhausted, nodes 300"),
 ]
 
 
 @pytest.mark.parametrize("args, summary", PINNED_COUNTS,
                          ids=["P(3,3)", "P(2,6)", "P(3,4)-forbid-taut", "P(3,5)-forbid-taut",
-                              "P(4,3)-forbid-taut"])
+                              "P(4,3)-forbid-taut", "P(3,40)"])
 def test_pinned_counts(capsys, args, summary):
     assert invoke(capsys, "search", *args) == (0, summary + "\n", "")
 
@@ -288,7 +291,7 @@ def test_search_out_dash_writes_a_pipeable_document(tmp_path, capsys):
     assert invoke(capsys, *argv) == (0, err, "")
 
 
-def test_use_symmetry_is_accepted_with_limit_1_only(capsys):
+def test_use_symmetry_is_accepted_with_limit_1_only(capsys, tmp_path):
     # The flag changes nothing: an existence query already runs on the
     # quotient by bit permutations.
     args = ("search", "--k", "3", "--n", "3", "--forbid-taut")
@@ -296,6 +299,14 @@ def test_use_symmetry_is_accepted_with_limit_1_only(capsys):
         capsys, *args, "--limit", "1")
     code, out, err = invoke(capsys, *args, "--use-symmetry")
     assert (code, out) == (1, "") and "--limit 1" in err
+    code, out, err = invoke(capsys, *args, "--limit", "2", "--use-symmetry")
+    assert (code, out) == (1, "") and "--limit 1" in err
+    # --out alone searches as --limit 1 does, so it takes the flag too.
+    flagged, plain = tmp_path / "flagged.scd", tmp_path / "plain.scd"
+    args = ("search", "--k", "2", "--n", "3")
+    assert invoke(capsys, *args, "--use-symmetry", "--out", str(flagged)) == invoke(
+        capsys, *args, "--out", str(plain)) == (0, "found 1, stopped (limit), nodes 27\n", "")
+    assert flagged.read_text(encoding="ascii") == plain.read_text(encoding="ascii")
 
 
 def test_unwritable_out_path(tmp_path, capsys):
@@ -594,6 +605,18 @@ def test_a_long_chain_of_repeats_on_a_tall_host_is_validated_in_linear_time(tmp_
     assert proc.stdout.endswith("finding: 1048575 elements of P(0,1048576) uncovered\n")
 
 
+def test_a_witness_past_rk_plus_1_is_carried_by_shift(tmp_path, capsys):
+    # P(5,9) is searched as P(5,6), and the witness is shifted to P(5,9):
+    # before, P(5,9)'s rows overflowed the cover's table.
+    doc = tmp_path / "p5_9.scd"
+    code, out, err = invoke(capsys, "search", "--k", "5", "--n", "9", "--forbid-taut",
+                            "--limit", "1", "--out", str(doc))
+    assert (code, err) == (0, "") and out.startswith("found 1, stopped (limit), nodes ")
+    scd = parse_scd(doc.read_text(encoding="ascii"))
+    assert cuboid_shape(scd.host) == (5, 9)
+    assert scd.report.valid and scd.report.taut_count == 0
+
+
 # The largest admitted host: a search must stop at its budget, or at the
 # cover's row limit, before it allocates anything per element.  With
 # neither --limit nor --out a search counts instead of enumerating.
@@ -623,11 +646,11 @@ def test_a_search_with_out_and_no_limit_stops_at_the_one_document_it_writes(tmp_
 
 
 # Hosts that a search recursing once per chain or per cover would take past
-# Python's frame limit: the widest ranks of P(12,2) hold over 1000 chains,
-# and P(0,1500) is one column of 1500 elements.  Rows are grown and picked
-# on explicit stacks, so each search ends with its own verdict: P(12,2) has
-# more rows than the cover's table holds, and P(0,1500) has no taut-free
-# row, so it has no taut-free decomposition.
+# Python's frame limit: the widest ranks of P(12,2) hold over 1000 chains.
+# Rows are grown and picked on explicit stacks, so each search ends with its
+# own verdict: P(12,2) has more rows than the cover's table holds.  P(0,1500)
+# is now searched as P(0,1), by shift, and has no taut-free row; a chain of
+# 1500 elements that no map shortens is searched in test_search.py.
 @pytest.mark.parametrize("argv, code, status", [
     (["--k", "12", "--n", "2", "--limit", "2"], 2, "found 0, stopped (row-limit)"),
     (["--k", "0", "--n", "1500", "--forbid-taut"], 0, "found 0, exhausted"),
@@ -664,6 +687,7 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
     text = serialize_scd(generate(8, 12))
     doc, mutant = tmp_path / "p8_12.scd", tmp_path / "mutant.scd"
     p94, p810 = tmp_path / "p9_4.scd", tmp_path / "p8_10.scd"
+    p55, p56, p55c = tmp_path / "p5_5.scd", tmp_path / "p5_6.scd", tmp_path / "p5_5c.scd"
     doc.write_text(text, encoding="ascii")
     # Swap the bottoms of the first and the last chain, of ranks 0 and 9.
     lines = text.splitlines()
@@ -678,6 +702,10 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
         ["validate", str(doc)],
         ["validate", str(mutant)],
         ["shift", "--file", str(doc), "--to", "10", "--out", str(p810)],
+        # The surgery reads the hypercube's bottom and top, arithmetic too.
+        ["tables", "--id", "P55", "--out", str(p55)],
+        ["expand", "--file", str(p55), "--matching", "0", "--out", str(p56)],
+        ["collapse", "--file", str(p56), "--out", str(p55c)],
     ]
     src = str(Path(scdkit.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -685,10 +713,13 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stderr == ""
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 0]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 0, 0, 0, 0]
     assert "finding: chain 0: non-cover steps" in proc.stdout
     assert p94.read_text(encoding="ascii") == serialize_scd(generate(9, 4))
     assert p810.read_text(encoding="ascii") == serialize_scd(shift(generate(8, 12), 10))
+    assert p56.read_text(encoding="ascii") == serialize_scd(expand(builtin_table("P55"), 0))
+    p55_back = collapse(expand(builtin_table("P55"), 0))
+    assert p55c.read_text(encoding="ascii") == serialize_scd(p55_back)
 
 
 def test_searches_of_cuboids_build_no_element_table(tmp_path):
@@ -711,7 +742,7 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
     assert lines == [
         "found 1, stopped (limit), nodes 3814",
         "found 0, stopped (node-budget), nodes 2",
-        "found 5952, exhausted, nodes 828",
+        "found 5952, exhausted, nodes 300",
         "found 1, stopped (limit), nodes 3814",
         "[0, 2, 0, 0]",
     ]

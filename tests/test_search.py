@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from scdkit import search
+from scdkit import chains, search
 from scdkit.chains import validate_scd
 from scdkit.data_io import serialize_scd
 from scdkit.posets import (
@@ -46,9 +46,13 @@ def test_square_has_two_scds():
 
 
 def test_chain_poset_has_one_scd():
-    for s in (1, 4, 7):
+    # chain(1500) is one row of 1500 elements, grown on the search's own
+    # stack: a chain poset has no chain factor, so no map shortens it.
+    for s in (1, 4, 7, 1500):
         out = enumerate_scds(build_chain_poset(s))
         assert len(out.found) == 1 and out.stop_reason is None
+        assert out.found[0].chains == (tuple(range(s)),)
+        assert count_search(build_chain_poset(s)).count == 1
 
 
 def test_q2_has_two_scds():
@@ -302,11 +306,11 @@ def test_outcomes_read_as_before():
         "nodes_visited=9, stop_reason=None)"
     )
     assert repr(count_search(build_cuboid(1, 3))) == (
-        "CountOutcome(count=2, nodes_visited=8, stop_reason=None)"
+        "CountOutcome(count=2, nodes_visited=2, stop_reason=None)"
     )
     assert repr(exists_nontaut_scd(1, 4)) == (
         "ExistenceResult(exists=False, witness=None, method='exhaustive+shift', "
-        "nodes_visited=6)"
+        "nodes_visited=1)"
     )
 
 
@@ -333,7 +337,7 @@ def _digest(found) -> str:
 PINNED_WALKS = [
     (lambda: build_cuboid(3, 3), dict(), (1488, 5182, None),
      "796718d61d3c908f083c5855621a5f5663598ed02a35c979e1f4c2133f4ffa4d"),
-    (lambda: build_cuboid(2, 6), dict(), (18, 173, None),
+    (lambda: build_cuboid(2, 6), dict(), (18, 86, None),
      "429609513b987c7e66a1a4d5f5ab7b3aa9284b56650d9c1f166232f0bfff5f22"),
     (lambda: build_cuboid(3, 4), dict(forbid_taut=True), (0, 217, None),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -457,7 +461,9 @@ def test_the_count_matches_the_walker(k, n, forbid_taut):
     assert _count(k, n, forbid_taut=forbid_taut) == len(enumerated.found)
 
 
-@pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 1)])
+# P(0,3), P(1,3), P(1,4), P(2,4) and P(2,5) are counted by the paper's maps.
+@pytest.mark.parametrize("k, n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 1),
+                                  (0, 3), (1, 4), (2, 4), (2, 5)])
 def test_the_count_matches_the_oracle(k, n):
     host = build_cuboid(k, n)
     oracle = brute_force_scds(host)
@@ -482,6 +488,41 @@ def test_counts_of_p_times_m_agree_for_every_m_past_rk(p):
     for forbid_taut in (False, True):
         counts = [_count(p, m, forbid_taut=forbid_taut) for m in range(rk + 1, rk + 4)]
         assert counts == counts[:1] * 3
+
+
+# The paper's maps answer every count of P x n with n >= rk+1: a count of
+# every decomposition runs on P x rk, times rk+1, and a taut-free count on
+# P x (rk+1).  A direct count of the host itself, on one _Cover, checks it.
+
+MAPPED = [(k, n) for k in range(4) for n in range(1, 8)] + [
+    (p, m) for p in ("2x3", "3x3") for m in range(1, 8)]
+
+
+@pytest.mark.parametrize("p, m", MAPPED, ids=[f"{p}x{m}" if isinstance(p, str) else f"P({p},{m})"
+                                             for p, m in MAPPED])
+def test_map_based_counts_equal_direct_counts(p, m):
+    host = poset_times_chain(_base(p), m)
+    for forbid_taut in (False, True):
+        direct = _Cover(host, forbid_taut, DEFAULT_NODE_BUDGET)
+        assert _count(p, m, forbid_taut=forbid_taut) == direct.count()
+
+
+def test_an_enumeration_past_rk_plus_1_is_carried_by_shift(monkeypatch):
+    # P(2,6) is enumerated on P(2,3), and each of its 18 decompositions is
+    # carried to P(2,6): the same decompositions, in the same order.  A
+    # decoded decomposition enters shift with its report, so only shift's
+    # output gate validates: once per decomposition.
+    host = build_cuboid(2, 6)
+    validated = []
+    monkeypatch.setattr(chains, "validate_scd",
+                        lambda h, scd: validated.append(h) or validate_scd(h, scd))
+    out = enumerate_scds(host)
+    monkeypatch.undo()
+    assert validated == [host] * 18
+    assert (len(out.found), out.stop_reason) == (18, None)
+    assert len({s.chain_set for s in out.found}) == 18
+    assert all(s.host == host and validate_scd(host, s).valid for s in out.found)
+    assert _digest(out.found) == PINNED_WALKS[1][3]
 
 
 def test_the_counts_of_2x3_times_m_are_pinned():
