@@ -27,7 +27,7 @@ The toolbox, bottom to top:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
@@ -93,7 +93,7 @@ def _grid_cells(a: int, b: int) -> list[list[tuple[int, int]]]:
     then walks the row y=b-1-i out to (a-1, b-1-i); chain i has length
     a+b-1-2i.  For a > b the walks of the b x a grid are transposed.  The
     cells depend on the shape alone, so :func:`_cross` and the lift peel
-    each shape once per call.
+    each shape once per call, through a ``functools.cache`` of their own.
     """
     if a > b:
         return [[(x, y) for y, x in walk] for walk in _grid_cells(b, a)]
@@ -112,16 +112,11 @@ def _cross(left, right, pair) -> list[tuple]:
     peeled once per call, so an element costs one ``pair`` call.  The
     peelings live only as long as the call.
     """
-    peeled: dict[tuple[int, int], list] = {}
-    out = []
+    peel, out = cache(_grid_cells), []
     for c in left:
         for d in right:
-            shape = len(c), len(d)
-            cells = peeled.get(shape)
-            if cells is None:
-                cells = peeled[shape] = _grid_cells(*shape)
             # tuple([...]) over tuple(generator): the list builds faster.
-            out += [tuple([pair(c[x], d[y]) for x, y in walk]) for walk in cells]
+            out += [tuple([pair(c[x], d[y]) for x, y in walk]) for walk in peel(len(c), len(d))]
     return out
 
 
@@ -191,7 +186,8 @@ def _lift(scd: SCD, k_prime: int, keep=None) -> tuple[GradedPoset, tuple, Valida
     makes of them) in canonical order and its report.  Each chain is built
     once, with no call per element, and checked at once: it climbs, is not
     taut and marks its positions ``b * n + c`` in one bitmap.  Then the
-    elements and the marks must each number ``len(host)``, or ``_check`` names all."""
+    elements and the marks must each number ``len(host)``, or ``_checked``
+    names every finding of the same chains built by :func:`_cross`."""
     shape = cuboid_shape(scd.host)
     if shape is None:
         raise ConstructionError("extend_dimension needs a cuboid host")
@@ -204,17 +200,14 @@ def _lift(scd: SCD, k_prime: int, keep=None) -> tuple[GradedPoset, tuple, Valida
     if host is scd.host:
         return host, tuple(spell(scd.chains)) if spell else scd.chains, scd.report
     j, width, size = k_prime - k, 1 << k_prime, len(host)
-    peeled, marks, keys, kept, count, ok = {}, bytearray(size), [], [], 0, True
+    peel, marks, keys, kept, count, ok = cache(_grid_cells), bytearray(size), [], [], 0, True
     # The n elements over one base share one int, freed before the sort.
     right, bits = _hypercube_chains(j), list(range(width))
     for c in scd.chains:
         cb, cl = [b << j for b, _ in c], [level for _, level in c]
         for d in right:
-            shape = len(c), len(d)
-            cells = peeled.get(shape)
-            if cells is None:
-                cells = peeled[shape] = _grid_cells(*shape)
-            walks = [tuple([(bits[cb[x] | d[y]], cl[x]) for x, y in walk]) for walk in cells]
+            walks = [tuple([(bits[cb[x] | d[y]], cl[x]) for x, y in walk])
+                     for walk in peel(len(c), len(d))]
             for ch in walks:
                 ok = ok and _climbs(ch, n, width, host.rk) and not _climbs_taut(ch, n)
                 if ok:
@@ -224,13 +217,11 @@ def _lift(scd: SCD, k_prime: int, keep=None) -> tuple[GradedPoset, tuple, Valida
                 keys.append(cuboid_key(*ch[0], k_prime, n))
             kept += spell(walks) if spell else walks
     del bits
+    if not (ok and count == size == marks.count(1)):
+        _checked(host, _cross(scd.chains, right, lambda e, d: ((e[0] << j) | d, e[1])),
+                 what="extend_dimension", taut_count=0)
     kept = tuple(map(kept.__getitem__, sorted(range(len(keys)), key=keys.__getitem__)))
-    if ok and count == size == marks.count(1):
-        return host, kept, ValidationReport((), len(kept))
-    if spell:  # the gate reads chains, so it takes them built again
-        host, kept, report = _lift(scd, k_prime)
-        return host, tuple(spell(kept)), report
-    return host, kept, _check(SCD(host, kept), "extend_dimension", taut_count=0)
+    return host, kept, ValidationReport((), len(kept))
 
 
 # -- the middle-block restretch -----------------------------------------------
@@ -442,8 +433,8 @@ def generate(k: int, n: int) -> SCD:
     dimensions.  Pairs outside the region are rejected: with n <= 2 the
     maximal chain is itself a full column, and for k <= 4 the finished
     taut-free searches behind :func:`~scdkit.search.exists_nontaut_scd`
-    find none (that of P(k, max(k+1, 3)) carries over to every taller n
-    by :func:`shift`).
+    find none (that of P(k, k+1) carries over to every taller n by
+    :func:`shift`).
     """
     return _generate(k, n, lambda scd, k2, note: extend_dimension(scd, k2).with_notes(note))
 

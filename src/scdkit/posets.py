@@ -8,9 +8,9 @@ keeps it as a table built from explicit data, re-derives gradedness and
 refuses anything inconsistent, so one that exists is known-good; it keeps
 ranks only for its own elements.  Hypercubes and cuboids are implicit:
 ``up`` is bit arithmetic and gradedness holds by construction.  The rest
-(``down``, ``covers``, ``top``, ``bottom``) is derived from ``up`` for all
-of them, but for a hypercube's ``bottom`` and ``top``, which are 0 and
-``2^k - 1``; ``up``/``down`` of a foreign element raise ``PosetError``.
+(``down``, ``covers``, ``top``, ``bottom``) is derived from ``up``, but a
+hypercube's ``down``, ``bottom`` and ``top`` are arithmetic too;
+``up``/``down`` of a foreign element raise ``PosetError``.
 
 Implicit hosts keep nothing but their shape: their size, membership
 (``in``), ``rk``, ``rank_vector`` and ``rank_of`` are arithmetic, so a
@@ -256,6 +256,10 @@ class _Hypercube(GradedPoset):
     def up(self, x: int) -> tuple[int, ...]:
         self._require(x)
         return tuple(x | 1 << i for i in range(self.rk) if not x >> i & 1)
+
+    def down(self, x: int) -> tuple[int, ...]:
+        self._require(x)
+        return tuple(x ^ 1 << i for i in reversed(range(self.rk)) if x >> i & 1)
 
 
 class _Cuboid(GradedPoset):

@@ -66,13 +66,13 @@ answer is deterministic, and only a finished search says none exists.
 enumeration alone, ``limit``.
 
 Both search a host ``P x n`` on the smallest host the paper's two maps
-allow, by one rule (``_searched``), applied once the settings are checked
-and the host is rank-symmetric; the node budget, and the nodes reported,
-are those of the host searched.  For m, n >= rk(P)+1, ``shift`` is a
-bijection between the decompositions of ``P x m`` and ``P x n`` that
-keeps taut chains taut, so ``P x (rk+1)`` answers for every n > rk+1: an
-enumeration runs on it and carries each decomposition it finds to
-``P x n`` by ``shift`` (a finished empty search is finished for
+allow, by one rule (``_searched_length``), applied once the settings are
+checked and the host is rank-symmetric; the node budget, and the nodes
+reported, are those of the host searched.  For m, n >= rk(P)+1, ``shift``
+is a bijection between the decompositions of ``P x m`` and ``P x n``
+that keeps taut chains taut, so ``P x (rk+1)`` answers for every
+n > rk+1: an enumeration runs on it and carries each decomposition it
+finds to ``P x n`` by ``shift`` (a finished empty search is finished for
 ``P x n``), and a taut-free count counts it.  A decomposition decoded
 from a cover is valid by construction, so it enters ``shift`` with its
 report, and only ``shift``'s output gate validates.  When rk >= 1 and P
@@ -84,12 +84,10 @@ decompositions (3x3 x 4 has 3,368, 3x3 x 5 has 17,600).
 
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
 construction, and every other pair by one taut-free existence query on
-P(k, m), ``m = min(n, max(k+1, 3))``: the ``shift`` bijection between the
-decompositions of ``P x m`` and ``P x n`` for m, n >= rk(P)+1 preserves
-taut chains, so one search of at most P(4, 5) settles every n.  Each
-such query runs once per process and node budget and is kept, so the
-first k = 4, n >= 5 query proves P(4, 5), and the rest reuse the proof
-(for k <= 1, ``enumerate_scds`` runs P(k, 3)'s on P(k, k+1)).
+the host the same rule picks, P(k, m) with ``m = min(n, k+1)``, so one
+search of at most P(4, 5) settles every n.  Each such query runs once
+per process and node budget and is kept, so the first k = 4, n >= 5
+query proves P(4, 5), and the rest reuse the proof.
 """
 
 from __future__ import annotations
@@ -104,7 +102,8 @@ from typing import NamedTuple
 
 from .chains import SCD, ValidationReport, _reported, canonical_chain_order, is_taut
 from .constructions import generate, shift
-from .posets import GradedPoset, build_cuboid, cuboid_shape, is_rank_symmetric, poset_times_chain
+from .posets import GradedPoset, build_cuboid, build_hypercube, cuboid_shape
+from .posets import is_rank_symmetric, poset_times_chain
 
 DEFAULT_NODE_BUDGET = 10**8
 # The least unit of an existence query's restart cutoffs, in nodes.
@@ -429,18 +428,23 @@ def _check(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget:
 
 def _searched(host: GradedPoset, forbid_taut: bool,
               count: bool = False) -> tuple[GradedPoset, int]:
-    """The host a search of ``host`` runs on, and the factor that turns its
-    count into that of ``host``, by the module's rule: for ``P x n``, the
-    host ``P x min(n, rk+1)`` and 1, or, for a count of every decomposition
-    with n >= rk+1 >= 2 and a base with a unique bottom and top, ``P x rk``
-    and rk+1."""
+    """The host a search of ``host`` runs on, by :func:`_searched_length`."""
     if host.chain_factor is None:
         return host, 1
     base, n = host.chain_factor
+    m, factor = _searched_length(base, n, forbid_taut, count)
+    return (host if m == n else poset_times_chain(base, m)), factor
+
+
+def _searched_length(base: GradedPoset, n: int, forbid_taut: bool,
+                     count: bool = False) -> tuple[int, int]:
+    """The module's rule: the height m of the host ``P x m`` a search of
+    ``P x n`` runs on, and the factor that turns its count into that of
+    ``P x n``, read off the base and n with no host built."""
     rk = base.rk
     if count and not forbid_taut and n > rk >= 1 and None not in (base.bottom, base.top):
-        return poset_times_chain(base, rk), rk + 1
-    return (poset_times_chain(base, rk + 1) if n > rk + 1 else host), 1
+        return rk, rk + 1
+    return min(n, rk + 1), 1
 
 
 def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int | None = None,
@@ -549,7 +553,7 @@ class ExistenceResult(NamedTuple):
     * ``exhaustive``: a "no" backed by a finished taut-free search of
       P(k, n) itself;
     * ``exhaustive+shift``: a "no" backed by a finished taut-free search
-      of P(k, m), ``m = max(k+1, 3)``, carried over to P(k, n) by the
+      of P(k, m), ``m = k+1 < n``, carried over to P(k, n) by the
       ``shift`` bijection, which preserves taut chains for m, n >= k+1;
     * ``inconclusive``: the search stopped at the node budget, so
       ``exists`` is None -- never a nonexistence claim.
@@ -577,10 +581,10 @@ def exists_nontaut_scd(k: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -
     n <= 2 is rejected outright (n = 1 makes every chain a column; for
     n = 2 the maximal chain is one), and for k >= 5 the witness is
     constructed and validated.  Every other pair is decided by a
-    taut-free existence search of P(k, m) with ``m = min(n, max(k+1, 3))``
-    within ``node_budget`` nodes (10**8 by default): at most 8 hosts, up
-    to P(4, 5), each searched once per process and budget (see
-    :class:`ExistenceResult`).
+    taut-free existence search of P(k, m), ``m = min(n, k+1)``, the host
+    a search of P(k, n) runs on, within ``node_budget`` nodes (10**8 by
+    default): at most 8 hosts, up to P(4, 5), each searched once per
+    process and budget (see :class:`ExistenceResult`).
     """
     if k < 0 or n < 1:
         raise SearchError(f"need k >= 0 and n >= 1, got k={k}, n={n}")
@@ -591,7 +595,7 @@ def exists_nontaut_scd(k: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET) -
         # is built.
         return ExistenceResult(True, generate(k, n), "construction")
 
-    m = min(n, max(k + 1, 3))
+    m, _ = _searched_length(build_hypercube(k), n, True)
     outcome = _taut_free_search(k, m, node_budget)
     if outcome.stop_reason is None:
         method = "exhaustive" if m == n else "exhaustive+shift"

@@ -55,11 +55,11 @@ def test_criterion_2_negative_side_at_desk_scale():
     ok = True
     details = []
 
-    # P(k, n) is searched for n <= max(k+1, 3) and shifted from there.
+    # P(k, n) is searched for n <= k+1 and shifted from there.
     for k in range(5):
         for n in range(3, 13):
             res = exists_nontaut_scd(k, n)
-            method = "exhaustive" if n <= max(k + 1, 3) else "exhaustive+shift"
+            method = "exhaustive" if n <= k + 1 else "exhaustive+shift"
             ok &= res.exists is False and res.method == method
     details.append("(0..4,3..12):search-false")
 

@@ -688,6 +688,7 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
     doc, mutant = tmp_path / "p8_12.scd", tmp_path / "mutant.scd"
     p94, p810 = tmp_path / "p9_4.scd", tmp_path / "p8_10.scd"
     p55, p56, p55c = tmp_path / "p5_5.scd", tmp_path / "p5_6.scd", tmp_path / "p5_5c.scd"
+    p56r = tmp_path / "p5_6r.scd"
     doc.write_text(text, encoding="ascii")
     # Swap the bottoms of the first and the last chain, of ranks 0 and 9.
     lines = text.splitlines()
@@ -702,10 +703,11 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
         ["validate", str(doc)],
         ["validate", str(mutant)],
         ["shift", "--file", str(doc), "--to", "10", "--out", str(p810)],
-        # The surgery reads the hypercube's bottom and top, arithmetic too.
+        # The surgery reads the hypercube's bottom, top and down, arithmetic too.
         ["tables", "--id", "P55", "--out", str(p55)],
         ["expand", "--file", str(p55), "--matching", "0", "--out", str(p56)],
         ["collapse", "--file", str(p56), "--out", str(p55c)],
+        ["repair", "--file", str(p56), "--out", str(p56r)],
     ]
     src = str(Path(scdkit.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -713,13 +715,15 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stderr == ""
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 0, 0, 0, 0]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 0, 0, 0, 0, 0]
     assert "finding: chain 0: non-cover steps" in proc.stdout
     assert p94.read_text(encoding="ascii") == serialize_scd(generate(9, 4))
     assert p810.read_text(encoding="ascii") == serialize_scd(shift(generate(8, 12), 10))
     assert p56.read_text(encoding="ascii") == serialize_scd(expand(builtin_table("P55"), 0))
     p55_back = collapse(expand(builtin_table("P55"), 0))
     assert p55c.read_text(encoding="ascii") == serialize_scd(p55_back)
+    p56r_want = repair(expand(builtin_table("P55"), 0))
+    assert p56r.read_text(encoding="ascii") == serialize_scd(p56r_want)
 
 
 def test_searches_of_cuboids_build_no_element_table(tmp_path):

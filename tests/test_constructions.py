@@ -1,9 +1,11 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdkit import constructions
 from scdkit.chains import SCD, canonical_chain_order, validate_scd
 from scdkit.constructions import (
     ConstructionError,
@@ -134,6 +136,42 @@ def test_extend_dimension_valid(tid, k2):
     report = validate_scd(out.host, out)
     assert report.valid and report.taut_count == 0
     assert out.chain_count == middle_rank_size(out.host)
+
+
+def test_each_shape_is_peeled_once_per_call(monkeypatch):
+    # The peelings depend on the shape alone: each _cross and each lift
+    # peels every (len(c), len(d)) it meets once.  The duplication method
+    # makes one _cross per dimension, and the lift by Q_j first builds
+    # the Q_j decomposition that way.
+    p53, q2 = builtin_table("P53"), hypercube_scd(2)
+    cube = [constructions._hypercube_chains(i) for i in range(6)]
+
+    def shapes(left, right):
+        return Counter({(len(c), len(d)) for c in left for d in right})
+
+    def duplication(k):
+        return sum((shapes(cube[i], [(0, 1)]) for i in range(k)), Counter())
+
+    cases = [
+        (lambda: hypercube_scd(6), duplication(6)),
+        (lambda: product_lift(p53, q2), shapes(p53.chains, q2.chains)),
+        (lambda: extend_dimension(p53, 8), duplication(3) + shapes(p53.chains, cube[3])),
+    ]
+    real, depth, peeled = constructions._grid_cells, [0], Counter()
+
+    def counting(a, b):  # a transposed shape peels its transpose inside: not counted
+        peeled[a, b] += not depth[0]
+        depth[0] += 1
+        try:
+            return real(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(constructions, "_grid_cells", counting)
+    for build, want in cases:
+        peeled.clear()
+        build()
+        assert +peeled == want
 
 
 def test_extend_dimension_rejects_narrowing():

@@ -242,22 +242,25 @@ def test_count_scds_guard_override():
 
 
 def test_exists_desk_scale_negatives_are_search_proofs():
-    # For k <= 2, P(k, 3) answers for P(k, 4) through shift: both are at
-    # least k+1 tall.
-    for k, n, method in [(1, 3, "exhaustive"), (1, 4, "exhaustive+shift"),
-                         (2, 3, "exhaustive"), (2, 4, "exhaustive+shift")]:
+    # P(k, n) is searched as P(k, min(n, k+1)), which answers for every
+    # taller n through shift: P(0, 1) for P(0, 3), P(1, 2) for P(1, 3) and
+    # P(1, 4), and P(2, 3) for P(2, 4).
+    for k, n, method in [(0, 3, "exhaustive+shift"), (1, 3, "exhaustive+shift"),
+                         (1, 4, "exhaustive+shift"), (2, 3, "exhaustive"),
+                         (2, 4, "exhaustive+shift")]:
         res = exists_nontaut_scd(k, n)
-        assert res.exists is False
+        searched = enumerate_scds(build_cuboid(k, k + 1), forbid_taut=True, limit=1)
+        assert (res.exists, res.witness, res.method) == (False, None, method)
         assert res.method in PROOFS
-        assert res.method == method
-        assert res.nodes_visited == exists_nontaut_scd(k, 3).nodes_visited > 0
+        assert res.nodes_visited == searched.nodes_visited > 0
 
 
 def test_exists_fast_paths():
     # k = 3, 4: P(k, n) is searched for n <= k+1, and P(k, k+1) stands for
-    # every taller n.
+    # every taller n, one past the host limit included: no P(k, 10**6) is
+    # built.
     for k in (3, 4):
-        for n in (3, 5, 9):
+        for n in (3, 5, 9, 10**6):
             res = exists_nontaut_scd(k, n)
             assert res.exists is False and res.method in PROOFS
             assert res.method == ("exhaustive" if n <= k + 1 else "exhaustive+shift")
