@@ -13,6 +13,11 @@ the first block exists, so a refused document leaves none.  Stdin and files
 are decoded alike, as UTF-8 with an undecodable byte read as U+FFFD.  Exit
 codes: 0 success, 1 invalid input, out-of-region request or output that
 cannot be written, 2 search stopped by budget before reaching a conclusion.
+
+A call that names a command builds that command's parser alone, from its
+row of ``_COMMANDS``, and only one that names none (``--help``, no
+arguments, an unknown command) builds all ten; either way help, usage
+and error texts are those of the full parser.
 """
 
 from __future__ import annotations
@@ -127,89 +132,90 @@ def _cmd_search(args) -> int:
     return EXIT_OK if outcome.stop_reason in (None, "limit") else EXIT_INCONCLUSIVE
 
 
-# Building the parser costs far more than parsing with it, and parse_args
+# Each command's help, its arguments as (name, add_argument keywords)
+# pairs, and its defaults: ``fn`` runs it, and ``build`` names the library
+# call whose result ``_cmd_write`` writes.
+_K = ("--k", {"type": int, "required": True})
+_N = ("--n", {"type": int, "required": True})
+_FILE = ("--file", {"required": True})
+_OUT = ("--out", {})
+_COMMANDS = {
+    "validate": ("validate a decomposition document", [
+        ("file", {"nargs": "?", "default": "-", "help": "document path, or - for stdin"}),
+        ("--require-nontaut", {"action": "store_true"}),
+    ], {"fn": _cmd_validate}),
+    "show": ("render the packet grid of Q_k x n", [_K, _N, _OUT], {"fn": _cmd_show}),
+    "tables": ("emit a bundled certificate decomposition", [
+        ("--id", {"required": True, "choices": sorted(data_io.BUILTIN_TABLES)}), _OUT,
+    ], {"fn": _cmd_write, "build": lambda a: data_io.builtin_table(a.id)}),
+    "generate": ("generate a taut-free decomposition of P(k,n)", [_K, _N, _OUT], {
+        "fn": _cmd_write, "build": lambda a: constructions._generate(a.k, a.n, _lift_blocks),
+    }),
+    "shift": ("restretch the middle block to a new chain length", [
+        _FILE, ("--to", {"type": int, "required": True}), _OUT,
+    ], {"fn": _cmd_write, "build": lambda a: constructions.shift(_read_scd(a.file), a.to)}),
+    "collapse": ("project P x (rk+1) down to P x rk", [_FILE, _OUT], {
+        "fn": _cmd_write, "build": lambda a: constructions.collapse(_read_scd(a.file)),
+    }),
+    "expand": ("lift P x rk up to P x (rk+1) via a matching", [
+        _FILE,
+        ("--matching", {"type": int, "required": True,
+                        "help": "0-based index in unmatched-vertex rank order"}),
+        _OUT,
+    ], {"fn": _cmd_write,
+        "build": lambda a: constructions.expand(_read_scd(a.file), a.matching)}),
+    "repair": ("reroute the maximal chain so collapse stays taut-free", [_FILE, _OUT], {
+        "fn": _cmd_write, "build": lambda a: constructions.repair(_read_scd(a.file)),
+    }),
+    "lift": ("widen the hypercube factor by extra dimensions", [
+        _FILE,
+        ("--with-hypercube", {"type": int, "required": True, "metavar": "J",
+                              "help": "number of extra hypercube dimensions"}),
+        _OUT,
+    ], {"fn": _cmd_write, "build": _lift}),
+    "search": ("enumerate decompositions of Q_k x n", [
+        _K, _N,
+        ("--forbid-taut", {"action": "store_true"}),
+        ("--limit", {"type": int}),
+        ("--budget", {"type": int, "default": search.DEFAULT_NODE_BUDGET,
+                      "help": "node budget (default 10^8)"}),
+        ("--use-symmetry", {"action": "store_true",
+                            "help": "accepted with --limit 1, or --out and no --limit, which "
+                            "already search up to bit permutations; changes nothing"}),
+        ("--out", {"help": "write the first decomposition found"}),
+    ], {"fn": _cmd_search}),
+}
+
+
+# Building a parser costs far more than parsing with it, and parse_args
 # keeps no state between calls: each returns a new Namespace.
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command for None.  A
+    one-command parser names every command in its usage, so a usage error
+    it reports reads as the full parser's would."""
     parser = argparse.ArgumentParser(
         prog="scdkit",
         description="Symmetric chain decompositions of cuboids Q_k x n, "
         "with taut-chain avoidance.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a decomposition document")
-    p.add_argument("file", nargs="?", default="-", help="document path, or - for stdin")
-    p.add_argument("--require-nontaut", action="store_true")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("show", help="render the packet grid of Q_k x n")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_show)
-
-    p = sub.add_parser("tables", help="emit a bundled certificate decomposition")
-    p.add_argument("--id", required=True, choices=sorted(data_io.BUILTIN_TABLES))
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=lambda a: data_io.builtin_table(a.id))
-
-    p = sub.add_parser("generate", help="generate a taut-free decomposition of P(k,n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=lambda a: constructions._generate(a.k, a.n, _lift_blocks))
-
-    p = sub.add_parser("shift", help="restretch the middle block to a new chain length")
-    p.add_argument("--file", required=True)
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.shift(_read_scd(a.file), a.to))
-
-    p = sub.add_parser("collapse", help="project P x (rk+1) down to P x rk")
-    p.add_argument("--file", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.collapse(_read_scd(a.file)))
-
-    p = sub.add_parser("expand", help="lift P x rk up to P x (rk+1) via a matching")
-    p.add_argument("--file", required=True)
-    p.add_argument("--matching", type=int, required=True,
-                   help="0-based index in unmatched-vertex rank order")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write,
-                   build=lambda a: constructions.expand(_read_scd(a.file), a.matching))
-
-    p = sub.add_parser("repair", help="reroute the maximal chain so collapse stays taut-free")
-    p.add_argument("--file", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=lambda a: constructions.repair(_read_scd(a.file)))
-
-    p = sub.add_parser("lift", help="widen the hypercube factor by extra dimensions")
-    p.add_argument("--file", required=True)
-    p.add_argument("--with-hypercube", type=int, required=True, metavar="J",
-                   help="number of extra hypercube dimensions")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_write, build=_lift)
-
-    p = sub.add_parser("search", help="enumerate decompositions of Q_k x n")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--forbid-taut", action="store_true")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET,
-                   help="node budget (default 10^8)")
-    p.add_argument("--use-symmetry", action="store_true",
-                   help="accepted with --limit 1, or --out and no --limit, which "
-                   "already search up to bit permutations; changes nothing")
-    p.add_argument("--out", help="write the first decomposition found")
-    p.set_defaults(fn=_cmd_search)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        text, arguments, defaults = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # A call that names a command builds that command's parser alone.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for inconclusive
         # searches here, so usage problems map to the invalid-input code.

@@ -1,7 +1,8 @@
 """Constructive transformations between symmetric chain decompositions.
 
 ``hypercube_scd`` and ``product_lift`` are one peeling product (``_cross``),
-``_lift`` builds and checks those chains with no call per element, and
+``_lift`` builds and checks those chains in batches, one per Q_j chain and
+block of input chains, with no call per element or per rectangle, and
 shift, collapse and expand are one middle-block restretch (``_restretch``).
 Each map validates its input once (``_check``), reads the middle rows of the
 valid input by index, re-checks nothing validity implies, and gates its output.
@@ -28,12 +29,13 @@ The toolbox, bottom to top:
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import repeat
+from itertools import chain as concat, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .chains import SCD, ValidationReport, canonical_chain_order, cuboid_key
 from .chains import _climbs, _climbs_taut, _reported
-from .data_io import builtin_table
+from .data_io import BLOCK_LINES, builtin_table
 from .posets import (
     Element,
     GradedPoset,
@@ -185,9 +187,14 @@ def _lift(scd: SCD, k_prime: int, keep=None) -> tuple[GradedPoset, tuple, Valida
     """The host of :func:`extend_dimension`, its chains (or what ``keep(k', n)``
     makes of them) in canonical order and its report.  Each chain is built
     once, with no call per element, and checked at once: it climbs, is not
-    taut and marks its positions ``b * n + c`` in one bitmap.  Then the
-    elements and the marks must each number ``len(host)``, or ``_checked``
-    names every finding of the same chains built by :func:`_cross`."""
+    taut and marks its positions ``b * n + c`` in one bitmap.  The chains
+    come in batches, one per Q_j chain ``d`` and block of at most
+    ``BLOCK_LINES`` input chains ``c``: one comprehension peels every
+    rectangle ``c x d`` of the batch, and the batch is checked, keyed and
+    spelled whole, so a batch costs a few calls and a rectangle none.
+    Then the elements and the marks must each number ``len(host)``, or
+    ``_checked`` names every finding of the same chains built by
+    :func:`_cross`."""
     shape = cuboid_shape(scd.host)
     if shape is None:
         raise ConstructionError("extend_dimension needs a cuboid host")
@@ -199,22 +206,24 @@ def _lift(scd: SCD, k_prime: int, keep=None) -> tuple[GradedPoset, tuple, Valida
     spell = keep(k_prime, n) if keep else None
     if host is scd.host:
         return host, tuple(spell(scd.chains)) if spell else scd.chains, scd.report
-    j, width, size = k_prime - k, 1 << k_prime, len(host)
+    j, width, size, rk = k_prime - k, 1 << k_prime, len(host), host.rk
     peel, marks, keys, kept, count, ok = cache(_grid_cells), bytearray(size), [], [], 0, True
     # The n elements over one base share one int, freed before the sort.
     right, bits = _hypercube_chains(j), list(range(width))
-    for c in scd.chains:
-        cb, cl = [b << j for b, _ in c], [level for _, level in c]
+    for start in range(0, len(scd.chains), BLOCK_LINES):
+        # Each input chain's bits, moved up by j, and levels, once per block.
+        block = [([b << j for b, _ in c], [level for _, level in c])
+                 for c in scd.chains[start:start + BLOCK_LINES]]
         for d in right:
             walks = [tuple([(bits[cb[x] | d[y]], cl[x]) for x, y in walk])
-                     for walk in peel(len(c), len(d))]
-            for ch in walks:
-                ok = ok and _climbs(ch, n, width, host.rk) and not _climbs_taut(ch, n)
-                if ok:
-                    for b, level in ch:
-                        marks[b * n + level] = 1
-                count += len(ch)
-                keys.append(cuboid_key(*ch[0], k_prime, n))
+                     for cb, cl in block for walk in peel(len(cb), len(d))]
+            ok = ok and all([_climbs(ch, n, width, rk) and not _climbs_taut(ch, n)
+                             for ch in walks])
+            if ok:
+                for b, level in concat.from_iterable(walks):
+                    marks[b * n + level] = 1
+            count += sum(map(len, walks))
+            keys += [cuboid_key(b, c, k_prime, n) for b, c in map(itemgetter(0), walks)]
             kept += spell(walks) if spell else walks
     del bits
     if not (ok and count == size == marks.count(1)):
@@ -265,15 +274,19 @@ def shift(scd: SCD, m: int) -> SCD:
         raise ConstructionError(
             f"shift needs both chain lengths >= rk(P)+1 = {rk + 1}, got n={n}, m={m}"
         )
-    taut = _check(scd, "shift input").taut_count
-    if m == n:
-        return scd
+    _check(scd, "shift input")
+    return scd if m == n else _shifted(scd, poset_times_chain(base, m))
 
+
+def _shifted(scd: SCD, host: GradedPoset) -> SCD:
+    """:func:`shift` of a valid ``scd`` onto ``host``, a ``P x chain(m)``
+    the caller has built, through the gate that keeps its taut count."""
+    rk = host.chain_factor[0].rk
     # Each chain's run over the middle block starts at total rank rk.
     rank_in = scd.host.rank_of
     coords = [ch[rk - rank_in(ch[0])][0] for ch in scd.chains]
-    return _checked(poset_times_chain(base, m), _restretch(scd, m, coords), scd.notes,
-                    what="shift", taut_count=taut)
+    return _checked(host, _restretch(scd, host.chain_factor[1], coords), scd.notes,
+                    what="shift", taut_count=scd.report.taut_count)
 
 
 # -- collapse / expand between n = rk(P)+1 and n = rk(P) ---------------------

@@ -72,11 +72,12 @@ reported, are those of the host searched.  For m, n >= rk(P)+1, ``shift``
 is a bijection between the decompositions of ``P x m`` and ``P x n``
 that keeps taut chains taut, so ``P x (rk+1)`` answers for every
 n > rk+1: an enumeration runs on it and carries each decomposition it
-finds to ``P x n`` by ``shift`` (a finished empty search is finished for
-``P x n``), and a taut-free count counts it.  A decomposition decoded
-from a cover is valid by construction, so it enters ``shift`` with its
-report, and only ``shift``'s output gate validates.  When rk >= 1 and P
-has a unique bottom and top, ``collapse`` maps the decompositions
+finds onto the host ``P x n`` it was given, by ``shift``'s restretch (a
+finished empty search is finished for ``P x n``), and a taut-free count
+counts it.  A decomposition decoded from a cover is valid by
+construction, so it is carried with its report: only ``shift``'s output
+gate validates, and no host is built per decomposition.  When rk >= 1
+and P has a unique bottom and top, ``collapse`` maps the decompositions
 of ``P x (rk+1)`` onto those of ``P x rk``, rk+1 to 1, so a count of
 every decomposition for n >= rk+1 counts ``P x rk`` and multiplies by
 rk+1.  Not a taut-free count: ``collapse`` is not rk+1 to 1 on taut-free
@@ -101,7 +102,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .chains import SCD, ValidationReport, _reported, canonical_chain_order, is_taut
-from .constructions import generate, shift
+from .constructions import _shifted, generate
 from .posets import GradedPoset, build_cuboid, build_hypercube, cuboid_shape
 from .posets import is_rank_symmetric, poset_times_chain
 
@@ -454,7 +455,7 @@ def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int |
     ``node_budget`` nodes (nonnegative), the one bound on a search.
 
     A host ``P x n`` with n > rk(P)+1 is searched as ``P x (rk+1)``, and
-    each decomposition found is carried to ``P x n`` by ``shift``, a
+    each decomposition found is carried onto ``host`` by ``shift``, a
     bijection that keeps taut chains taut; the budget, and
     ``nodes_visited``, are those of the host searched.
 
@@ -473,15 +474,14 @@ def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int |
     outcome = _enumerate(searched, forbid_taut, limit, node_budget)
     if searched is host:
         return outcome
-    n = host.chain_factor[1]
-    return outcome._replace(found=tuple(shift(_decoded(scd), n) for scd in outcome.found))
+    return outcome._replace(found=tuple(_shifted(_decoded(scd), host) for scd in outcome.found))
 
 
 def _decoded(scd: SCD) -> SCD:
     """``scd``, decoded from a cover of a host ``P x m``, with the report
     ``validate_scd`` gives it: a cover picks saturated symmetric chains
     that partition the host, so the report names its taut chains and
-    finds nothing else, and ``shift``'s input gate reads it."""
+    finds nothing else, and ``shift``'s output gate reads its taut count."""
     m = scd.host.chain_factor[1]
     taut = tuple(i for i, ch in enumerate(scd.chains) if is_taut(ch, m))
     return _reported(scd, ValidationReport(taut, scd.chain_count))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import scdkit
-from scdkit import chains, constructions, data_io
+from scdkit import chains, cli, constructions, data_io
 from scdkit.cli import run
 from scdkit.constructions import (
     ConstructionError,
@@ -417,6 +418,7 @@ def test_a_document_is_written_one_block_at_a_time(capsys, monkeypatch, k, n):
 
 
 def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys):
+    cli._parser.cache_clear()
     code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3", "--limit", "1")
     assert code == 0 and out.startswith("found 1, stopped (limit)")
     code, out, _ = invoke(capsys, "search", "--k", "2", "--n", "3")
@@ -427,6 +429,49 @@ def test_one_parser_serves_every_request_without_carrying_state(tmp_path, capsys
     assert invoke(capsys, "validate", "--no-such-flag", str(doc))[0] == 1
     code, out, _ = invoke(capsys, "validate", str(doc))
     assert code == 0 and out == "25 chains, 0 taut\n"
+    # Each of the three commands built its own parser once, and no other.
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+
+
+def test_a_call_builds_only_its_own_command_parser(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    assert invoke(capsys, "generate", "--k", "5", "--n", "3")[0] == 0
+    assert built == ["generate"]
+    cli._parser.cache_clear()
+
+
+COMMANDS = ["validate", "show", "tables", "generate", "shift", "collapse", "expand",
+            "repair", "lift", "search"]
+# Every help and usage request: the top level's, and for each command its
+# --help, an unknown flag (reported by the top level) and no arguments.
+USAGE_CASES = [["--help"], [], ["nosuch"], ["-h", "validate"]] + [
+    [command, *tail] for command in COMMANDS for tail in (["--help"], ["--bogus"], [])]
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_one_command_parser_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    # argparse words help and usage differently from one Python to the
+    # next, so the reference is the full parser of this interpreter.
+    # validate with no arguments reads an empty stdin.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
+    got = invoke(capsys, *argv)
+    full = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda command=None: full)
+    assert invoke(capsys, *argv) == got
+    assert got[0] == (0 if "--help" in argv or "-h" in argv else 1)
+
+
+def test_the_full_parser_lists_every_command(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0 and "{" + ",".join(COMMANDS) + "}" in out
+    code, _, err = invoke(capsys, "validate", "--bogus")
+    usage = " ".join(err.split("scdkit: error:")[0].split())
+    assert (code, usage) == (1, "usage: scdkit [-h] {" + ",".join(COMMANDS) + "} ...")
 
 
 # The inputs of the write commands: P(5,6) is shiftable and collapsible,
@@ -589,6 +634,21 @@ def test_generate_writes_the_largest_host_within_memory(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "798d264315f4c12c1573d9a67f78140d349692e402daed5720309f5f570c485b"
+    )
+
+
+def test_a_lift_of_a_large_document_works_in_blocks_within_memory(tmp_path):
+    # Lifting P(16,4) by one dimension needs 111 MiB (bisected as above to
+    # 2 MiB) with the lift's batches bounded by BLOCK_LINES input chains,
+    # as it did with one batch per rectangle; one batch per Q_j chain over
+    # every input chain needed 175 MiB.  144 MiB sits between.
+    doc, out = tmp_path / "p16_4.scd", tmp_path / "p17_4.scd"
+    assert run(["generate", "--k", "16", "--n", "4", "--out", str(doc)]) == 0
+    argv = ["lift", "--file", str(doc), "--with-hypercube", "1", "--out", str(out)]
+    proc = run_limited(144 << 20, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0344e6261e34cba943d4573443e1def5bbb63577e1e2f3a0653a7cf6a2659d1d"
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdkit import constructions
+from scdkit import constructions, data_io
 from scdkit.chains import SCD, canonical_chain_order, validate_scd
 from scdkit.constructions import (
     ConstructionError,
@@ -172,6 +172,22 @@ def test_each_shape_is_peeled_once_per_call(monkeypatch):
         peeled.clear()
         build()
         assert +peeled == want
+
+
+def test_the_lift_spells_one_batch_per_q_chain():
+    # P(5,3)'s 25 chains fit in one block, and Q_4 has 6 chains: the lift
+    # to P(9,3) spells 6 batches, each the rectangles of one Q_4 chain
+    # with every input chain, and not 150, one per rectangle.
+    calls = []
+
+    def counting_speller(k, n):
+        spell = data_io.chain_lines(k, n)
+        return lambda chains: calls.append(len(chains)) or spell(chains)
+
+    host, lines, _ = constructions._lift(builtin_table("P53"), 9, counting_speller)
+    assert len(calls) == 6 and sum(calls) == len(lines)
+    want = serialize_scd(extend_dimension(builtin_table("P53"), 9)).splitlines()[-len(lines):]
+    assert list(lines) == want
 
 
 def test_extend_dimension_rejects_narrowing():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from scdkit import chains, search
+from scdkit import chains, constructions, search
 from scdkit.chains import validate_scd
 from scdkit.data_io import serialize_scd
 from scdkit.posets import (
@@ -526,6 +526,25 @@ def test_an_enumeration_past_rk_plus_1_is_carried_by_shift(monkeypatch):
     assert len({s.chain_set for s in out.found}) == 18
     assert all(s.host == host and validate_scd(host, s).valid for s in out.found)
     assert _digest(out.found) == PINNED_WALKS[1][3]
+
+
+def test_an_enumeration_on_a_generic_base_builds_its_host_once(monkeypatch):
+    # 2x3 x 6 is enumerated on 2x3 x 4, and its 336 decompositions are
+    # carried onto the host the caller built: no P x 6 is built per
+    # decomposition.  They are those of a direct search of 2x3 x 6.
+    built = []
+    for module in (search, constructions):
+        real = module.poset_times_chain
+        monkeypatch.setattr(module, "poset_times_chain",
+                            lambda p, n, real=real: built.append(n) or real(p, n))
+    host = search.poset_times_chain(_base("2x3"), 6)
+    out = enumerate_scds(host)
+    monkeypatch.undo()
+    assert built.count(6) == 1
+    assert (len(out.found), out.stop_reason) == (336, None)
+    assert all(s.host is host and s.report.valid for s in out.found)
+    direct = search._enumerate(host, False, None, DEFAULT_NODE_BUDGET)
+    assert {s.chain_set for s in out.found} == {s.chain_set for s in direct.found}
 
 
 def test_the_counts_of_2x3_times_m_are_pinned():
