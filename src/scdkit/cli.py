@@ -116,20 +116,28 @@ def _cmd_search(args) -> int:
     if args.use_symmetry and limit != 1:
         raise CliError("--use-symmetry is only sound for existence queries (--limit 1)")
     host = build_cuboid(args.k, args.n)
+    first = None
     if limit is None:
         # Only the number is printed, so count without building decompositions.
-        outcome = search.count_search(host, forbid_taut=args.forbid_taut, node_budget=args.budget)
-        found = outcome.count
+        found, nodes, reason = search.count_search(host, forbid_taut=args.forbid_taut,
+                                                   node_budget=args.budget)
     else:
-        outcome = search.enumerate_scds(host, forbid_taut=args.forbid_taut, limit=limit,
-                                        node_budget=args.budget)
-        found = len(outcome.found)
-    status = "exhausted" if outcome.stop_reason is None else f"stopped ({outcome.stop_reason})"
+        # Each decomposition is counted as the search finds it, and only the
+        # first, the one --out writes, is decoded.
+        found = 0
+        try:
+            for cover, solution in search._search(host, args.forbid_taut, limit, args.budget):
+                if not found and args.out:
+                    first = search._decoded(cover, solution, host)
+                found += 1
+        except search._StopSearch as stop:
+            nodes, reason = stop.nodes, stop.reason
+    status = "exhausted" if reason is None else f"stopped ({reason})"
     summary_out = sys.stderr if args.out == "-" else sys.stdout
-    print(f"found {found}, {status}, nodes {outcome.nodes_visited}", file=summary_out)
-    if args.out and outcome.found:
-        _emit(data_io.write_scd(outcome.found[0]), args.out)
-    return EXIT_OK if outcome.stop_reason in (None, "limit") else EXIT_INCONCLUSIVE
+    print(f"found {found}, {status}, nodes {nodes}", file=summary_out)
+    if first is not None:
+        _emit(data_io.write_scd(first), args.out)
+    return EXIT_OK if reason in (None, "limit") else EXIT_INCONCLUSIVE
 
 
 # Each command's help, its arguments as (name, add_argument keywords)
@@ -231,9 +239,12 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (``| head``): what is left in its
-        # buffer goes to devnull, so the interpreter's last flush is silent.
+    except OSError as exc:
+        # A reader that closed stdout (``| head``) ends the run silently, a
+        # full disk with one line; what is left in the buffer goes to
+        # devnull, so the interpreter's last flush is silent.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_INVALID
     sys.exit(code)

@@ -38,7 +38,7 @@ uncovered elements, so each uncovered set is counted once, in the memo;
 there one node is one set counted or one generated row, and no
 decomposition is built.  A search for solutions records in the same
 memo, as zeros, the sets whose subtree it exhausted without one, and
-skips them.  A run that is cut off stops where it stands and records
+skips them.  A run cut off or closed stops where it stands and records
 nothing it did not finish, so the memo never drops a solution nor
 reorders a run.  It lives on the ``_Cover``, shared by its runs, and
 with the row table holds at most ``MAX_COVER_BITS`` bits.  Once full it
@@ -61,6 +61,8 @@ enumeration is one unquotiented run in canonical order; a
 first, and is finished and empty without one.  A count runs on the
 quotient where there is one.  The node budget is the one bound, so every
 answer is deterministic, and only a finished search says none exists.
+A run yields each solution as it finds it, and ``_search`` hands it on
+with its cover, so a search holds none: the caller decodes what it keeps.
 ``enumerate_scds`` and ``count_search`` take the settings as keywords:
 ``forbid_taut``, ``node_budget`` (``DEFAULT_NODE_BUDGET``) and, for an
 enumeration alone, ``limit``.
@@ -121,7 +123,7 @@ class SearchError(ValueError):
 
 
 class _StopSearch(Exception):
-    def __init__(self, reason: str, nodes: int):
+    def __init__(self, reason: str | None, nodes: int):
         self.reason, self.nodes = reason, nodes
 
 
@@ -180,7 +182,7 @@ class _Cover:
         shape = cuboid_shape(host)
         self.quotient = quotient and shape is not None
         self.scale = factorial(shape[0]) if self.quotient else 1
-        self.host, self.found = host, []
+        self.host = host
         self.position, self.element, self.of_rank = _numbering(host)
         self.max_rows = MAX_COVER_BITS // len(host)
         self.rows: list[int] = []
@@ -257,39 +259,36 @@ class _Cover:
                         mask ^= 1 << row.pop()
         return grown
 
-    def solve(self, seed: int | None = None, cutoff: int | None = None,
-              limit: int | None = 1) -> list[tuple[int, ...]] | None:
-        """Up to ``limit`` solutions, each a tuple of row indices, or None
-        when the run is cut off first.
+    def solve(self, seed: int | None = None, cutoff: int | None = None):
+        """Each solution, a tuple of row indices, as it is found.
 
         Rows are tried in canonical order, or in the order ``seed``
-        shuffles them to; past ``cutoff`` nodes the run is cut off.
+        shuffles them to; past ``cutoff`` nodes the run raises
+        ``_StopSearch("cutoff")``.
         """
         order = None
         if seed is not None:
             order = list(range(len(self.rows)))
             random.Random(seed).shuffle(order)
         stop_at = None if cutoff is None else self.nodes + cutoff
-        self.found = found = []
         rows, memo, conflicts, conflict = self.rows, self.memo, self.conflicts, self._conflict
         # One frame per open node: its uncovered set, live rows, the rows
         # left to try and the solutions found before it; picked holds the
         # row that led to each frame but the root, and then to a leaf.
         uncovered, live = (1 << len(self.host)) - 1, (1 << len(rows)) - 1
-        stack, picked = [], []
+        stack, picked, found = [], [], 0
         while True:
             self.tick()
             if stop_at is not None and self.nodes > stop_at:
-                return None
+                raise _StopSearch("cutoff", self.nodes)
             if uncovered:
                 tried = self._branch(uncovered, live)
                 if order is not None:
                     tried.sort(key=order.__getitem__)
-                stack.append((uncovered, live, iter(tried), len(found)))
+                stack.append((uncovered, live, iter(tried), found))
             else:
-                found.append(tuple(picked))
-                if len(found) == limit:
-                    return found
+                found += 1
+                yield tuple(picked)
                 picked.pop()
             while stack:  # on to the next child not known dead
                 uncovered, live, tried, before = stack[-1]
@@ -300,17 +299,17 @@ class _Cover:
                         uncovered, live = left, live & ~(conflicts.get(i) or conflict(i))
                         break
                 else:
-                    # Only a finished node gets here; a cut-off run
-                    # leaves its open nodes unrecorded.
+                    # Only a finished node gets here; a run cut off or
+                    # closed leaves its open nodes unrecorded.
                     stack.pop()
-                    if len(found) == before and len(memo) < self.max_memo:
+                    if found == before and len(memo) < self.max_memo:
                         memo[uncovered] = 0
                     if picked:
                         picked.pop()
                     continue
                 break
             else:
-                return found
+                return
 
     def _branch(self, uncovered: int, live: int) -> list[int]:
         """The live rows through the uncovered element with the fewest."""
@@ -363,14 +362,16 @@ class _Cover:
                     return self.scale * frame[3]
                 stack[-1][3] += frame[4] * frame[3]
 
-    def witness(self) -> SCD | None:
-        """A decomposition by the restart schedule, or None once a run
-        finishes without one."""
+    def witness(self) -> tuple[int, ...] | None:
+        """A solution by the restart schedule, or None once a run finishes
+        without one."""
         unit = max(RESTART_NODES, 2 * max(self.host.rank_vector))
         for seed in count(1):
-            found = self.solve(seed, unit * _luby(seed))
-            if found is not None:
-                return self.decode(found[0]) if found else None
+            try:
+                return next(self.solve(seed, unit * _luby(seed)), None)
+            except _StopSearch as stop:
+                if stop.reason != "cutoff":
+                    raise
 
     def decode(self, solution: tuple[int, ...]) -> SCD:
         """The decomposition of a solution, chains in canonical order."""
@@ -459,56 +460,59 @@ def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int |
     bijection that keeps taut chains taut; the budget, and
     ``nodes_visited``, are those of the host searched.
 
-    An enumeration with no limit holds every decomposition it finds, so
-    use :func:`count_search` for their number.  Deterministic: an
+    Each decomposition is decoded and carried as it is found, and all are
+    kept, so use :func:`count_search` for their number.  Deterministic: an
     enumeration tries rows in canonical order, and an existence query
     (and the first pass of a ``forbid_taut`` enumeration of a cuboid)
     runs a fixed restart schedule, so repeated runs yield the same
     decompositions in the same order.  A non-rank-symmetric host has no
     decompositions at all: its search is finished, and empty, at 0 nodes.
     """
+    found = []
+    try:
+        for cover, solution in _search(host, forbid_taut, limit, node_budget):
+            found.append(_decoded(cover, solution, host))
+    except _StopSearch as stop:
+        return SearchOutcome(tuple(found), stop.nodes, stop.reason)
+
+
+def _decoded(cover: _Cover, solution: tuple[int, ...], host: GradedPoset) -> SCD:
+    """``solution`` decoded on the cover's host, a ``P x m``, and carried to
+    ``host`` by ``shift`` with the report ``validate_scd`` gives it: the
+    chains partition the host, so it names the taut ones and nothing else,
+    and ``shift``'s output gate reads its taut count."""
+    scd = cover.decode(solution)
+    if cover.host is host:
+        return scd
+    m = cover.host.chain_factor[1]
+    taut = tuple(i for i, ch in enumerate(scd.chains) if is_taut(ch, m))
+    return _shifted(_reported(scd, ValidationReport(taut, scd.chain_count)), host)
+
+
+def _search(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget: int):
+    """The search behind :func:`enumerate_scds`, on the host ``_searched``
+    picks: each solution, as ``(cover, solution)``, as it is found, and
+    then ``_StopSearch`` with the outcome's stop reason and nodes."""
     _check(host, forbid_taut, limit, node_budget)
     if not is_rank_symmetric(host):
-        return SearchOutcome((), 0)
-    searched, _ = _searched(host, forbid_taut)
-    outcome = _enumerate(searched, forbid_taut, limit, node_budget)
-    if searched is host:
-        return outcome
-    return outcome._replace(found=tuple(_shifted(_decoded(scd), host) for scd in outcome.found))
-
-
-def _decoded(scd: SCD) -> SCD:
-    """``scd``, decoded from a cover of a host ``P x m``, with the report
-    ``validate_scd`` gives it: a cover picks saturated symmetric chains
-    that partition the host, so the report names its taut chains and
-    finds nothing else, and ``shift``'s output gate reads its taut count."""
-    m = scd.host.chain_factor[1]
-    taut = tuple(i for i, ch in enumerate(scd.chains) if is_taut(ch, m))
-    return _reported(scd, ValidationReport(taut, scd.chain_count))
-
-
-def _enumerate(host: GradedPoset, forbid_taut: bool, limit: int | None,
-               node_budget: int) -> SearchOutcome:
-    """:func:`enumerate_scds` on ``host`` itself."""
-    cover = prover = None
-    try:
-        if limit == 1 or forbid_taut and cuboid_shape(host) is not None:
-            prover = _Cover(host, forbid_taut, node_budget)
-            witness = prover.witness()
-            if witness is None:
-                return SearchOutcome((), prover.nodes)
-            if limit == 1:
-                return SearchOutcome((witness,), prover.nodes, "limit")
-        cover = _Cover(host, forbid_taut, node_budget, quotient=False,
-                       nodes=prover.nodes if prover else 0)
-        cover.solve(limit=limit)
-    except _StopSearch as stop:
-        reason, nodes = stop.reason, stop.nodes
-    else:
-        reason = "limit" if len(cover.found) == limit else None
-        nodes = cover.nodes
-    found = tuple(map(cover.decode, cover.found)) if cover else ()
-    return SearchOutcome(found, nodes, reason)
+        raise _StopSearch(None, 0)
+    host, _ = _searched(host, forbid_taut)
+    nodes = 0
+    if limit == 1 or forbid_taut and cuboid_shape(host) is not None:
+        prover = _Cover(host, forbid_taut, node_budget)
+        witness = prover.witness()
+        if witness is None:
+            raise _StopSearch(None, prover.nodes)
+        if limit == 1:
+            yield prover, witness
+            raise _StopSearch("limit", prover.nodes)
+        nodes = prover.nodes
+    cover = _Cover(host, forbid_taut, node_budget, quotient=False, nodes=nodes)
+    for found, solution in enumerate(cover.solve(), 1):
+        yield cover, solution
+        if found == limit:
+            raise _StopSearch("limit", cover.nodes)
+    raise _StopSearch(None, cover.nodes)
 
 
 def count_search(host: GradedPoset, *, forbid_taut: bool = False,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import scdkit
-from scdkit import chains, cli, constructions, data_io
+from scdkit import chains, cli, constructions, data_io, search
 from scdkit.cli import run
 from scdkit.constructions import (
     ConstructionError,
@@ -290,6 +291,26 @@ def test_search_out_dash_writes_a_pipeable_document(tmp_path, capsys):
     assert invoke(capsys, *argv, "--out", str(doc)) == (0, err, "")
     assert doc.read_text(encoding="ascii") == out
     assert invoke(capsys, *argv) == (0, err, "")
+
+
+# The command line counts each decomposition as the search finds it and
+# decodes only the first, for --out; enumerate_scds decodes and keeps them
+# all.  Both read the same search: P(2,6) is searched as P(2,3) and
+# carried by shift, the others on their own host.
+SEARCHED = [(2, 6, False, 17), (2, 6, False, 18), (2, 6, False, 100), (3, 3, False, 5),
+            (5, 3, True, 1)]
+
+
+@pytest.mark.parametrize("k, n, forbid_taut, limit", SEARCHED, ids=[
+    f"P({k},{n})" + "-forbid-taut" * taut + f"-limit-{limit}" for k, n, taut, limit in SEARCHED])
+def test_a_search_reports_what_enumerate_scds_finds(capsys, k, n, forbid_taut, limit):
+    out = search.enumerate_scds(build_cuboid(k, n), forbid_taut=forbid_taut, limit=limit)
+    argv = ["search", "--k", str(k), "--n", str(n), "--limit", str(limit)]
+    code, doc, summary = invoke(capsys, *argv, *["--forbid-taut"] * forbid_taut, "--out", "-")
+    found, status, nodes = re.fullmatch(r"found (\d+), (.+), nodes (\d+)\n", summary).groups()
+    reason = None if status == "exhausted" else status[len("stopped ("):-1]
+    assert (int(found), int(nodes), reason) == (len(out.found), out.nodes_visited, out.stop_reason)
+    assert (code, doc) == (0, serialize_scd(out.found[0]))
 
 
 def test_use_symmetry_is_accepted_with_limit_1_only(capsys, tmp_path):
@@ -705,6 +726,15 @@ def test_a_search_with_out_and_no_limit_stops_at_the_one_document_it_writes(tmp_
     assert parse_scd(doc.read_text(encoding="ascii")).report.valid
 
 
+def test_a_search_counts_past_the_first_decomposition_within_memory():
+    # --limit N holds none of the decompositions it counts.  Bisected as
+    # above to 4 MiB, P(4,3)'s first 50,000 need 20 MiB, no more than the
+    # interpreter; held and decoded, as they were, they needed over 192 MiB.
+    proc = run_limited(64 << 20, ["search", "--k", "4", "--n", "3", "--limit", "50000"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "found 50000, stopped (limit), nodes 171604\n", "")
+
+
 # Hosts that a search recursing once per chain or per cover would take past
 # Python's frame limit: the widest ranks of P(12,2) hold over 1000 chains.
 # Rows are grown and picked on explicit stacks, so each search ends with its
@@ -848,3 +878,27 @@ def test_a_closed_stdout_ends_quietly_with_exit_1():
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["generate", "--k", "9", "--n", "4"],
+    ["show", "--k", "3", "--n", "3"],
+    ["validate", "{doc}"],
+    ["search", "--k", "2", "--n", "3", "--limit", "3"],
+    ["tables", "--id", "P53"],
+], ids=lambda argv: argv[0])
+def test_a_stdout_that_cannot_be_written_ends_with_one_error_line(tmp_path, argv):
+    # Every write to /dev/full fails with ENOSPC, as on a full disk.
+    doc = tmp_path / "p53.scd"
+    doc.write_text(serialize_scd(builtin_table("P53")), encoding="ascii")
+    src = str(Path(scdkit.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from scdkit.cli import main; main()",
+             *[arg.format(doc=doc) for arg in argv]],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ") and proc.stderr.count("\n") == 1

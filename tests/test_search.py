@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import sys
 from functools import lru_cache
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -22,6 +23,7 @@ from scdkit.search import (
     DEFAULT_NODE_BUDGET,
     SearchError,
     _Cover,
+    _StopSearch,
     count_scds,
     count_search,
     enumerate_scds,
@@ -420,7 +422,7 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
     # for 2 * k! otherwise (the duality reverses the word).
     host = build_cuboid(k, n)
     cover = _Cover(host, False, DEFAULT_NODE_BUDGET)
-    solutions = [cover.decode(sol) for sol in cover.solve(limit=None)]
+    solutions = [cover.decode(sol) for sol in cover.solve()]
     weights = [1 if w == w[::-1] else 2 for w in map(_maximal_word, solutions)]
     assert all(validate_scd(host, s).valid for s in solutions)
     assert len({s.chain_set for s in solutions}) == len(solutions)
@@ -543,8 +545,8 @@ def test_an_enumeration_on_a_generic_base_builds_its_host_once(monkeypatch):
     assert built.count(6) == 1
     assert (len(out.found), out.stop_reason) == (336, None)
     assert all(s.host is host and s.report.valid for s in out.found)
-    direct = search._enumerate(host, False, None, DEFAULT_NODE_BUDGET)
-    assert {s.chain_set for s in out.found} == {s.chain_set for s in direct.found}
+    direct = _Cover(host, False, DEFAULT_NODE_BUDGET, quotient=False)
+    assert {s.chain_set for s in out.found} == {direct.decode(s).chain_set for s in direct.solve()}
 
 
 def test_the_counts_of_2x3_times_m_are_pinned():
@@ -705,10 +707,12 @@ def test_cut_off_runs_leave_no_false_dead_sets(k, n, taut_free, seed, limit):
     host = build_cuboid(k, n)
     shared = _Cover(host, taut_free, 50_000)
     for s in range(1, 9):
-        assert shared.solve(s, cutoff=20 if taut_free else 5) is None
+        with pytest.raises(_StopSearch) as stop:
+            list(shared.solve(s, cutoff=20 if taut_free else 5))
+        assert stop.value.reason == "cutoff"
     assert shared.memo and not any(shared.memo.values())
-    expected = _Cover(host, taut_free, DEFAULT_NODE_BUDGET).solve(seed, limit=limit)
-    assert expected and shared.solve(seed, limit=limit) == expected
+    expected = list(islice(_Cover(host, taut_free, DEFAULT_NODE_BUDGET).solve(seed), limit))
+    assert expected and list(islice(shared.solve(seed), limit)) == expected
 
 
 def test_restarts_cost_little_on_an_empty_host():
@@ -717,7 +721,7 @@ def test_restarts_cost_little_on_an_empty_host():
     # one uncapped canonical run.
     host = build_cuboid(4, 3)
     scheduled, alone = (_Cover(host, True, DEFAULT_NODE_BUDGET) for _ in range(2))
-    assert scheduled.witness() is None and alone.solve() == []
+    assert scheduled.witness() is None and list(alone.solve()) == []
     assert scheduled.nodes < 1.05 * alone.nodes
 
 
@@ -761,10 +765,17 @@ def test_a_witness_search_runs_on_the_luby_schedule(monkeypatch, k, n, restart_n
     runs = []
     solve = _Cover.solve
 
-    def recording(cover, seed=None, cutoff=None, limit=1):
-        found = solve(cover, seed, cutoff, limit)
-        runs.append((seed, cutoff, found is None))
-        return found
+    def recording(cover, seed=None, cutoff=None):
+        # Each run is recorded as it ends: cut off, finished, or closed at
+        # its first solution.
+        cut = False
+        try:
+            yield from solve(cover, seed, cutoff)
+        except _StopSearch as stop:
+            cut = stop.reason == "cutoff"
+            raise
+        finally:
+            runs.append((seed, cutoff, cut))
 
     monkeypatch.setattr(_Cover, "solve", recording)
     host = build_cuboid(k, n)
