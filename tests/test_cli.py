@@ -246,13 +246,13 @@ def test_the_budget_stops_a_search_while_it_grows_its_rows(capsys):
 # table): a search with neither --limit nor --out counts, and every node is
 # pinned.
 PINNED_COUNTS = [
-    (["--k", "3", "--n", "3"], "found 1488, exhausted, nodes 300"),
+    (["--k", "3", "--n", "3"], "found 1488, exhausted, nodes 297"),
     (["--k", "2", "--n", "6"], "found 18, exhausted, nodes 14"),
-    (["--k", "3", "--n", "4", "--forbid-taut"], "found 0, exhausted, nodes 217"),
-    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 217"),
+    (["--k", "3", "--n", "4", "--forbid-taut"], "found 0, exhausted, nodes 211"),
+    (["--k", "3", "--n", "5", "--forbid-taut"], "found 0, exhausted, nodes 211"),
     (["--k", "4", "--n", "3", "--forbid-taut", "--budget", "400000"],
-     "found 0, exhausted, nodes 7844"),
-    (["--k", "3", "--n", "40"], "found 5952, exhausted, nodes 300"),
+     "found 0, exhausted, nodes 6747"),
+    (["--k", "3", "--n", "40"], "found 5952, exhausted, nodes 297"),
 ]
 
 
@@ -283,7 +283,7 @@ def test_search_out_dash_writes_a_pipeable_document(tmp_path, capsys):
     # The document alone goes to stdout; the summary line goes to stderr.
     argv = ("search", "--k", "5", "--n", "3", "--forbid-taut", "--limit", "1")
     code, out, err = invoke(capsys, *argv, "--out", "-")
-    assert code == 0 and err == "found 1, stopped (limit), nodes 3814\n"
+    assert code == 0 and err == "found 1, stopped (limit), nodes 2801\n"
     scd = parse_scd(out)
     assert scd.report.valid and scd.report.taut_count == 0
     # With a file, or no --out, the summary stays on stdout.
@@ -834,10 +834,10 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
     assert lines == [
-        "found 1, stopped (limit), nodes 3814",
+        "found 1, stopped (limit), nodes 2801",
         "found 0, stopped (node-budget), nodes 2",
-        "found 5952, exhausted, nodes 300",
-        "found 1, stopped (limit), nodes 3814",
+        "found 5952, exhausted, nodes 297",
+        "found 1, stopped (limit), nodes 2801",
         "[0, 2, 0, 0]",
     ]
     scd = parse_scd(witness.read_text(encoding="ascii"))
