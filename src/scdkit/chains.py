@@ -46,7 +46,7 @@ from itertools import chain as concat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .posets import Element, GradedPoset, cuboid_shape
+from .posets import Element, GradedPoset, _Frozen, cuboid_shape
 
 Chain = tuple  # elements in ascending rank order
 
@@ -62,7 +62,7 @@ def cuboid_key(b: int, c: int, k: int, n: int) -> int:
     return ((b.bit_count() + c << k) + b) * n + c
 
 
-class SCD:
+class SCD(_Frozen):
     """A set of chains intended to partition ``host`` into symmetric chains.
 
     Two decompositions are equal when their hosts are (``GradedPoset``
@@ -77,19 +77,10 @@ class SCD:
     """
 
     __slots__ = ("host", "chains", "notes", "_report")
+    _noun = "an SCD"
 
     def __init__(self, host: GradedPoset, chains: tuple[Chain, ...], notes: tuple[str, ...] = ()):
-        init = object.__setattr__
-        init(self, "host", host)
-        init(self, "chains", chains)
-        init(self, "notes", notes)
-        init(self, "_report", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an SCD")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an SCD")
+        self._set(host=host, chains=chains, notes=notes, _report=None)
 
     @property
     def chain_set(self) -> frozenset:
@@ -102,7 +93,7 @@ class SCD:
     @property
     def report(self) -> "ValidationReport":
         if self._report is None:
-            object.__setattr__(self, "_report", validate_scd(self.host, self))
+            self._set(_report=validate_scd(self.host, self))
         return self._report
 
     @property
@@ -125,7 +116,7 @@ class SCD:
 
 def _reported(scd: SCD, report: "ValidationReport | None") -> SCD:
     """``scd`` with ``report``, already computed for its host and chains."""
-    object.__setattr__(scd, "_report", report)
+    scd._set(_report=report)
     return scd
 
 

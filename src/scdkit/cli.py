@@ -2,14 +2,15 @@
 
 Thin wrappers over the library that compose in shell pipelines: a path
 of ``-`` reads stdin, and ``--out -`` or no ``--out`` writes stdout.
-``validate`` prints a report, ``show`` a packet grid, and ``search`` a
-summary, on stderr when its document goes to stdout.  Every other command
-names its one library call as ``build`` in the parser; ``_cmd_write`` has
-``_emit`` write what that returns block by block, as ``data_io.write_lines``
-yields it, never whole (``data_io.serialize_scd`` joins the blocks for
-library callers), and ``generate`` (k > 5) and ``lift`` hold only the line
-of each chain the lift has checked.  An ``--out`` file is opened only once
-the first block exists, so a refused document leaves none.  Stdin and files
+``validate`` prints a report, and ``search`` a summary, on stderr when
+its document goes to stdout.  Every other command, ``show`` and its
+packet grid among them, names its one library call as ``build`` in the
+parser; ``_cmd_write`` has ``_emit`` write what that returns block by
+block, as ``data_io.write_lines`` yields it, never whole
+(``data_io.serialize_scd`` joins the blocks for library callers), and
+``generate`` (k > 5) and ``lift`` hold only the line of each chain the
+lift has checked.  An ``--out`` file is opened only once the first block
+exists, so a refused document leaves none.  Stdin and files
 are decoded alike, as UTF-8 with an undecodable byte read as U+FFFD.  Exit
 codes: 0 success, 1 invalid input, out-of-region request or output that
 cannot be written, 2 search stopped by budget before reaching a conclusion.
@@ -86,11 +87,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_show(args) -> int:
-    _emit([data_io.render_pictorial(build_hypercube(args.k), args.n)], args.out)
-    return EXIT_OK
-
-
 def _cmd_write(args) -> int:
     doc = args.build(args)
     _emit(data_io.write_scd(doc) if isinstance(doc, SCD) else doc, args.out)
@@ -128,7 +124,7 @@ def _cmd_search(args) -> int:
         try:
             for cover, solution in search._search(host, args.forbid_taut, limit, args.budget):
                 if not found and args.out:
-                    first = search._decoded(cover, solution, host)
+                    first = cover.decode(solution, host)
                 found += 1
         except search._StopSearch as stop:
             nodes, reason = stop.nodes, stop.reason
@@ -152,7 +148,9 @@ _COMMANDS = {
         ("file", {"nargs": "?", "default": "-", "help": "document path, or - for stdin"}),
         ("--require-nontaut", {"action": "store_true"}),
     ], {"fn": _cmd_validate}),
-    "show": ("render the packet grid of Q_k x n", [_K, _N, _OUT], {"fn": _cmd_show}),
+    "show": ("render the packet grid of Q_k x n", [_K, _N, _OUT], {
+        "fn": _cmd_write, "build": lambda a: [data_io.render_pictorial(build_hypercube(a.k), a.n)],
+    }),
     "tables": ("emit a bundled certificate decomposition", [
         ("--id", {"required": True, "choices": sorted(data_io.BUILTIN_TABLES)}), _OUT,
     ], {"fn": _cmd_write, "build": lambda a: data_io.builtin_table(a.id)}),

@@ -274,19 +274,20 @@ def shift(scd: SCD, m: int) -> SCD:
         raise ConstructionError(
             f"shift needs both chain lengths >= rk(P)+1 = {rk + 1}, got n={n}, m={m}"
         )
-    _check(scd, "shift input")
-    return scd if m == n else _shifted(scd, poset_times_chain(base, m))
+    taut_count = _check(scd, "shift input").taut_count
+    return scd if m == n else _shifted(scd, poset_times_chain(base, m), taut_count)
 
 
-def _shifted(scd: SCD, host: GradedPoset) -> SCD:
-    """:func:`shift` of a valid ``scd`` onto ``host``, a ``P x chain(m)``
-    the caller has built, through the gate that keeps its taut count."""
+def _shifted(scd: SCD, host: GradedPoset, taut_count: int) -> SCD:
+    """:func:`shift` of a valid ``scd`` with ``taut_count`` taut chains onto
+    ``host``, a ``P x chain(m)`` the caller has built, through the gate
+    that keeps that count."""
     rk = host.chain_factor[0].rk
     # Each chain's run over the middle block starts at total rank rk.
     rank_in = scd.host.rank_of
     coords = [ch[rk - rank_in(ch[0])][0] for ch in scd.chains]
     return _checked(host, _restretch(scd, host.chain_factor[1], coords), scd.notes,
-                    what="shift", taut_count=scd.report.taut_count)
+                    what="shift", taut_count=taut_count)
 
 
 # -- collapse / expand between n = rk(P)+1 and n = rk(P) ---------------------

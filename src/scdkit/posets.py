@@ -41,7 +41,8 @@ anything else, a float equal to an int included, is foreign.  Products
 of arbitrary posets use nested tuples the same way.  All posets are
 immutable after construction and safe to share: assigning or deleting
 an attribute of a host raises ``AttributeError``, as it does on an
-``SCD``, and the constructors set their slots through one private path.
+``SCD``: both freeze through one base, ``_Frozen``, whose ``_set`` is the
+one private path that sets their slots.
 """
 
 from __future__ import annotations
@@ -62,7 +63,26 @@ class PosetError(ValueError):
     """Raised for malformed posets or out-of-domain poset queries."""
 
 
-class GradedPoset:
+class _Frozen:
+    """The one freeze of hosts and ``SCD``: slots are set through ``_set``
+    while a value is built, and assigning or deleting an attribute
+    afterwards raises ``AttributeError`` naming the class's ``_noun``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields: object) -> None:
+        """The one path that sets a value's slots."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {self._noun}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {self._noun}")
+
+
+class GradedPoset(_Frozen):
     """A finite graded poset given by elements, covers, and ranks.
 
     ``chain_factor`` is ``(base, n)`` when the poset was built as
@@ -83,6 +103,7 @@ class GradedPoset:
     """
 
     __slots__ = ("label", "rk", "rank_vector", "chain_factor", "_up", "_rank")
+    _noun = "a host"
 
     def __init__(
         self,
@@ -122,17 +143,6 @@ class GradedPoset:
         self._set(_rank=ranks, label=label, rk=max(ranks.values()), chain_factor=None,
                   _up={e: tuple(sorted(up[e])) for e in elements})
         self._set(rank_vector=tuple(map(len, self.by_rank)))
-
-    def _set(self, **fields: object) -> None:
-        """The one path that sets a host's slots, while it is built."""
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a host")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of a host")
 
     # -- the element tables, derived on each call ----------------------------
 

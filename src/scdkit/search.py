@@ -25,10 +25,10 @@ bit steps.  The duality ``(b, c) -> (~b, n-1-c)`` keeps chains symmetric
 and taut chains taut, and reverses that word.  Of the maximal chains the
 quotient keeps as rows those whose bits flip in the order k-1, ..., 1, 0
 and whose word is at most its reverse; the order runs against the
-branch's tie-break toward low positions, which cuts the P(4,3) taut-free
-proof from 7,844 nodes to 6,747.  Every decomposition is the image of one
-whose maximal chain is such a row, so a quotient search that finishes
-without a solution proves that none exists.  And since the bit
+branch's tie-break toward low positions, which shortens the taut-free
+proofs.  Every decomposition is the image of one whose maximal chain is
+such a row, so a quotient search that finishes without a solution
+proves that none exists.  And since the bit
 permutations act freely on maximal chains, a quotient solution stands
 for k! decompositions when its maximal row's word is a palindrome and
 for 2 * k! otherwise: a count weighs that row 1 or 2, every other row 1,
@@ -78,13 +78,13 @@ that keeps taut chains taut, so ``P x (rk+1)`` answers for every
 n > rk+1: an enumeration runs on it and carries each decomposition it
 finds onto the host ``P x n`` it was given, by ``shift``'s restretch (a
 finished empty search is finished for ``P x n``), and a taut-free count
-counts it.  A decomposition decoded from a cover is valid by
-construction, so it is carried with its report: only ``shift``'s output
-gate validates, and no host is built per decomposition.  When rk >= 1
-and P has a unique bottom and top, ``collapse`` maps the decompositions
-of ``P x (rk+1)`` onto those of ``P x rk``, rk+1 to 1, so a count of
-every decomposition for n >= rk+1 counts ``P x rk`` and multiplies by
-rk+1.  Not a taut-free count: ``collapse`` is not rk+1 to 1 on taut-free
+counts it.  ``_Cover.decode`` does the carry: a decomposition decoded
+from a cover is valid by construction, so only its taut count is read,
+only ``shift``'s output gate validates, and no host is built per
+decomposition.  When rk >= 1 and P has a unique bottom and top,
+``collapse`` maps the decompositions of ``P x (rk+1)`` onto those of
+``P x rk``, rk+1 to 1, so a count of every decomposition for n >= rk+1
+counts ``P x rk`` and multiplies by rk+1.  Not a taut-free count: ``collapse`` is not rk+1 to 1 on taut-free
 decompositions (3x3 x 4 has 3,368, 3x3 x 5 has 17,600).
 
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
@@ -105,7 +105,7 @@ from math import factorial
 from operator import or_
 from typing import NamedTuple
 
-from .chains import SCD, ValidationReport, _reported, canonical_chain_order, is_taut
+from .chains import SCD, canonical_chain_order, is_taut
 from .constructions import _shifted, generate
 from .posets import GradedPoset, build_cuboid, build_hypercube, cuboid_shape
 from .posets import is_rank_symmetric, poset_times_chain
@@ -376,12 +376,20 @@ class _Cover:
                 if stop.reason != "cutoff":
                     raise
 
-    def decode(self, solution: tuple[int, ...]) -> SCD:
-        """The decomposition of a solution, chains in canonical order."""
+    def decode(self, solution: tuple[int, ...], host: GradedPoset | None = None) -> SCD:
+        """The decomposition of a solution, chains in canonical order, on
+        ``host``: by default the cover's own, else the ``P x n`` the cover's
+        ``P x m`` answers for, reached by ``shift``'s restretch.  The chains
+        partition the cover's host, so only their taut count is read, and
+        only ``shift``'s output gate validates."""
         element, rank_of = self.element, self.host.rank_of
         chains = [tuple(sorted(map(element, _ones(self.rows[i])), key=rank_of))
                   for i in solution]
-        return SCD(self.host, canonical_chain_order(self.host, chains))
+        scd = SCD(self.host, canonical_chain_order(self.host, chains))
+        if host is None or host is self.host:
+            return scd
+        m = self.host.chain_factor[1]
+        return _shifted(scd, host, sum(is_taut(ch, m) for ch in scd.chains))
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -474,22 +482,9 @@ def enumerate_scds(host: GradedPoset, *, forbid_taut: bool = False, limit: int |
     found = []
     try:
         for cover, solution in _search(host, forbid_taut, limit, node_budget):
-            found.append(_decoded(cover, solution, host))
+            found.append(cover.decode(solution, host))
     except _StopSearch as stop:
         return SearchOutcome(tuple(found), stop.nodes, stop.reason)
-
-
-def _decoded(cover: _Cover, solution: tuple[int, ...], host: GradedPoset) -> SCD:
-    """``solution`` decoded on the cover's host, a ``P x m``, and carried to
-    ``host`` by ``shift`` with the report ``validate_scd`` gives it: the
-    chains partition the host, so it names the taut ones and nothing else,
-    and ``shift``'s output gate reads its taut count."""
-    scd = cover.decode(solution)
-    if cover.host is host:
-        return scd
-    m = cover.host.chain_factor[1]
-    taut = tuple(i for i, ch in enumerate(scd.chains) if is_taut(ch, m))
-    return _shifted(_reported(scd, ValidationReport(taut, scd.chain_count)), host)
 
 
 def _search(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget: int):

@@ -12,7 +12,6 @@ spellings, as regular expressions, with none of the parser's slicing.
 """
 
 import re
-from itertools import product as iproduct
 
 from scdkit.chains import SCD, ValidationReport
 from scdkit.posets import cuboid_shape
@@ -185,11 +184,6 @@ def middle_graph_by_ranks(scd):
     loops = sorted(p for p, q in edges if p == q)
     assert loops == sorted(set(base.elements) - set(path)), "loops miss off-path vertices"
     return tuple(edges), tuple(path)
-
-
-def enumerate_grid_cells(a, b):
-    """All cells of an a x b grid, for partition checks."""
-    return set(iproduct(range(a), range(b)))
 
 
 def permuted_bits(b, k, perm):

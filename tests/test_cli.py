@@ -5,12 +5,9 @@ import json
 import os
 import re
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import scdkit
 from scdkit import chains, cli, constructions, data_io, search
 from scdkit.cli import run
 from scdkit.constructions import (
@@ -24,6 +21,8 @@ from scdkit.constructions import (
 )
 from scdkit.data_io import builtin_table, parse_scd, render_pictorial, serialize_scd
 from scdkit.posets import build_cuboid, build_hypercube, cuboid_shape
+
+from interpreter import python
 
 
 def invoke(capsys, *argv):
@@ -239,6 +238,13 @@ def test_the_budget_stops_a_search_while_it_grows_its_rows(capsys):
     # maximal chains it generates: every one is a node against the budget.
     code, out, _ = invoke(capsys, "search", "--k", "15", "--n", "32", "--budget", "10")
     assert (code, out) == (2, "found 0, stopped (node-budget), nodes 11\n")
+
+
+def test_the_budget_stops_an_existence_query_after_its_rows_are_grown(capsys):
+    # P(4,4)'s rows take 1,108 nodes; the budget stops the third restart run.
+    code, out, _ = invoke(capsys, "search", "--k", "4", "--n", "4", "--forbid-taut",
+                          "--limit", "1", "--budget", "5000")
+    assert (code, out) == (2, "found 0, stopped (node-budget), nodes 5001\n")
 
 
 # The summary line of each count in the benchmark's search_prove list, and
@@ -581,24 +587,18 @@ def test_each_request_pays_for_each_gate_once(tmp_path, capsys, monkeypatch):
     assert calls == ["P(5,6)", "P(5,9)"]
 
 
-# Runs the CLI under an address-space limit given as the first argument,
-# so that a host built before the size check fails the test instead of
-# exhausting memory.
+# Runs the CLI under an address-space limit, so that a host built before
+# the size check fails the test instead of exhausting memory.
 LIMITED_CLI = """
-import resource, sys
-limit = int(sys.argv.pop(1))
-resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import sys
 from scdkit.cli import run
 sys.exit(run(sys.argv[1:]))
 """
 
 
 def run_limited(limit, argv, timeout=60):
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, str(limit), *argv],
-        capture_output=True, text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": src},
-    )
+    return python(LIMITED_CLI, *argv, limit=limit, capture_output=True, text=True,
+                  timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -799,11 +799,8 @@ def test_generate_validate_and_shift_build_no_element_table(tmp_path):
         ["collapse", "--file", str(p56), "--out", str(p55c)],
         ["repair", "--file", str(p56), "--out", str(p56r)],
     ]
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", TABLE_FREE_CLI, json.dumps(requests)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = python(TABLE_FREE_CLI, json.dumps(requests), capture_output=True, text=True,
+                  timeout=120)
     assert proc.stderr == ""
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1, 0, 0, 0, 0, 0]
     assert "finding: chain 0: non-cover steps" in proc.stdout
@@ -826,11 +823,8 @@ def test_searches_of_cuboids_build_no_element_table(tmp_path):
         ["search", "--k", "3", "--n", "4"],
         ["search", "--k", "5", "--n", "3", "--forbid-taut", "--limit", "1"],
     ]
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", TABLE_FREE_CLI, json.dumps(requests)],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = python(TABLE_FREE_CLI, json.dumps(requests), capture_output=True, text=True,
+                  timeout=120)
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
     assert lines == [
@@ -850,12 +844,8 @@ IMPORTED_BY_CLI = "import sys, scdkit.cli; print(*sorted(sys.modules))"
 
 
 def test_the_cli_loads_every_module_of_the_package_and_no_dataclasses():
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORTED_BY_CLI],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-    )
+    proc = python(IMPORTED_BY_CLI, capture_output=True, text=True, timeout=60,
+                  env={"PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.split())
     # dataclasses pulls in inspect, ast, dis and tokenize on every start.
@@ -868,12 +858,8 @@ def test_the_cli_loads_every_module_of_the_package_and_no_dataclasses():
 def test_a_closed_stdout_ends_quietly_with_exit_1():
     # P(12,4)'s document, about 230 kB, is more than a pipe holds, so
     # scdkit is still writing when its reader stops after 100 bytes.
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    with subprocess.Popen(
-        [sys.executable, "-c", "from scdkit.cli import main; main()",
-         "generate", "--k", "12", "--n", "4"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
-    ) as proc:
+    with python("from scdkit.cli import main; main()", "generate", "--k", "12", "--n", "4",
+                start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         err = proc.stderr.read()
@@ -892,13 +878,9 @@ def test_a_stdout_that_cannot_be_written_ends_with_one_error_line(tmp_path, argv
     # Every write to /dev/full fails with ENOSPC, as on a full disk.
     doc = tmp_path / "p53.scd"
     doc.write_text(serialize_scd(builtin_table("P53")), encoding="ascii")
-    src = str(Path(scdkit.__file__).resolve().parents[1])
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-c", "from scdkit.cli import main; main()",
-             *[arg.format(doc=doc) for arg in argv]],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = python("from scdkit.cli import main; main()",
+                      *[arg.format(doc=doc) for arg in argv],
+                      stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot write stdout: ") and proc.stderr.count("\n") == 1

@@ -1,15 +1,9 @@
-import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import scdkit
 from scdkit import constructions, data_io, posets
 from scdkit.chains import validate_scd
 from scdkit.posets import (
@@ -27,6 +21,7 @@ from scdkit.posets import (
     product,
 )
 
+from interpreter import python
 from oracles import diagnose_by_elements, product_rank_vector, rank_vector_by_bucketing
 
 
@@ -429,12 +424,10 @@ def test_every_cover_raises_rank_by_one():
 # poset allocated before the size check fails the test instead of
 # exhausting memory.
 LIMITED_CALL = """
-import resource, sys
-limit = int(sys.argv[1])
-resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+import sys
 from scdkit.posets import PosetError, build_chain_poset, build_hypercube, product
 try:
-    eval(sys.argv[2])
+    eval(sys.argv[1])
 except PosetError as exc:
     sys.exit(f"error: {exc}")
 """
@@ -447,11 +440,7 @@ except PosetError as exc:
     "product(build_chain_poset(3), build_hypercube(19))",
 ])
 def test_oversized_posets_are_refused_before_allocation(call):
-    src = str(Path(scdkit.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_CALL, str(1 << 28), call],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = python(LIMITED_CALL, call, limit=1 << 28, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and "over the limit" in proc.stderr
 

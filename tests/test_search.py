@@ -187,6 +187,19 @@ def test_the_node_budget_bounds_the_chains_a_quotient_discards(monkeypatch):
     assert len(weighed) <= out.nodes_visited == 11
 
 
+def test_the_budget_stops_an_existence_query_in_a_restart_run(monkeypatch):
+    # P(4,4)'s taut-free quotient grows its rows in 1,108 nodes; restart
+    # runs 1 and 2 are cut off after 1,000 nodes each, and the budget stops
+    # run 3, a stop the restart schedule hands on instead of restarting.
+    seeds = []
+    luby = search._luby
+    monkeypatch.setattr(search, "_luby", lambda i: seeds.append(i) or luby(i))
+    out = enumerate_scds(build_cuboid(4, 4), forbid_taut=True, limit=1, node_budget=5000)
+    assert out == search.SearchOutcome((), 5001, "node-budget")
+    assert seeds == [1, 2, 3]
+    assert exists_nontaut_scd(4, 4, node_budget=5000) == (None, None, "inconclusive", 5001)
+
+
 def test_the_default_budget_has_one_spelling(monkeypatch):
     # The default and the same budget spelled out are one existence query:
     # a fresh cache, so no earlier query has filled it.
