@@ -137,8 +137,9 @@ def _cmd_search(args) -> int:
 
 
 # Each command's help, its arguments as (name, add_argument keywords)
-# pairs, and its defaults: ``fn`` runs it, and ``build`` names the library
-# call whose result ``_cmd_write`` writes.
+# pairs, and its defaults: ``fn`` runs it, ``_cmd_write`` unless the row
+# names another, and ``build`` names the library call whose result
+# ``_cmd_write`` writes.
 _K = ("--k", {"type": int, "required": True})
 _N = ("--n", {"type": int, "required": True})
 _FILE = ("--file", {"required": True})
@@ -148,37 +149,32 @@ _COMMANDS = {
         ("file", {"nargs": "?", "default": "-", "help": "document path, or - for stdin"}),
         ("--require-nontaut", {"action": "store_true"}),
     ], {"fn": _cmd_validate}),
-    "show": ("render the packet grid of Q_k x n", [_K, _N, _OUT], {
-        "fn": _cmd_write, "build": lambda a: [data_io.render_pictorial(build_hypercube(a.k), a.n)],
-    }),
+    "show": ("render the packet grid of Q_k x n", [_K, _N, _OUT],
+             {"build": lambda a: [data_io.render_pictorial(build_hypercube(a.k), a.n)]}),
     "tables": ("emit a bundled certificate decomposition", [
         ("--id", {"required": True, "choices": sorted(data_io.BUILTIN_TABLES)}), _OUT,
-    ], {"fn": _cmd_write, "build": lambda a: data_io.builtin_table(a.id)}),
-    "generate": ("generate a taut-free decomposition of P(k,n)", [_K, _N, _OUT], {
-        "fn": _cmd_write, "build": lambda a: constructions._generate(a.k, a.n, _lift_blocks),
-    }),
+    ], {"build": lambda a: data_io.builtin_table(a.id)}),
+    "generate": ("generate a taut-free decomposition of P(k,n)", [_K, _N, _OUT],
+                 {"build": lambda a: constructions._generate(a.k, a.n, _lift_blocks)}),
     "shift": ("restretch the middle block to a new chain length", [
         _FILE, ("--to", {"type": int, "required": True}), _OUT,
-    ], {"fn": _cmd_write, "build": lambda a: constructions.shift(_read_scd(a.file), a.to)}),
-    "collapse": ("project P x (rk+1) down to P x rk", [_FILE, _OUT], {
-        "fn": _cmd_write, "build": lambda a: constructions.collapse(_read_scd(a.file)),
-    }),
+    ], {"build": lambda a: constructions.shift(_read_scd(a.file), a.to)}),
+    "collapse": ("project P x (rk+1) down to P x rk", [_FILE, _OUT],
+                 {"build": lambda a: constructions.collapse(_read_scd(a.file))}),
     "expand": ("lift P x rk up to P x (rk+1) via a matching", [
         _FILE,
         ("--matching", {"type": int, "required": True,
                         "help": "0-based index in unmatched-vertex rank order"}),
         _OUT,
-    ], {"fn": _cmd_write,
-        "build": lambda a: constructions.expand(_read_scd(a.file), a.matching)}),
-    "repair": ("reroute the maximal chain so collapse stays taut-free", [_FILE, _OUT], {
-        "fn": _cmd_write, "build": lambda a: constructions.repair(_read_scd(a.file)),
-    }),
+    ], {"build": lambda a: constructions.expand(_read_scd(a.file), a.matching)}),
+    "repair": ("reroute the maximal chain so collapse stays taut-free", [_FILE, _OUT],
+               {"build": lambda a: constructions.repair(_read_scd(a.file))}),
     "lift": ("widen the hypercube factor by extra dimensions", [
         _FILE,
         ("--with-hypercube", {"type": int, "required": True, "metavar": "J",
                               "help": "number of extra hypercube dimensions"}),
         _OUT,
-    ], {"fn": _cmd_write, "build": _lift}),
+    ], {"build": _lift}),
     "search": ("enumerate decompositions of Q_k x n", [
         _K, _N,
         ("--forbid-taut", {"action": "store_true"}),
@@ -212,7 +208,7 @@ def _parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
-        p.set_defaults(**defaults)
+        p.set_defaults(**{"fn": _cmd_write, **defaults})
     return parser
 
 

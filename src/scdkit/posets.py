@@ -75,6 +75,10 @@ class _Frozen:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
+    def __setstate__(self, state: tuple) -> None:
+        """Restores the slots ``state[1]`` of a copied or unpickled value."""
+        self._set(**state[1])
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of {self._noun}")
 

@@ -70,22 +70,22 @@ with its cover, so a search holds none: the caller decodes what it keeps.
 enumeration alone, ``limit``.
 
 Both search a host ``P x n`` on the smallest host the paper's two maps
-allow, by one rule (``_searched_length``), applied once the settings are
-checked and the host is rank-symmetric; the node budget, and the nodes
-reported, are those of the host searched.  For m, n >= rk(P)+1, ``shift``
-is a bijection between the decompositions of ``P x m`` and ``P x n``
-that keeps taut chains taut, so ``P x (rk+1)`` answers for every
-n > rk+1: an enumeration runs on it and carries each decomposition it
-finds onto the host ``P x n`` it was given, by ``shift``'s restretch (a
-finished empty search is finished for ``P x n``), and a taut-free count
-counts it.  ``_Cover.decode`` does the carry: a decomposition decoded
-from a cover is valid by construction, so only its taut count is read,
-only ``shift``'s output gate validates, and no host is built per
-decomposition.  When rk >= 1 and P has a unique bottom and top,
-``collapse`` maps the decompositions of ``P x (rk+1)`` onto those of
-``P x rk``, rk+1 to 1, so a count of every decomposition for n >= rk+1
-counts ``P x rk`` and multiplies by rk+1.  Not a taut-free count: ``collapse`` is not rk+1 to 1 on taut-free
-decompositions (3x3 x 4 has 3,368, 3x3 x 5 has 17,600).
+allow, by one rule (``_searched_length``) that the gate ``_searched``
+applies; the node budget, and the nodes reported, are those of the host
+searched.  For m, n >= rk(P)+1, ``shift`` is a bijection between the
+decompositions of ``P x m`` and ``P x n`` that keeps taut chains taut,
+so ``P x (rk+1)`` answers for every n > rk+1: an enumeration runs on it
+and carries each decomposition it finds onto the host ``P x n`` it was
+given, by ``shift``'s restretch (a finished empty search is finished for
+``P x n``), and a taut-free count counts it.  ``_Cover.decode`` does the
+carry: a decomposition decoded from a cover is valid by construction, so
+only its taut count is read, only ``shift``'s output gate validates, and
+no host is built per decomposition.  When rk >= 1 and P has a unique
+bottom and top, ``collapse`` maps the decompositions of ``P x (rk+1)``
+onto those of ``P x rk``, rk+1 to 1, so a count of every decomposition
+for n >= rk+1 counts ``P x rk`` and multiplies by rk+1.  Not a taut-free
+count: ``collapse`` is not rk+1 to 1 on taut-free decompositions
+(3x3 x 4 has 3,368, 3x3 x 5 has 17,600).
 
 ``exists_nontaut_scd`` answers n <= 2 by rule and k >= 5 by
 construction, and every other pair by one taut-free existence query on
@@ -376,17 +376,17 @@ class _Cover:
                 if stop.reason != "cutoff":
                     raise
 
-    def decode(self, solution: tuple[int, ...], host: GradedPoset | None = None) -> SCD:
+    def decode(self, solution: tuple[int, ...], host: GradedPoset) -> SCD:
         """The decomposition of a solution, chains in canonical order, on
-        ``host``: by default the cover's own, else the ``P x n`` the cover's
-        ``P x m`` answers for, reached by ``shift``'s restretch.  The chains
+        ``host``: the cover's own, or the ``P x n`` the cover's ``P x m``
+        answers for, reached by ``shift``'s restretch.  The chains
         partition the cover's host, so only their taut count is read, and
         only ``shift``'s output gate validates."""
         element, rank_of = self.element, self.host.rank_of
         chains = [tuple(sorted(map(element, _ones(self.rows[i])), key=rank_of))
                   for i in solution]
         scd = SCD(self.host, canonical_chain_order(self.host, chains))
-        if host is None or host is self.host:
+        if host is self.host:
             return scd
         m = self.host.chain_factor[1]
         return _shifted(scd, host, sum(is_taut(ch, m) for ch in scd.chains))
@@ -429,19 +429,19 @@ def _numbering(host: GradedPoset):
     return (lambda e: e[0] * n + e[1]), (lambda i: divmod(i, n)), of_rank
 
 
-def _check(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget: int) -> None:
-    """Refuse search settings that are unusable for ``host``."""
+def _searched(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget: int,
+              count: bool = False) -> tuple[GradedPoset, int]:
+    """The one gate of every search: refuses unusable settings, stops a host
+    that is not rank-symmetric (finished and empty, at 0 nodes), and returns
+    the host searched and its count factor, by :func:`_searched_length`."""
     if limit is not None and limit < 1:
         raise SearchError(f"limit must be at least 1, got {limit}")
     if node_budget < 0:
         raise SearchError(f"node budget must be nonnegative, got {node_budget}")
     if forbid_taut and host.chain_factor is None:
         raise SearchError(f"{host.label} has no chain coordinate to forbid taut runs in")
-
-
-def _searched(host: GradedPoset, forbid_taut: bool,
-              count: bool = False) -> tuple[GradedPoset, int]:
-    """The host a search of ``host`` runs on, by :func:`_searched_length`."""
+    if not is_rank_symmetric(host):
+        raise _StopSearch(None, 0)
     if host.chain_factor is None:
         return host, 1
     base, n = host.chain_factor
@@ -491,10 +491,7 @@ def _search(host: GradedPoset, forbid_taut: bool, limit: int | None, node_budget
     """The search behind :func:`enumerate_scds`, on the host ``_searched``
     picks: each solution, as ``(cover, solution)``, as it is found, and
     then ``_StopSearch`` with the outcome's stop reason and nodes."""
-    _check(host, forbid_taut, limit, node_budget)
-    if not is_rank_symmetric(host):
-        raise _StopSearch(None, 0)
-    host, _ = _searched(host, forbid_taut)
+    host, _ = _searched(host, forbid_taut, limit, node_budget)
     nodes = 0
     if limit == 1 or forbid_taut and cuboid_shape(host) is not None:
         prover = _Cover(host, forbid_taut, node_budget)
@@ -524,11 +521,8 @@ def count_search(host: GradedPoset, *, forbid_taut: bool = False,
     ``nodes_visited``, are those of the host counted, which can be smaller
     than the one ``enumerate_scds`` searches (``P x (rk+1)``), so a count
     can finish within a budget that stops the matching enumeration."""
-    _check(host, forbid_taut, None, node_budget)
-    if not is_rank_symmetric(host):
-        return CountOutcome(0, 0)
-    searched, factor = _searched(host, forbid_taut, count=True)
     try:
+        searched, factor = _searched(host, forbid_taut, None, node_budget, count=True)
         cover = _Cover(searched, forbid_taut, node_budget)
         return CountOutcome(factor * cover.count(), cover.nodes)
     except _StopSearch as stop:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
@@ -491,3 +493,28 @@ def test_no_caller_can_make_a_table_poset_a_cuboid():
     with pytest.raises(AttributeError):
         host.chain_factor = (build_hypercube(1), 2)
     assert cuboid_shape(host) is None and host != build_cuboid(1, 2)
+
+
+@pytest.mark.parametrize("make, known_valid", [
+    (lambda: _Cuboid(3, 3), None),
+    (lambda: build_hypercube(3), None),
+    (lambda: product(build_chain_poset(2), build_chain_poset(3)), None),
+    (lambda: constructions.generate(5, 3), True),
+    (lambda: data_io.parse_scd(data_io.serialize_scd(constructions.generate(5, 3))), False),
+], ids=["cuboid", "hypercube", "table", "generated", "parsed"])
+@pytest.mark.parametrize("clone", [
+    lambda value: pickle.loads(pickle.dumps(value)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_hosts_and_decompositions_survive_pickle_and_copy(make, known_valid, clone):
+    # The protocols restore a value's slots through its one freeze, so the
+    # copy is equal, of the same type, still frozen, and validated exactly
+    # when the original was: generate validates, parse_scd does not.
+    value = make()
+    copied = clone(value)
+    assert copied == value and type(copied) is type(value)
+    with pytest.raises(AttributeError):
+        copied.label = "copy"
+    validated = getattr(value, "known_valid", None)
+    assert getattr(copied, "known_valid", None) is validated is known_valid

@@ -42,6 +42,11 @@ def generic_host(a=2, b=3, n=4):
     return poset_times_chain(product(build_chain_poset(a), build_chain_poset(b)), n)
 
 
+def vee_host():
+    """a < b, a < c: a host that is not rank-symmetric, so has no decomposition."""
+    return GradedPoset("abc", [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1})
+
+
 def test_square_has_two_scds():
     out = enumerate_scds(build_cuboid(1, 2))
     assert len(out.found) == 2 and out.stop_reason is None
@@ -150,8 +155,9 @@ def test_forbid_taut_outputs_have_no_taut_chains():
 
 
 def test_forbid_taut_needs_chain_coordinate():
-    with pytest.raises(SearchError):
-        enumerate_scds(build_hypercube(2), forbid_taut=True)
+    for entry in (enumerate_scds, count_search):
+        with pytest.raises(SearchError, match="^Q2 has no chain coordinate to forbid taut runs"):
+            entry(build_hypercube(2), forbid_taut=True)
 
 
 def test_limit_stops_early():
@@ -228,10 +234,24 @@ def test_the_node_budget_is_the_only_bound():
 
 def test_non_rank_symmetric_host_is_empty_exhausted():
     # No decomposition at all: a finished search, with nothing found.
-    vee = GradedPoset("abc", [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1})
+    vee = vee_host()
     out = enumerate_scds(vee)
     assert (out.found, out.nodes_visited, out.stop_reason) == ((), 0, None)
     assert count_search(vee) == search.CountOutcome(0, 0, None)
+
+
+@pytest.mark.parametrize("entry, config", [
+    (enumerate_scds, dict(limit=0)),
+    (enumerate_scds, dict(node_budget=-1)),
+    (enumerate_scds, dict(forbid_taut=True)),
+    (count_search, dict(node_budget=-1)),
+    (count_search, dict(forbid_taut=True)),
+], ids=["enumerate-limit", "enumerate-budget", "enumerate-taut", "count-budget", "count-taut"])
+def test_the_gate_refuses_settings_before_a_host_without_decompositions(entry, config):
+    # Both entry points refuse unusable settings first: a host that is not
+    # rank-symmetric does not finish the search at 0 nodes before that.
+    with pytest.raises(SearchError):
+        entry(vee_host(), **config)
 
 
 def test_an_existence_witness_validates_on_the_original_host():
@@ -435,7 +455,7 @@ def test_prover_quotient_weighs_up_to_the_full_count(k, n):
     # for 2 * k! otherwise (the duality reverses the word).
     host = build_cuboid(k, n)
     cover = _Cover(host, False, DEFAULT_NODE_BUDGET)
-    solutions = [cover.decode(sol) for sol in cover.solve()]
+    solutions = [cover.decode(sol, host) for sol in cover.solve()]
     weights = [1 if w == w[::-1] else 2 for w in map(_maximal_word, solutions)]
     assert all(validate_scd(host, s).valid for s in solutions)
     assert len({s.chain_set for s in solutions}) == len(solutions)
@@ -574,7 +594,8 @@ def test_an_enumeration_on_a_generic_base_builds_its_host_once(monkeypatch):
     assert (len(out.found), out.stop_reason) == (336, None)
     assert all(s.host is host and s.report.valid for s in out.found)
     direct = _Cover(host, False, DEFAULT_NODE_BUDGET, quotient=False)
-    assert {s.chain_set for s in out.found} == {direct.decode(s).chain_set for s in direct.solve()}
+    direct_sets = {direct.decode(s, host).chain_set for s in direct.solve()}
+    assert {s.chain_set for s in out.found} == direct_sets
 
 
 def test_the_counts_of_2x3_times_m_are_pinned():
